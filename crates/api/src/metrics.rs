@@ -193,11 +193,11 @@ pub struct MetricsReport {
     /// resident in the master graph and geometric run merges performed.
     pub qfg_delta_runs: u64,
     pub qfg_run_merges: u64,
-    /// Epoch-keyed translation-cache counters: requests answered from the
-    /// cache / requests that had to compute (and seeded it) / entries
-    /// dropped at the capacity bound / wholesale invalidations on snapshot
-    /// publish, plus the current entry gauge.  Bypassed requests touch
-    /// neither hits nor misses.
+    /// Translation-cache counters: requests answered from the current
+    /// snapshot's cache / requests that had to compute (and seeded it) /
+    /// entries dropped at the capacity bound / snapshot publishes that
+    /// replaced the cache with an empty one, plus the current entry gauge.
+    /// Bypassed requests touch neither hits nor misses.
     pub translation_cache_hits: u64,
     pub translation_cache_misses: u64,
     pub translation_cache_evictions: u64,

@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize, Value};
 /// `journal_retries_total`, `journal_heals_total`, `wal_last_errno`).
 ///
 /// v4 (translation cache): `TranslateRequest` gained its `bypass_cache`
-/// flag (force a recompute past the server's epoch-keyed translation
+/// flag (force a recompute past the server's per-snapshot translation
 /// cache — correctness tooling's escape hatch), `TraceReport` and
 /// `SlowQueryReport` gained the `cache_hit` marker so operators never
 /// chase phantom latencies on cached answers, and `MetricsReport` gained

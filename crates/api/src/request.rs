@@ -70,7 +70,7 @@ pub struct TranslateRequest {
     /// for its own histograms either way; this flag only controls whether
     /// the breakdown is shipped back.
     pub trace: bool,
-    /// When true, the server skips its epoch-keyed translation cache for
+    /// When true, the server skips its per-snapshot translation cache for
     /// this request — no lookup, no insert, no hit/miss accounting — and
     /// recomputes from the live snapshot.  The escape hatch for correctness
     /// tooling proving cached answers byte-identical to fresh ones.

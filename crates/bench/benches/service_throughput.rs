@@ -432,10 +432,10 @@ fn emit_cache_json(id: &str, latencies: &[u64], hit_rate: f64) {
 
 /// Hot-repeat vs cold-miss serving under Zipfian question traffic.  The
 /// cold phase forces a full computation per draw (`bypass_cache`); the hot
-/// phase replays the same draw sequence through the epoch-keyed cache, so
+/// phase replays the same draw sequence through the snapshot's cache, so
 /// the first touch of each distinct question misses and every repeat hits.
-/// Every cached answer is asserted byte-identical to a forced recompute at
-/// the same epoch before the numbers are reported.
+/// Every cached answer is asserted byte-identical to a forced recompute on
+/// the same snapshot before the numbers are reported.
 fn translation_cache_phase(smoke: bool) {
     let dataset = Dataset::mas();
     let service = TemplarService::spawn(
@@ -483,7 +483,7 @@ fn translation_cache_phase(smoke: bool) {
         assert_eq!(
             serde_json::to_string(&cached).unwrap(),
             serde_json::to_string(&forced).unwrap(),
-            "a cache hit must be byte-identical to a recompute at the same epoch"
+            "a cache hit must be byte-identical to a recompute on the same snapshot"
         );
     }
     emit_cache_json("translation_cache/hot_repeat", &hot, hit_rate);

@@ -237,25 +237,6 @@ impl Configuration {
     }
 }
 
-/// A memo of pruned candidate lists shared *across* requests, layered over
-/// `MAPKEYWORDS` by a serving layer to amortize candidate retrieval, σ
-/// scoring and pruning over concurrently in-flight translations.
-///
-/// The pruned list of a `(keyword, metadata)` pair is a pure, deterministic
-/// function of the snapshot (database, QFG, similarity model) and the
-/// *structural* configuration (κ, ε, obscurity) — none of which per-request
-/// overrides (λ, `use_log_joins`, top-k) may change — so a memo scoped to
-/// one snapshot returns lists byte-identical to recomputation, and the
-/// final ranking cannot diverge from solo execution.  A `get` returning
-/// `None` always falls back to computing; `put` offers the freshly computed
-/// list for reuse and may drop it (e.g. when the memo is full).
-pub trait CandidateMemo: Sync {
-    /// The memoized pruned candidate list for a keyword, if present.
-    fn get(&self, keyword: &Keyword, meta: &KeywordMetadata) -> Option<Vec<MappingCandidate>>;
-    /// Offer a freshly computed pruned list for reuse by concurrent peers.
-    fn put(&self, keyword: &Keyword, meta: &KeywordMetadata, pruned: &[MappingCandidate]);
-}
-
 /// The keyword mapper: executes `MAPKEYWORDS` (Algorithm 1).
 pub struct KeywordMapper<'a> {
     db: &'a Database,
@@ -310,24 +291,9 @@ impl<'a> KeywordMapper<'a> {
         keywords: &[(Keyword, KeywordMetadata)],
         trace: TraceCtx<'_>,
     ) -> (Vec<Configuration>, SearchStats) {
-        self.map_keywords_traced_memo(keywords, trace, None)
-    }
-
-    /// [`KeywordMapper::map_keywords_traced`] consulting an optional
-    /// cross-request [`CandidateMemo`] for the pruned candidate lists.
-    /// `None` is the identical solo path; with a memo, lists found there
-    /// skip retrieval/scoring/pruning and freshly computed ones are offered
-    /// back — the result is byte-identical either way (see the trait docs
-    /// for why).
-    pub fn map_keywords_traced_memo(
-        &self,
-        keywords: &[(Keyword, KeywordMetadata)],
-        trace: TraceCtx<'_>,
-        memo: Option<&dyn CandidateMemo>,
-    ) -> (Vec<Configuration>, SearchStats) {
         let per_keyword = {
             let _span = trace.span(Stage::CandidatePruning);
-            self.pruned_candidate_lists(keywords, memo)
+            self.pruned_candidate_lists(keywords)
         };
         if per_keyword.is_empty() {
             return (Vec::new(), SearchStats::default());
@@ -351,7 +317,7 @@ impl<'a> KeywordMapper<'a> {
         &self,
         keywords: &[(Keyword, KeywordMetadata)],
     ) -> (Vec<Configuration>, SearchStats) {
-        let per_keyword = self.pruned_candidate_lists(keywords, None);
+        let per_keyword = self.pruned_candidate_lists(keywords);
         if per_keyword.is_empty() {
             return (Vec::new(), SearchStats::default());
         }
@@ -369,31 +335,16 @@ impl<'a> KeywordMapper<'a> {
     /// per-keyword half of Algorithm 1).  Keywords with no surviving
     /// candidate are skipped: one unmappable keyword would zero out every
     /// configuration, while the remaining keywords can still produce a
-    /// (partial) query.  A [`CandidateMemo`] hit replaces the whole
-    /// retrieve/score/prune pass for that keyword.
+    /// (partial) query.
     fn pruned_candidate_lists(
         &self,
         keywords: &[(Keyword, KeywordMetadata)],
-        memo: Option<&dyn CandidateMemo>,
     ) -> Vec<Vec<MappingCandidate>> {
-        let mut per_keyword: Vec<Vec<MappingCandidate>> = Vec::with_capacity(keywords.len());
-        for (kw, meta) in keywords {
-            let pruned = match memo.and_then(|m| m.get(kw, meta)) {
-                Some(hit) => hit,
-                None => {
-                    let candidates = self.keyword_candidates(kw, meta);
-                    let pruned = self.score_and_prune(kw, candidates);
-                    if let Some(m) = memo {
-                        m.put(kw, meta, &pruned);
-                    }
-                    pruned
-                }
-            };
-            if !pruned.is_empty() {
-                per_keyword.push(pruned);
-            }
-        }
-        per_keyword
+        keywords
+            .iter()
+            .map(|(kw, meta)| self.score_and_prune(kw, self.keyword_candidates(kw, meta)))
+            .filter(|pruned| !pruned.is_empty())
+            .collect()
     }
 
     /// `KEYWORDCANDS` (Algorithm 2).

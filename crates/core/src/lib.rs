@@ -39,8 +39,8 @@ pub use error::{JoinInferenceError, TemplarError};
 pub use fragment::{fragments_of_query, QueryContext, QueryFragment};
 pub use join::{apply_log_weights, infer_joins, BagItem, JoinInference, ScoredJoinPath};
 pub use keyword::{
-    CandidateMemo, Configuration, Keyword, KeywordMapper, KeywordMetadata, MappedElement,
-    MappingCandidate, SearchStats,
+    Configuration, Keyword, KeywordMapper, KeywordMetadata, MappedElement, MappingCandidate,
+    SearchStats,
 };
 pub use qfg::{FragmentId, FragmentInterner, QueryFragmentGraph, QueryLog};
 pub use shared::SharedTemplar;

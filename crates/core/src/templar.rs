@@ -16,9 +16,7 @@
 use crate::config::TemplarConfig;
 use crate::error::{JoinInferenceError, TemplarError};
 use crate::join::{infer_joins, BagItem, JoinInference};
-use crate::keyword::{
-    CandidateMemo, Configuration, Keyword, KeywordMapper, KeywordMetadata, SearchStats,
-};
+use crate::keyword::{Configuration, Keyword, KeywordMapper, KeywordMetadata, SearchStats};
 use crate::qfg::{QueryFragmentGraph, QueryLog};
 use crate::trace::{Stage, TraceCtx};
 use nlp::TextSimilarity;
@@ -308,22 +306,8 @@ impl Templar {
         config: &TemplarConfig,
         trace: TraceCtx<'_>,
     ) -> (Vec<Configuration>, SearchStats) {
-        self.map_keywords_traced_memo(keywords, config, trace, None)
-    }
-
-    /// [`Templar::map_keywords_traced`] consulting an optional cross-request
-    /// [`CandidateMemo`] for pruned candidate lists (the serving layer's
-    /// batched-scoring hook).  `None` is the identical solo path; the memo
-    /// is only valid for this exact snapshot (see the trait docs).
-    pub fn map_keywords_traced_memo(
-        &self,
-        keywords: &[(Keyword, KeywordMetadata)],
-        config: &TemplarConfig,
-        trace: TraceCtx<'_>,
-        memo: Option<&dyn CandidateMemo>,
-    ) -> (Vec<Configuration>, SearchStats) {
         let mapper = KeywordMapper::new(&self.db, &self.qfg, &self.similarity, config);
-        mapper.map_keywords_traced_memo(keywords, trace, memo)
+        mapper.map_keywords_traced(keywords, trace)
     }
 
     /// The exhaustive reference enumerator behind

@@ -31,7 +31,7 @@ pub use construct::construct_query;
 pub use explain::{Explanation, JoinExplanation, JOIN_BLEND_BASE, JOIN_BLEND_WEIGHT};
 pub use nalir::NaLirSystem;
 pub use pipeline::{
-    translate_traced, translate_traced_memo, translate_with, translate_with_config,
-    translate_with_config_stats, PipelineSystem,
+    translate_traced, translate_with, translate_with_config, translate_with_config_stats,
+    PipelineSystem,
 };
 pub use system::{NlidbSystem, Nlq, RankedSql, TemplarSource, TranslateError};

@@ -21,8 +21,8 @@ use sqlparse::canonicalize;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use templar_core::{
-    BagItem, CandidateMemo, Configuration, Keyword, KeywordMetadata, MappedElement, QueryLog,
-    SearchStats, SharedTemplar, Stage, Templar, TemplarConfig, TemplarError, TraceCtx,
+    BagItem, Configuration, Keyword, KeywordMetadata, MappedElement, QueryLog, SearchStats,
+    SharedTemplar, Stage, Templar, TemplarConfig, TemplarError, TraceCtx,
 };
 
 /// How many of the top configurations are expanded into SQL candidates.
@@ -142,25 +142,10 @@ pub fn translate_traced(
     config: &TemplarConfig,
     trace: TraceCtx<'_>,
 ) -> (Result<Vec<RankedSql>, TranslateError>, SearchStats) {
-    translate_traced_memo(templar, keywords, config, trace, None)
-}
-
-/// [`translate_traced`] consulting an optional cross-request
-/// [`CandidateMemo`] for pruned candidate lists — the serving layer's
-/// batched-scoring hook.  `None` is the identical solo path; a memo must be
-/// scoped to this exact snapshot (the memo trait docs spell out why the
-/// lists are override-independent and therefore shareable).
-pub fn translate_traced_memo(
-    templar: &Templar,
-    keywords: &[(Keyword, KeywordMetadata)],
-    config: &TemplarConfig,
-    trace: TraceCtx<'_>,
-    memo: Option<&dyn CandidateMemo>,
-) -> (Result<Vec<RankedSql>, TranslateError>, SearchStats) {
     if keywords.is_empty() {
         return (Err(TranslateError::NoKeywords), SearchStats::default());
     }
-    let (configurations, stats) = templar.map_keywords_traced_memo(keywords, config, trace, memo);
+    let (configurations, stats) = templar.map_keywords_traced(keywords, config, trace);
     (
         rank_configurations(templar, config, configurations, &stats, trace),
         stats,

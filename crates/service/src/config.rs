@@ -88,9 +88,9 @@ pub struct ServiceConfig {
     /// [`ApiError::Backpressure`](templar_api::ApiError::Backpressure) and
     /// counted under `admission_tenant_shed`.
     pub max_inflight: usize,
-    /// Capacity of the epoch-keyed translation cache (whole
+    /// Capacity of each snapshot's translation cache (whole
     /// `TranslateResponse`s keyed by normalized question + override
-    /// signature, invalidated wholesale on snapshot publish).  `0` disables
+    /// signature; every publish starts an empty one).  `0` disables
     /// caching entirely — every request computes.
     pub translation_cache_capacity: usize,
     /// Memory budget for one decoded batch of WAL-tail entries during

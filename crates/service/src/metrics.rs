@@ -336,7 +336,7 @@ impl ServiceMetrics {
         self.admission_global_shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One translation answered from the epoch-keyed translation cache.
+    /// One translation answered from the snapshot's translation cache.
     pub(crate) fn record_translation_cache_hit(&self) {
         self.translation_cache_hits.fetch_add(1, Ordering::Relaxed);
     }
@@ -354,7 +354,8 @@ impl ServiceMetrics {
             .fetch_add(n, Ordering::Relaxed);
     }
 
-    /// One wholesale translation-cache invalidation (snapshot publish).
+    /// One snapshot publish, which replaced the translation cache with an
+    /// empty one.
     pub(crate) fn record_translation_cache_invalidation(&self) {
         self.translation_cache_invalidations
             .fetch_add(1, Ordering::Relaxed);
@@ -612,11 +613,12 @@ pub struct MetricsSnapshot {
     /// Filled in by the service, which owns the master state.
     pub qfg_delta_runs: u64,
     pub qfg_run_merges: u64,
-    /// Epoch-keyed translation-cache counters: requests answered from the
-    /// cache / requests that computed (and seeded it) / entries dropped at
-    /// the capacity bound / wholesale invalidations on snapshot publish.
-    /// Bypassed requests touch neither hits nor misses.  The entry gauge is
-    /// filled in by the service, which owns the cache.
+    /// Translation-cache counters: requests answered from the current
+    /// snapshot's cache / requests that computed (and seeded it) / entries
+    /// dropped at the capacity bound / snapshot publishes that replaced the
+    /// cache with an empty one.  Bypassed requests touch neither hits nor
+    /// misses.  The entry gauge is filled in by the service, which owns the
+    /// cache.
     pub translation_cache_hits: u64,
     pub translation_cache_misses: u64,
     pub translation_cache_evictions: u64,
@@ -910,7 +912,7 @@ const PROM_FAMILIES: &[(&str, &str, &str, FieldGetter)] = &[
     (
         "templar_translation_cache_hits_total",
         "counter",
-        "Translations answered from the epoch-keyed translation cache.",
+        "Translations answered from the current snapshot's translation cache.",
         |s| s.translation_cache_hits,
     ),
     (
@@ -928,7 +930,7 @@ const PROM_FAMILIES: &[(&str, &str, &str, FieldGetter)] = &[
     (
         "templar_translation_cache_invalidations_total",
         "counter",
-        "Wholesale translation-cache invalidations on snapshot publish.",
+        "Snapshot publishes that replaced the translation cache with an empty one.",
         |s| s.translation_cache_invalidations,
     ),
     (

@@ -15,9 +15,11 @@
 //! ```
 //!
 //! * **Reads are snapshot-isolated and never blocked by ingestion.**  Every
-//!   translation loads the current `Arc<Templar>` and works on it; the
-//!   worker rebuilds the next snapshot *outside* any lock and publishes it
-//!   with an O(1) pointer swap ([`SharedTemplar`]).
+//!   translation loads the current `Arc<Templar>`, together with the
+//!   translation cache that belongs to it, and works on it; the worker
+//!   rebuilds the next snapshot *outside* any lock and publishes it, with a
+//!   new empty cache, by an O(1) pointer swap (mirrored into the
+//!   [`SharedTemplar`] handed to host systems).
 //! * **Ingestion is incremental.**  The worker owns a master
 //!   [`QueryLog`] + [`QueryFragmentGraph`] pair and applies each logged
 //!   query with [`QueryFragmentGraph::ingest`] (`O(fragments²)`), instead of
@@ -37,11 +39,11 @@ use crate::metrics::{HealthState, MetricsSnapshot, ServiceMetrics};
 use crate::slowlog::SlowQueryLog;
 use crate::snapshot;
 use crate::storage::{FsStorage, Storage};
-use crate::transcache::{request_key, BatchMemo, CachedTranslation, TranslationCache};
+use crate::transcache::{request_key, CachedTranslation, TranslationCache};
 use crate::wal::{self, WalWriter};
-use nlidb::{translate_traced_memo, Nlq, RankedSql, TranslateError};
+use nlidb::{translate_traced, Nlq, RankedSql, TranslateError};
 use nlp::TextSimilarity;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use relational::Database;
 use sqlparse::parse_query;
 use std::path::{Path, PathBuf};
@@ -51,8 +53,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use templar_api::{ApiError, SlowQueryReport, TraceReport, TranslateRequest, TranslateResponse};
 use templar_core::{
-    CandidateMemo, Keyword, KeywordMetadata, QueryFragmentGraph, QueryLog, SharedTemplar, Templar,
-    TemplarConfig, TraceCtx, TraceSpans,
+    Keyword, KeywordMetadata, QueryFragmentGraph, QueryLog, SharedTemplar, Templar, TemplarConfig,
+    TraceCtx, TraceSpans,
 };
 
 /// File name of the durable snapshot inside a service's durable directory.
@@ -107,7 +109,19 @@ impl Durable {
     }
 }
 
+/// One published snapshot together with the translation cache that belongs
+/// to it.  The two are installed together and dropped together, so an
+/// answer cached on one snapshot can never be served from another.
+struct Published {
+    templar: Arc<Templar>,
+    cache: TranslationCache,
+}
+
 struct ServiceInner {
+    /// The current snapshot and its translation cache, loaded once per request.
+    published: RwLock<Arc<Published>>,
+    /// The same snapshot for host NLIDB systems ([`TemplarService::handle`]);
+    /// `publish` stores into both cells and each reader reads only one.
     handle: SharedTemplar,
     queue: IngestQueue,
     metrics: ServiceMetrics,
@@ -122,12 +136,6 @@ struct ServiceInner {
     /// Admission-controlled operations currently executing for this tenant,
     /// bounded by [`ServiceConfig::max_inflight`].
     inflight: AtomicU64,
-    /// The epoch-keyed translation cache, invalidated wholesale on every
-    /// snapshot publish.
-    transcache: TranslationCache,
-    /// Batch-scoped candidate-list sharing between concurrently in-flight
-    /// translations on the same snapshot.
-    batch_memo: BatchMemo,
 }
 
 /// A reserved slot of a tenant's in-flight quota, handed out by
@@ -466,14 +474,18 @@ impl TemplarService {
         durable: Option<Durable>,
         applied_seq: u64,
     ) -> Result<Self, ServiceError> {
-        let initial = Templar::from_parts(
+        let initial = Arc::new(Templar::from_parts(
             Arc::clone(&db),
             qfg.clone(),
             similarity.clone(),
             templar_config.clone(),
-        )?;
+        )?);
         let inner = Arc::new(ServiceInner {
-            handle: SharedTemplar::new(initial),
+            published: RwLock::new(Arc::new(Published {
+                templar: Arc::clone(&initial),
+                cache: TranslationCache::new(service_config.translation_cache_capacity),
+            })),
+            handle: SharedTemplar::from_arc(initial),
             queue: IngestQueue::new(service_config.queue_capacity),
             metrics: ServiceMetrics::default(),
             slow_queries: SlowQueryLog::new(service_config.slow_query_capacity),
@@ -487,11 +499,9 @@ impl TemplarService {
             db,
             similarity,
             templar_config,
-            transcache: TranslationCache::new(service_config.translation_cache_capacity),
             service_config,
             durable,
             inflight: AtomicU64::new(0),
-            batch_memo: BatchMemo::default(),
         });
         let worker = {
             let inner = Arc::clone(&inner);
@@ -514,16 +524,16 @@ impl TemplarService {
 
     /// The current immutable snapshot.
     pub fn snapshot(&self) -> Arc<Templar> {
-        self.inner.handle.load()
+        Arc::clone(&self.inner.published.read().templar)
     }
 
     /// Translate an NLQ against the current snapshot, recording service
     /// metrics.  Lock-free with respect to ingestion: a snapshot rebuild in
     /// flight does not delay this call.
     pub fn translate(&self, nlq: &Nlq) -> Result<Vec<RankedSql>, TranslateError> {
-        let templar = self.inner.handle.load();
+        let templar = self.snapshot();
         let (results, _) =
-            self.traced_translate(&templar, &nlq.text, &nlq.keywords, templar.config(), None);
+            self.traced_translate(&templar, &nlq.text, &nlq.keywords, templar.config());
         results
     }
 
@@ -539,36 +549,38 @@ impl TemplarService {
         question: &str,
         keywords: &[(Keyword, KeywordMetadata)],
         config: &TemplarConfig,
-        memo: Option<&dyn CandidateMemo>,
     ) -> (Result<Vec<RankedSql>, TranslateError>, TraceReport) {
         let spans = TraceSpans::new();
         let started = Instant::now();
         let (results, search) =
-            translate_traced_memo(templar, keywords, config, TraceCtx::enabled(&spans), memo);
-        let total = started.elapsed();
-        let trace = spans.finish(total);
+            translate_traced(templar, keywords, config, TraceCtx::enabled(&spans));
+        let breakdown = spans.finish(started.elapsed());
         self.inner.metrics.record_search(&search);
-        self.inner
-            .metrics
-            .record_translation(total, results.is_ok());
-        self.inner.metrics.record_stage_latencies(&trace);
+        self.inner.metrics.record_stage_latencies(&breakdown);
+        let ok = results.is_ok();
+        let report = TraceReport {
+            breakdown,
+            search,
+            cache_hit: false,
+        };
+        (results, self.record_served(question, report, ok))
+    }
+
+    /// Record one served translation, computed or cached: its end-to-end
+    /// latency and its slow-query ring entry.
+    fn record_served(&self, question: &str, report: TraceReport, ok: bool) -> TraceReport {
+        let total = Duration::from_nanos(report.breakdown.total_nanos);
+        self.inner.metrics.record_translation(total, ok);
         self.inner.slow_queries.offer(SlowQueryReport {
             seq: 0, // assigned by the ring
             question: question.to_string(),
-            total_us: trace.total_us(),
-            ok: results.is_ok(),
-            trace: trace.clone(),
-            search,
-            cache_hit: false,
+            total_us: report.breakdown.total_us(),
+            ok,
+            trace: report.breakdown.clone(),
+            search: report.search,
+            cache_hit: report.cache_hit,
         });
-        (
-            results,
-            TraceReport {
-                breakdown: trace,
-                search,
-                cache_hit: false,
-            },
-        )
+        report
     }
 
     /// The slowest translations served so far (bounded by
@@ -581,22 +593,21 @@ impl TemplarService {
     /// Serve one typed API request against the current snapshot, applying
     /// its per-request overrides (λ, `use_log_joins`, top-k).  The override
     /// configuration only lives for this call — the snapshot, its QFG and
-    /// its cache are shared untouched, and the override-aware join-cache key
-    /// keeps differently-configured inferences from aliasing.
+    /// its join cache are shared untouched, and the override-aware
+    /// join-cache key keeps differently-configured inferences from aliasing.
     ///
-    /// Repeated traffic rides the epoch-keyed translation cache: the cache
-    /// epoch is read *before* the snapshot is loaded, a hit returns the
-    /// cached response (byte-identical to recomputing against that
-    /// snapshot), and a computed success is inserted only if the epoch is
-    /// still current — so a concurrent publish can at worst reject an
-    /// insert, never leave a stale entry.  `request.bypass_cache` skips
-    /// lookup, insert and hit/miss accounting entirely.  Misses join the
-    /// tenant's in-flight batch, sharing pruned candidate lists with
-    /// concurrent translations on the same snapshot.
+    /// Repeated traffic rides the translation cache of the snapshot the
+    /// request loaded: the snapshot and its cache come from one load, a hit
+    /// returns the cached response (byte-identical to recomputing against
+    /// that snapshot), and a computed success goes into that same cache.  A
+    /// publish installs a new snapshot with an empty cache, so no answer
+    /// crosses snapshots.  `request.bypass_cache` skips lookup, insert and
+    /// hit/miss accounting entirely.
     pub fn translate_request(
         &self,
         request: &TranslateRequest,
     ) -> Result<TranslateResponse, ApiError> {
+        let started = Instant::now();
         if let Some(reason) = request.overrides.validate() {
             return Err(ApiError::InvalidRequest { reason });
         }
@@ -605,58 +616,37 @@ impl TemplarService {
                 reason: "request carries no keywords".to_string(),
             });
         }
-        let epoch = self.inner.transcache.epoch();
-        let templar = self.inner.handle.load();
-        let config = request.overrides.apply(templar.config());
-        // A request whose components refuse to serialize gets no key and
-        // bypasses the cache entirely — a degraded key must never alias.
-        let key = request_key(&request.nlq, &request.keywords, &request.overrides);
-        if !request.bypass_cache {
-            if let Some(key) = &key {
-                if let Some(hit) = self.inner.transcache.get(key) {
-                    return Ok(self.serve_cache_hit(request, hit));
-                }
-                self.inner.metrics.record_translation_cache_miss();
+        let current = Arc::clone(&self.inner.published.read());
+        // A bypassing request, or one whose components refuse to serialize,
+        // gets no key and skips the cache entirely — a degraded key must
+        // never alias.
+        let key = (!request.bypass_cache)
+            .then(|| request_key(&request.nlq, &request.keywords, &request.overrides))
+            .flatten();
+        if let Some(key) = &key {
+            if let Some(hit) = current.cache.get(key) {
+                return Ok(self.serve_cache_hit(request, hit, started));
             }
+            self.inner.metrics.record_translation_cache_miss();
         }
-        // Batches are keyed by (epoch, snapshot address): during the
-        // store-then-invalidate publish window two in-flight requests can
-        // hold different snapshots under one epoch, and both Arcs being
-        // alive makes their addresses distinct — no ABA.
-        let batch = self
-            .inner
-            .batch_memo
-            .enter((epoch, Arc::as_ptr(&templar) as usize));
-        let (results, trace) = self.traced_translate(
-            &templar,
-            &request.nlq,
-            &request.keywords,
-            &config,
-            Some(&batch),
-        );
-        drop(batch);
+        let config = request.overrides.apply(current.templar.config());
+        let (results, trace) =
+            self.traced_translate(&current.templar, &request.nlq, &request.keywords, &config);
         let ranked = results?;
         let response = TranslateResponse::from_ranked(
             request.tenant.clone(),
             &ranked,
             request.overrides.top_k,
         );
-        if !request.bypass_cache {
-            if let Some(key) = key {
-                let evicted = self.inner.transcache.insert_if_epoch(
-                    epoch,
-                    key,
-                    CachedTranslation {
-                        response: response.clone(),
-                        search: trace.search,
-                    },
-                );
-                if evicted > 0 {
-                    self.inner
-                        .metrics
-                        .record_translation_cache_evictions(evicted);
-                }
-            }
+        if let Some(key) = key {
+            let cached = CachedTranslation {
+                response: response.clone(),
+                search: trace.search,
+            };
+            let evicted = current.cache.insert(key, cached);
+            self.inner
+                .metrics
+                .record_translation_cache_evictions(evicted);
         }
         Ok(if request.trace {
             response.with_trace(trace)
@@ -666,37 +656,27 @@ impl TemplarService {
     }
 
     /// Serve one request straight from the translation cache: record the
-    /// (lookup-only) latency and the hit, and log a `cache_hit`-marked
-    /// slow-query entry so the capture ring never shows a phantom fast
-    /// translation.  The cached response is returned as stored —
-    /// byte-identical to the computation that produced it — with a fresh
+    /// hit and its latency since `started` (the top of `translate_request`,
+    /// so the key build and lookup are counted), and log a
+    /// `cache_hit`-marked slow-query entry so the capture ring never shows a
+    /// phantom fast translation.  The cached response is returned as stored
+    /// — byte-identical to the computation that produced it — with a fresh
     /// minimal trace attached when the request asked for one.
     fn serve_cache_hit(
         &self,
         request: &TranslateRequest,
         hit: CachedTranslation,
+        started: Instant,
     ) -> TranslateResponse {
-        let started = Instant::now();
         self.inner.metrics.record_translation_cache_hit();
-        let trace = TraceSpans::new().finish(started.elapsed());
-        self.inner
-            .metrics
-            .record_translation(started.elapsed(), true);
-        self.inner.slow_queries.offer(SlowQueryReport {
-            seq: 0, // assigned by the ring
-            question: request.nlq.clone(),
-            total_us: trace.total_us(),
-            ok: true,
-            trace: trace.clone(),
+        let report = TraceReport {
+            breakdown: TraceSpans::new().finish(started.elapsed()),
             search: hit.search,
             cache_hit: true,
-        });
+        };
+        let report = self.record_served(&request.nlq, report, true);
         if request.trace {
-            hit.response.with_trace(TraceReport {
-                breakdown: trace,
-                search: hit.search,
-                cache_hit: true,
-            })
+            hit.response.with_trace(report)
         } else {
             hit.response
         }
@@ -909,7 +889,8 @@ impl TemplarService {
     /// size and join-cache statistics.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.inner.metrics.export();
-        let current = self.inner.handle.load();
+        let published = Arc::clone(&self.inner.published.read());
+        let current = &published.templar;
         let cache = current.join_cache_stats();
         snap.join_cache_hits = cache.hits;
         snap.join_cache_misses = cache.misses;
@@ -920,7 +901,7 @@ impl TemplarService {
         snap.qfg_queries = current.qfg().query_count() as u64;
         snap.qfg_interned_fragments = current.qfg().interned_len() as u64;
         snap.qfg_csr_edges = current.qfg().csr_edge_len() as u64;
-        snap.translation_cache_entries = self.inner.transcache.entries();
+        snap.translation_cache_entries = published.cache.entries();
         let (word_hits, word_misses) = current.similarity().model().word_cache_stats();
         snap.word_memo_hits = word_hits;
         snap.word_memo_misses = word_misses;
@@ -1053,13 +1034,18 @@ fn publish(inner: &ServiceInner, qfg: QueryFragmentGraph) {
         Ok(templar) => templar,
         Err(_) => return,
     };
-    inner.handle.store(Arc::new(templar));
+    let templar = Arc::new(templar);
+    let cache = TranslationCache::new(inner.service_config.translation_cache_capacity);
+    // Both cells are stored under the `published` write lock, so racing
+    // publishes leave them holding the same snapshot.  The previous pair is
+    // dropped after the lock is released, and is freed here unless a
+    // request still holds it.
+    let _previous = {
+        let mut published = inner.published.write();
+        inner.handle.store(Arc::clone(&templar));
+        std::mem::replace(&mut *published, Arc::new(Published { templar, cache }))
+    };
     inner.metrics.record_swap();
-    // Invalidate *after* the store: a request that raced the swap read the
-    // cache epoch before loading its snapshot, so its insert against the
-    // old epoch is rejected — the worst case is a dropped insert, never a
-    // stale entry served against the new snapshot.
-    inner.transcache.invalidate();
     inner.metrics.record_translation_cache_invalidation();
 }
 

@@ -1,43 +1,26 @@
-//! The epoch-keyed translation cache and the cross-request batch memo —
-//! the serving plane's repeated-traffic fast paths.
+//! The translation cache — the serving plane's repeated-traffic fast path.
 //!
 //! Real NLIDB traffic is Zipfian: the query log exists because users ask
-//! the same questions over and over (the paper's premise).  Two structures
-//! exploit that here:
+//! the same questions over and over (the paper's premise).
+//! [`TranslationCache`] maps (normalized question, keywords, override
+//! signature) to a complete successful `TranslateResponse`.
 //!
-//! * [`TranslationCache`] maps (normalized question, keywords, override
-//!   signature) to a complete successful `TranslateResponse` and is
-//!   invalidated *wholesale* whenever a new snapshot epoch is published —
-//!   an entry can therefore never outlive the snapshot that computed it,
-//!   and a hit is byte-identical to recomputing against that snapshot.
-//! * [`BatchMemo`] shares *pruned candidate lists* between concurrently
-//!   in-flight requests on the same snapshot: candidate retrieval, σ
-//!   scoring (word-vector similarity) and pruning run once per distinct
-//!   keyword across the batch.  Lists are override-independent (only λ,
-//!   `use_log_joins` and `top_k` vary per request, and none of them reach
-//!   pruning), so sharing them preserves byte-identical responses.
-//!
-//! Both structures key their validity on the *snapshot epoch* — and the
-//! memo additionally on the snapshot `Arc`'s address, because `publish()`
-//! stores the new snapshot before bumping the epoch, so two requests can
-//! transiently hold different snapshots under the same epoch number.  Both
-//! `Arc`s are alive simultaneously in that window, so their addresses are
-//! necessarily distinct and the pointer cannot ABA.
+//! A cache belongs to exactly one published snapshot.  The service keeps
+//! each snapshot and its cache together as one value, a request looks up,
+//! computes and inserts against the pair it loaded, and a publish installs
+//! a new pair with an empty cache.  An entry therefore can never be served
+//! from a snapshot other than the one that computed it, and a hit is
+//! byte-identical to recomputing against that snapshot.  The old cache is
+//! freed with the last request still holding its snapshot.
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use templar_api::{RequestOverrides, TranslateResponse};
-use templar_core::{CandidateMemo, Keyword, KeywordMetadata, MappingCandidate, SearchStats};
+use templar_core::{Keyword, KeywordMetadata, SearchStats};
 
 /// Shard count of the translation cache (a power of two; requests hash
 /// across shards so concurrent lookups rarely contend on one lock).
 const SHARDS: usize = 8;
-
-/// Upper bound on distinct keyword entries a single batch memo retains;
-/// beyond it, `put` becomes a no-op (correct — the memo is an optimization,
-/// never an oracle).
-const MEMO_CAP: usize = 256;
 
 /// Append one canonically-serialized component to a cache key: the
 /// component's JSON form behind an explicit byte-length prefix.  The length
@@ -60,8 +43,8 @@ fn push_canonical<T: serde::Serialize>(key: &mut String, part: &T) -> bool {
 /// (lowercased, whitespace collapsed), the exact keyword tuples, and the
 /// override signature.  λ is keyed by its *bit pattern* so `0.3` and the
 /// nearest-but-different float never alias; `search_budget` and the other
-/// structural parameters are fixed per tenant and covered by the epoch, so
-/// they do not appear here.
+/// structural parameters are fixed per tenant and per snapshot, so they do
+/// not appear here.
 ///
 /// Keyword tuples are keyed by their *canonical serialization*
 /// ([`push_canonical`]), not their `Debug` format — `Debug` output is
@@ -118,16 +101,12 @@ struct Shard {
     order: VecDeque<String>,
 }
 
-/// The bounded, sharded, snapshot-epoch-keyed translation cache.
+/// The bounded, sharded translation cache of one published snapshot.
 #[derive(Debug)]
 pub(crate) struct TranslationCache {
     shards: Vec<Mutex<Shard>>,
     /// Entries per shard.  0 disables the cache entirely.
     shard_capacity: usize,
-    /// The snapshot epoch the resident entries were computed against.
-    /// Bumped (and all shards cleared) by [`TranslationCache::invalidate`]
-    /// on every snapshot publish.
-    epoch: AtomicU64,
 }
 
 impl TranslationCache {
@@ -135,17 +114,7 @@ impl TranslationCache {
         TranslationCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity: capacity.div_ceil(SHARDS),
-            epoch: AtomicU64::new(0),
         }
-    }
-
-    /// The current cache epoch.  Read it *before* loading the snapshot:
-    /// publish stores the snapshot first and invalidates second, so an
-    /// epoch read before the load can only be older-or-equal than the
-    /// loaded snapshot — a stale insert is then rejected by
-    /// [`TranslationCache::insert_if_epoch`], never admitted.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
     }
 
     fn shard(&self, key: &str) -> &Mutex<Shard> {
@@ -162,21 +131,13 @@ impl TranslationCache {
         self.shard(key).lock().map.get(key).cloned()
     }
 
-    /// Insert a computed translation if the cache is still on the epoch the
-    /// computation started from; returns the number of entries evicted at
-    /// the capacity bound.  A concurrent publish between the compute and
-    /// this insert bumps the epoch, and the now-stale entry is dropped on
-    /// the floor — the worst case of the race is a rejected insert, never a
-    /// stale entry.
-    pub fn insert_if_epoch(&self, epoch: u64, key: String, value: CachedTranslation) -> u64 {
+    /// Insert a translation computed against this cache's snapshot; returns
+    /// the number of entries evicted at the capacity bound.
+    pub fn insert(&self, key: String, value: CachedTranslation) -> u64 {
         if self.shard_capacity == 0 {
             return 0;
         }
-        let shard = self.shard(&key);
-        let mut guard = shard.lock();
-        if self.epoch.load(Ordering::Acquire) != epoch {
-            return 0;
-        }
+        let mut guard = self.shard(&key).lock();
         let mut evicted = 0;
         if guard.map.insert(key.clone(), value).is_none() {
             guard.order.push_back(key);
@@ -192,18 +153,6 @@ impl TranslationCache {
         evicted
     }
 
-    /// Wholesale invalidation on snapshot publish: bump the epoch, then
-    /// clear every shard.  In-flight computations that started under the
-    /// old epoch will fail their `insert_if_epoch` check.
-    pub fn invalidate(&self) {
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        for shard in &self.shards {
-            let mut guard = shard.lock();
-            guard.map.clear();
-            guard.order.clear();
-        }
-    }
-
     /// Resident entries across all shards (the metrics gauge).
     pub fn entries(&self) -> u64 {
         self.shards
@@ -211,94 +160,6 @@ impl TranslationCache {
             .map(|shard| shard.lock().map.len() as u64)
             .sum()
     }
-}
-
-/// Identity of the snapshot a batch is scoped to: the cache epoch read
-/// before the snapshot load, plus the snapshot `Arc`'s address (see the
-/// module docs for why the epoch alone is not enough during the
-/// store-then-invalidate publish window).
-pub(crate) type BatchKey = (u64, usize);
-
-#[derive(Debug, Default)]
-struct BatchState {
-    key: BatchKey,
-    /// How many requests currently hold a [`BatchGuard`] on this batch.
-    inflight: usize,
-    lists: HashMap<String, Vec<MappingCandidate>>,
-}
-
-/// Cross-request candidate-list sharing: requests concurrently in flight on
-/// the same snapshot form a batch, and each distinct keyword's pruned
-/// candidate list is computed once across it.  When the last request of a
-/// batch finishes, the memo empties — the structure only ever holds data
-/// for the keywords of requests executing *right now*.
-#[derive(Debug, Default)]
-pub(crate) struct BatchMemo {
-    state: Mutex<BatchState>,
-}
-
-impl BatchMemo {
-    /// Join the batch for `key`, clearing any residue from a previous
-    /// snapshot's batch first.  The returned guard is the request's
-    /// [`CandidateMemo`]; dropping it leaves the batch.
-    pub fn enter<'a>(&'a self, key: BatchKey) -> BatchGuard<'a> {
-        let mut state = self.state.lock();
-        if state.key != key {
-            state.key = key;
-            state.inflight = 0;
-            state.lists.clear();
-        }
-        state.inflight += 1;
-        BatchGuard { memo: self, key }
-    }
-}
-
-/// One request's membership in a [`BatchMemo`] batch.
-pub(crate) struct BatchGuard<'a> {
-    memo: &'a BatchMemo,
-    key: BatchKey,
-}
-
-impl CandidateMemo for BatchGuard<'_> {
-    fn get(&self, keyword: &Keyword, meta: &KeywordMetadata) -> Option<Vec<MappingCandidate>> {
-        let state = self.memo.state.lock();
-        if state.key != self.key {
-            return None;
-        }
-        state.lists.get(&memo_key(keyword, meta)?).cloned()
-    }
-
-    fn put(&self, keyword: &Keyword, meta: &KeywordMetadata, pruned: &[MappingCandidate]) {
-        let Some(key) = memo_key(keyword, meta) else {
-            return;
-        };
-        let mut state = self.memo.state.lock();
-        if state.key != self.key || state.lists.len() >= MEMO_CAP {
-            return;
-        }
-        state.lists.entry(key).or_insert_with(|| pruned.to_vec());
-    }
-}
-
-impl Drop for BatchGuard<'_> {
-    fn drop(&mut self) {
-        let mut state = self.memo.state.lock();
-        if state.key != self.key {
-            return;
-        }
-        state.inflight = state.inflight.saturating_sub(1);
-        if state.inflight == 0 {
-            state.lists.clear();
-        }
-    }
-}
-
-fn memo_key(keyword: &Keyword, meta: &KeywordMetadata) -> Option<String> {
-    let mut key = String::new();
-    if !push_canonical(&mut key, keyword) || !push_canonical(&mut key, meta) {
-        return None;
-    }
-    Some(key)
 }
 
 #[cfg(test)]
@@ -376,92 +237,20 @@ mod tests {
              62:{\"context\":\"Where\",\"op\":\"Gt\",\"aggregates\":[],\"group_by\":false}\
              \u{1}---"
         );
-        assert_eq!(
-            memo_key(&kws[0].0, &kws[0].1).unwrap(),
-            "21:{\"text\":\"after 2000\"}\
-             62:{\"context\":\"Where\",\"op\":\"Gt\",\"aggregates\":[],\"group_by\":false}"
-        );
-    }
-
-    #[test]
-    fn inserts_are_rejected_after_invalidation() {
-        let cache = TranslationCache::new(64);
-        let epoch = cache.epoch();
-        cache.invalidate();
-        assert_eq!(
-            cache.insert_if_epoch(epoch, "stale".to_string(), response("t")),
-            0
-        );
-        assert!(cache.get("stale").is_none(), "stale insert must be dropped");
-        let epoch = cache.epoch();
-        cache.insert_if_epoch(epoch, "fresh".to_string(), response("t"));
-        assert!(cache.get("fresh").is_some());
-        assert_eq!(cache.entries(), 1);
-        cache.invalidate();
-        assert!(cache.get("fresh").is_none(), "invalidate clears all shards");
-        assert_eq!(cache.entries(), 0);
     }
 
     #[test]
     fn capacity_bound_evicts_fifo_and_zero_disables() {
         let cache = TranslationCache::new(SHARDS); // one entry per shard
-        let epoch = cache.epoch();
         let mut evicted = 0;
         for i in 0..64 {
-            evicted += cache.insert_if_epoch(epoch, format!("q{i}"), response("t"));
+            evicted += cache.insert(format!("q{i}"), response("t"));
         }
         assert!(evicted > 0, "overflowing a shard evicts");
         assert!(cache.entries() <= SHARDS as u64);
 
         let disabled = TranslationCache::new(0);
-        let epoch = disabled.epoch();
-        assert_eq!(
-            disabled.insert_if_epoch(epoch, "q".to_string(), response("t")),
-            0
-        );
+        assert_eq!(disabled.insert("q".to_string(), response("t")), 0);
         assert!(disabled.get("q").is_none());
-    }
-
-    #[test]
-    fn batch_memo_shares_within_a_batch_and_clears_after() {
-        let memo = BatchMemo::default();
-        let kw = Keyword::new("papers");
-        let meta = KeywordMetadata::select();
-        let guard_a = memo.enter((1, 0xbeef));
-        let guard_b = memo.enter((1, 0xbeef));
-        assert!(guard_a.get(&kw, &meta).is_none());
-        guard_a.put(&kw, &meta, &[]);
-        assert!(guard_b.get(&kw, &meta).is_some(), "batch members share");
-        drop(guard_a);
-        assert!(
-            guard_b.get(&kw, &meta).is_some(),
-            "memo survives while members remain"
-        );
-        drop(guard_b);
-        let guard_c = memo.enter((1, 0xbeef));
-        assert!(
-            guard_c.get(&kw, &meta).is_none(),
-            "memo empties when the batch drains"
-        );
-    }
-
-    #[test]
-    fn batch_memo_isolates_different_snapshots() {
-        let memo = BatchMemo::default();
-        let kw = Keyword::new("papers");
-        let meta = KeywordMetadata::select();
-        let old = memo.enter((1, 0xaaaa));
-        old.put(&kw, &meta, &[]);
-        // A request on a different snapshot (same epoch, different Arc
-        // address — the publish window) resets the batch.
-        let new = memo.enter((1, 0xbbbb));
-        assert!(new.get(&kw, &meta).is_none(), "stale lists are unreachable");
-        // The displaced guard can no longer read or write.
-        assert!(old.get(&kw, &meta).is_none());
-        old.put(&kw, &meta, &[]);
-        drop(old); // must not disturb the new batch's inflight count
-        assert!(new.get(&kw, &meta).is_none());
-        new.put(&kw, &meta, &[]);
-        assert!(new.get(&kw, &meta).is_some());
     }
 }

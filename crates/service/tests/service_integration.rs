@@ -7,9 +7,9 @@ use relational::{DataType, Database, Schema};
 use sqlparse::{canon, parse_query, BinOp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use templar_core::{Keyword, KeywordMetadata, Obscurity, QueryLog, TemplarConfig};
-use templar_service::{ServiceConfig, ServiceError, TemplarService};
+use templar_service::{MetricsSnapshot, ServiceConfig, ServiceError, TemplarService};
 
 fn academic_db() -> Arc<Database> {
     let schema = Schema::builder("academic")
@@ -398,11 +398,14 @@ fn shutdown_publishes_pending_ingests() {
 fn translation_cache_hits_are_byte_identical_and_publish_invalidates() {
     use templar_api::TranslateRequest;
 
+    // Only `flush` publishes, so every publish below is one the test made.
     let service = TemplarService::spawn(
         academic_db(),
         &QueryLog::new(),
         TemplarConfig::paper_defaults(),
-        fast_refresh(),
+        ServiceConfig::default()
+            .with_refresh_every(1_000_000)
+            .with_refresh_interval(Duration::from_secs(3600)),
     )
     .unwrap();
     let nlq = papers_after_2000();
@@ -417,8 +420,8 @@ fn translation_cache_hits_are_byte_identical_and_publish_invalidates() {
         serde_json::to_string(&cached).unwrap(),
         serde_json::to_string(&computed).unwrap()
     );
-    // A forced recompute at the same epoch proves the cached answer is the
-    // same bytes the live snapshot would produce right now.
+    // A forced recompute on the same snapshot proves the cached answer is
+    // the same bytes the live snapshot would produce right now.
     let recomputed = service
         .translate_request(&request.clone().with_bypass_cache())
         .unwrap();
@@ -442,31 +445,72 @@ fn translation_cache_hits_are_byte_identical_and_publish_invalidates() {
         .unwrap();
     assert!(traced.trace.expect("trace requested").cache_hit);
 
-    // Publishing a new snapshot invalidates wholesale: the same question
-    // must be freshly computed against the new log evidence, never stale.
-    for sql in [
-        "SELECT p.title FROM publication p WHERE p.year > 1995",
-        "SELECT p.title FROM publication p WHERE p.year > 2010",
-        "SELECT p.title FROM publication p WHERE p.year > 2005",
-        "SELECT p.title FROM publication p WHERE p.year > 2001",
-    ] {
-        service.submit_sql(sql).unwrap();
+    // Hits are timed from the top of the request, so the key build and the
+    // lookup are recorded instead of a phantom 0 µs.  A long question makes
+    // the key build the bulk of each hit's cost.
+    let long = TranslateRequest::new("academic", nlq.text.repeat(1024), nlq.keywords.clone());
+    service.translate_request(&long).unwrap();
+    const WARM_HITS: u64 = 20;
+    let before = service.metrics();
+    let wall = Instant::now();
+    for _ in 0..WARM_HITS {
+        service.translate_request(&long).unwrap();
     }
-    service.flush();
-    let m = service.metrics();
-    assert!(m.translation_cache_invalidations >= 1);
-    assert_eq!(m.translation_cache_entries, 0, "publish clears the cache");
-
-    let fresh = service.translate_request(&request).unwrap();
-    let fresh_forced = service
-        .translate_request(&request.clone().with_bypass_cache())
-        .unwrap();
+    let wall_us = wall.elapsed().as_micros() as u64;
+    let after = service.metrics();
     assert_eq!(
-        fresh, fresh_forced,
-        "post-publish answer must match a forced recompute on the new snapshot"
+        after.translation_cache_hits - before.translation_cache_hits,
+        WARM_HITS
     );
+    let zero_us = |m: &MetricsSnapshot| {
+        m.translate_buckets
+            .iter()
+            .find(|b| b.le_us == 0)
+            .unwrap()
+            .count
+    };
+    let zero_gained = zero_us(&after) - zero_us(&before);
+    assert!(
+        zero_gained < WARM_HITS / 2,
+        "{zero_gained} of {WARM_HITS} cache hits recorded 0 µs"
+    );
+    let recorded_us = after.translate_sum_us - before.translate_sum_us;
+    assert!(
+        2 * recorded_us >= wall_us,
+        "cache hits recorded {recorded_us} µs of {wall_us} µs spent serving them"
+    );
+
+    // Every publish installs a new snapshot with an empty cache: in each
+    // round the same question is freshly computed against the new log
+    // evidence, and the cached repeat equals a forced recompute.
+    let mut latest = computed.clone();
+    for year in [1995, 2010, 2005, 2001] {
+        let sql = format!("SELECT p.title FROM publication p WHERE p.year > {year}");
+        service.submit_sql(&sql).unwrap();
+        service.flush();
+        let m = service.metrics();
+        assert_eq!(m.translation_cache_entries, 0, "year {year}: a new cache");
+        assert_eq!(
+            m.translation_cache_invalidations, m.snapshot_swaps,
+            "year {year}: every publish replaces the cache"
+        );
+        let hits_before = m.translation_cache_hits;
+
+        let fresh = service.translate_request(&request).unwrap();
+        let cached = service.translate_request(&request).unwrap();
+        let forced = service
+            .translate_request(&request.clone().with_bypass_cache())
+            .unwrap();
+        assert_eq!(
+            (&fresh, &cached),
+            (&forced, &forced),
+            "year {year}: computed and cached answers must match a forced recompute"
+        );
+        assert_eq!(service.metrics().translation_cache_hits, hits_before + 1);
+        latest = fresh;
+    }
     assert_ne!(
-        fresh.candidates[0].score, computed.candidates[0].score,
+        latest.candidates[0].score, computed.candidates[0].score,
         "the new log evidence must actually reshape the ranking"
     );
     service.shutdown();
@@ -519,7 +563,7 @@ fn translation_cache_works_over_the_wire_with_bypass_flag() {
 }
 
 #[test]
-fn batched_concurrent_translations_match_solo_execution_byte_for_byte() {
+fn concurrent_translations_match_solo_execution_byte_for_byte() {
     use templar_api::TranslateRequest;
 
     let service = Arc::new(
@@ -537,19 +581,18 @@ fn batched_concurrent_translations_match_solo_execution_byte_for_byte() {
     );
 
     let nlq = papers_after_2000();
-    let variants: Vec<TranslateRequest> = vec![
-        TranslateRequest::new("academic", &nlq.text, nlq.keywords.clone()).with_bypass_cache(),
-        TranslateRequest::new("academic", &nlq.text, nlq.keywords.clone())
-            .with_bypass_cache()
-            .with_lambda(0.3),
-        TranslateRequest::new("academic", &nlq.text, nlq.keywords.clone())
-            .with_bypass_cache()
-            .with_top_k(1),
+    let cached: Vec<TranslateRequest> = vec![
+        TranslateRequest::new("academic", &nlq.text, nlq.keywords.clone()),
+        TranslateRequest::new("academic", &nlq.text, nlq.keywords.clone()).with_lambda(0.3),
+        TranslateRequest::new("academic", &nlq.text, nlq.keywords.clone()).with_top_k(1),
     ];
+    let bypassed: Vec<TranslateRequest> = cached
+        .iter()
+        .map(|r| r.clone().with_bypass_cache())
+        .collect();
 
-    // Solo baselines: sequential requests each start (and drain) their own
-    // batch, so no cross-request sharing is possible here.
-    let solo: Vec<_> = variants
+    // Solo baselines: sequential recomputes, one per override variant.
+    let solo: Vec<_> = bypassed
         .iter()
         .map(|r| service.translate_request(r).unwrap())
         .collect();
@@ -558,14 +601,14 @@ fn batched_concurrent_translations_match_solo_execution_byte_for_byte() {
         .map(|r| serde_json::to_string(r).unwrap())
         .collect();
 
-    // Concurrent storm: many in-flight requests coalesce into one batch and
-    // share pruned candidate lists, yet every response must be the same
-    // bytes solo execution produced — overrides included.
+    // Concurrent burst of bypassed and cached copies of every variant:
+    // each response must be the same bytes solo execution produced —
+    // overrides included.
     let threads: Vec<_> = (0..12)
         .map(|i| {
             let service = Arc::clone(&service);
-            let request = variants[i % variants.len()].clone();
-            let expected = solo_bytes[i % variants.len()].clone();
+            let request = [&bypassed, &cached][i / 3 % 2][i % 3].clone();
+            let expected = solo_bytes[i % 3].clone();
             std::thread::spawn(move || {
                 for _ in 0..4 {
                     let got = service.translate_request(&request).unwrap();
@@ -576,6 +619,58 @@ fn batched_concurrent_translations_match_solo_execution_byte_for_byte() {
         .collect();
     for t in threads {
         t.join().unwrap();
+    }
+
+    // Publishes racing cached readers: a writer logs SQL that reshapes the
+    // ranking and publishes while readers keep filling the cache, and waits
+    // after each publish until every reader has translated twice on the new
+    // snapshot.  Once it stops, no answer cached on an older snapshot may be
+    // served.
+    let stop = Arc::new(AtomicBool::new(false));
+    let served: Arc<Vec<AtomicU64>> = Arc::new((0..4).map(|_| AtomicU64::new(0)).collect());
+    let readers: Vec<_> = (0..4)
+        .map(|i| {
+            let (service, stop, served) = (service.clone(), stop.clone(), served.clone());
+            let request = cached[i % cached.len()].clone();
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    service.translate_request(&request).unwrap();
+                    served[i].fetch_add(1, Ordering::Relaxed);
+                }
+            })
+        })
+        .collect();
+    for year in [2005, 2001, 2008, 2002, 2006, 2004] {
+        let sql = format!("SELECT p.title FROM publication p WHERE p.year > {year}");
+        service.submit_sql(&sql).unwrap();
+        service.flush();
+        let seen: Vec<u64> = served.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+        // A reader that panicked stops counting; its join below reports it.
+        let lagging = |(n, &s): (&AtomicU64, &u64)| n.load(Ordering::Relaxed) < s + 2;
+        while served.iter().zip(&seen).any(lagging) && !readers.iter().any(|r| r.is_finished()) {
+            std::thread::yield_now();
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    for reader in readers {
+        reader.join().unwrap();
+    }
+    service.flush();
+    for (request, solo) in cached.iter().zip(&solo) {
+        let forced = service
+            .translate_request(&request.clone().with_bypass_cache())
+            .unwrap();
+        for _ in 0..2 {
+            assert_eq!(
+                service.translate_request(request).unwrap(),
+                forced,
+                "a cached answer must equal a recompute on the final snapshot"
+            );
+        }
+        assert_ne!(
+            forced.candidates[0].score, solo.candidates[0].score,
+            "the writer's log entries must actually reshape the ranking"
+        );
     }
     service.shutdown();
 }

@@ -3,7 +3,8 @@
 //! suite stays fast.
 //!
 //! The full 4-fold reproduction of every table and figure is run by
-//! `cargo run --release -p eval --bin all_experiments` (see EXPERIMENTS.md).
+//! `cargo run --release -p eval --bin all_experiments` (see README
+//! §Quickstart).
 
 use datasets::Dataset;
 use eval::crossval::{evaluate_system_with_folds, SystemKind};
