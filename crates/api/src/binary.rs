@@ -29,6 +29,10 @@
 //! (`ResponseBody` follows) and 1 for failure (`ApiError` follows).  Values
 //! are the [`serde::Value`] data model in a tagged, varint-compressed form —
 //! no string escaping, no float formatting, no re-tokenizing on decode.
+//! The codec itself is [`serde::binary`], shared with the snapshot
+//! sections; the frame functions stream bodies through
+//! [`serde::Serialize::encode`] and [`serde::decode`], field by field, and
+//! never build a `Value` tree.
 //!
 //! Framing violations are *typed* ([`CodecError`]): truncated buffers,
 //! frames above the negotiated size cap, unknown tags, handshake mismatches.
@@ -38,7 +42,7 @@
 
 use crate::error::ApiError;
 use crate::protocol::{RequestBody, ResponseBody, PROTOCOL_VERSION};
-use serde::{Deserialize, Serialize, Value};
+use serde::Serialize;
 use std::fmt;
 
 /// First bytes of a binary-capable client's hello.  Chosen so it can never
@@ -55,19 +59,6 @@ pub const HANDSHAKE_REJECTED: u8 = 0xFF;
 /// Default upper bound on one frame's `len` field (16 MiB).  A frame above
 /// the cap is rejected without buffering its body.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
-
-/// Decode-time recursion bound: a hostile frame cannot overflow the stack
-/// with deeply-nested sequences.
-const MAX_DEPTH: usize = 96;
-
-/// Eager pre-allocation clamp for decoded collections.  A claimed count is
-/// only bounded by remaining *bytes* (≥ 1 per element), but each decoded
-/// element costs tens of bytes of memory and every nesting level's claim is
-/// checked independently — without this clamp a single frame of nested
-/// sequence headers could demand `MAX_DEPTH` multiples of huge reservations
-/// before ever hitting `Truncated`.  Honest collections past the clamp just
-/// grow amortized.
-const PREALLOC_ELEMENTS: usize = 4096;
 
 /// The two encodings a connection can speak after the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,6 +171,21 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// A body that failed to decode keeps the frame taxonomy: running out of
+/// bytes is [`CodecError::Truncated`], everything else — a broken value or
+/// one that does not fit the body type — is [`CodecError::Malformed`].
+impl From<serde::Error> for CodecError {
+    fn from(e: serde::Error) -> Self {
+        match e {
+            serde::Error::Truncated { needed, have } => CodecError::Truncated { needed, have },
+            serde::Error::Malformed(detail) => CodecError::Malformed { detail },
+            serde::Error::Data(_) => CodecError::Malformed {
+                detail: e.to_string(),
+            },
+        }
+    }
+}
+
 impl CodecError {
     /// Project onto the wire taxonomy a v3 client already understands.
     pub fn to_api_error(&self) -> ApiError {
@@ -266,205 +272,6 @@ pub fn decode_ack(ack: &[u8; HANDSHAKE_LEN]) -> Result<WireCodec, CodecError> {
 }
 
 // ---------------------------------------------------------------------------
-// Value codec
-// ---------------------------------------------------------------------------
-
-const TAG_NULL: u8 = 0x00;
-const TAG_FALSE: u8 = 0x01;
-const TAG_TRUE: u8 = 0x02;
-const TAG_I64: u8 = 0x03;
-const TAG_U64: u8 = 0x04;
-const TAG_F64: u8 = 0x05;
-const TAG_STR: u8 = 0x06;
-const TAG_SEQ: u8 = 0x07;
-const TAG_MAP: u8 = 0x08;
-
-fn put_varint(mut n: u64, out: &mut Vec<u8>) {
-    loop {
-        let byte = (n & 0x7F) as u8;
-        n >>= 7;
-        if n == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn zigzag(n: i64) -> u64 {
-    ((n << 1) ^ (n >> 63)) as u64
-}
-
-fn unzigzag(n: u64) -> i64 {
-    ((n >> 1) as i64) ^ -((n & 1) as i64)
-}
-
-/// Append one value to `out` in tagged binary form.
-pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
-    match value {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        Value::I64(n) => {
-            out.push(TAG_I64);
-            put_varint(zigzag(*n), out);
-        }
-        Value::U64(n) => {
-            out.push(TAG_U64);
-            put_varint(*n, out);
-        }
-        Value::F64(n) => {
-            out.push(TAG_F64);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            put_varint(s.len() as u64, out);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Seq(items) => {
-            out.push(TAG_SEQ);
-            put_varint(items.len() as u64, out);
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Map(entries) => {
-            out.push(TAG_MAP);
-            put_varint(entries.len() as u64, out);
-            for (key, item) in entries {
-                put_varint(key.len() as u64, out);
-                out.extend_from_slice(key.as_bytes());
-                encode_value(item, out);
-            }
-        }
-    }
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let have = self.bytes.len() - self.pos;
-        if have < n {
-            return Err(CodecError::Truncated { needed: n, have });
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn byte(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn varint(&mut self) -> Result<u64, CodecError> {
-        let mut n = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.byte()?;
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                return Err(CodecError::Malformed {
-                    detail: "varint overflows u64".to_string(),
-                });
-            }
-            n |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(n);
-            }
-            shift += 7;
-        }
-    }
-
-    /// A declared collection length, sanity-bounded by the bytes that could
-    /// possibly encode that many elements (≥ 1 byte each).  This bounds the
-    /// *count*, not the eager pre-allocation: decoded in-memory elements are
-    /// far larger than their 1-byte minimum encoding, and nested collections
-    /// each pass this check independently while their parents' buffers stay
-    /// live — so `with_capacity` callers must additionally clamp to
-    /// [`PREALLOC_ELEMENTS`].
-    fn length(&mut self) -> Result<usize, CodecError> {
-        let n = self.varint()?;
-        let remaining = (self.bytes.len() - self.pos) as u64;
-        if n > remaining {
-            return Err(CodecError::Truncated {
-                needed: n as usize,
-                have: remaining as usize,
-            });
-        }
-        Ok(n as usize)
-    }
-
-    fn utf8(&mut self, len: usize) -> Result<&'a str, CodecError> {
-        std::str::from_utf8(self.take(len)?).map_err(|e| CodecError::Malformed {
-            detail: format!("invalid utf-8 in string: {e}"),
-        })
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Value, CodecError> {
-        if depth > MAX_DEPTH {
-            return Err(CodecError::Malformed {
-                detail: format!("nesting exceeds depth bound {MAX_DEPTH}"),
-            });
-        }
-        match self.byte()? {
-            TAG_NULL => Ok(Value::Null),
-            TAG_FALSE => Ok(Value::Bool(false)),
-            TAG_TRUE => Ok(Value::Bool(true)),
-            TAG_I64 => Ok(Value::I64(unzigzag(self.varint()?))),
-            TAG_U64 => Ok(Value::U64(self.varint()?)),
-            TAG_F64 => Ok(Value::F64(f64::from_le_bytes(
-                self.take(8)?.try_into().expect("eight bytes"),
-            ))),
-            TAG_STR => {
-                let len = self.length()?;
-                Ok(Value::Str(self.utf8(len)?.to_string()))
-            }
-            TAG_SEQ => {
-                let count = self.length()?;
-                let mut items = Vec::with_capacity(count.min(PREALLOC_ELEMENTS));
-                for _ in 0..count {
-                    items.push(self.value(depth + 1)?);
-                }
-                Ok(Value::Seq(items))
-            }
-            TAG_MAP => {
-                let count = self.length()?;
-                let mut entries = Vec::with_capacity(count.min(PREALLOC_ELEMENTS));
-                for _ in 0..count {
-                    let key_len = self.length()?;
-                    let key = self.utf8(key_len)?.to_string();
-                    entries.push((key, self.value(depth + 1)?));
-                }
-                Ok(Value::Map(entries))
-            }
-            tag => Err(CodecError::Malformed {
-                detail: format!("unknown value tag {tag:#04x}"),
-            }),
-        }
-    }
-}
-
-/// Decode exactly one value from the whole buffer; trailing bytes are an
-/// error (a frame carries one body, nothing else).
-pub fn decode_value(bytes: &[u8]) -> Result<Value, CodecError> {
-    let mut cursor = Cursor { bytes, pos: 0 };
-    let value = cursor.value(0)?;
-    if cursor.pos != bytes.len() {
-        return Err(CodecError::Malformed {
-            detail: format!(
-                "{} trailing bytes after the value",
-                bytes.len() - cursor.pos
-            ),
-        });
-    }
-    Ok(value)
-}
-
-// ---------------------------------------------------------------------------
 // Frames
 // ---------------------------------------------------------------------------
 
@@ -482,7 +289,7 @@ pub fn encode_request_frame(id: u64, body: &RequestBody) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(&[0; 4]);
     out.extend_from_slice(&id.to_le_bytes());
-    encode_value(&body.to_value(), &mut out);
+    body.encode(&mut out);
     let len = (out.len() - 4) as u32;
     out[..4].copy_from_slice(&len.to_le_bytes());
     out
@@ -501,11 +308,7 @@ pub fn decode_request_frame(
         });
     }
     let id = u64::from_le_bytes(payload[..8].try_into().expect("eight bytes"));
-    let body = decode_value(&payload[REQUEST_HEADER..]).and_then(|value| {
-        RequestBody::from_value(&value).map_err(|e| CodecError::Malformed {
-            detail: e.to_string(),
-        })
-    });
+    let body = serde::decode::<RequestBody>(&payload[REQUEST_HEADER..]).map_err(CodecError::from);
     Ok((id, body))
 }
 
@@ -525,11 +328,11 @@ pub fn encode_response_frame(id: u64, outcome: &Result<ResponseBody, ApiError>) 
     match outcome {
         Ok(body) => {
             out.push(STATUS_OK);
-            encode_value(&body.to_value(), &mut out);
+            body.encode(&mut out);
         }
         Err(err) => {
             out.push(STATUS_ERR);
-            encode_value(&err.to_value(), &mut out);
+            err.encode(&mut out);
         }
     }
     let len = (out.len() - 4) as u32;
@@ -549,12 +352,9 @@ pub fn decode_response_frame(
     }
     let id = u64::from_le_bytes(payload[..8].try_into().expect("eight bytes"));
     let body = &payload[RESPONSE_HEADER..];
-    let malformed = |e: serde::Error| CodecError::Malformed {
-        detail: e.to_string(),
-    };
     let outcome = match payload[8] {
-        STATUS_OK => Ok(ResponseBody::from_value(&decode_value(body)?).map_err(malformed)?),
-        STATUS_ERR => Err(ApiError::from_value(&decode_value(body)?).map_err(malformed)?),
+        STATUS_OK => Ok(serde::decode::<ResponseBody>(body)?),
+        STATUS_ERR => Err(serde::decode::<ApiError>(body)?),
         status => {
             return Err(CodecError::Malformed {
                 detail: format!("unknown response status byte {status:#04x}"),
@@ -577,7 +377,14 @@ pub fn check_frame_len(len: usize, max: usize) -> Result<(), CodecError> {
 mod tests {
     use super::*;
     use crate::request::TranslateRequest;
+    use serde::binary::{put_varint, MAX_DEPTH, TAG_NULL, TAG_SEQ};
+    use serde::Value;
     use templar_core::{Keyword, KeywordMetadata};
+
+    /// The shared value codec, seen through the frame taxonomy.
+    fn decode_value(bytes: &[u8]) -> Result<Value, CodecError> {
+        Ok(serde::decode_value(bytes)?)
+    }
 
     fn sample_request() -> RequestBody {
         RequestBody::Translate(
@@ -589,46 +396,6 @@ mod tests {
             .with_lambda(0.4)
             .with_trace(),
         )
-    }
-
-    #[test]
-    fn varints_round_trip_across_magnitudes() {
-        for n in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut out = Vec::new();
-            put_varint(n, &mut out);
-            let mut cursor = Cursor {
-                bytes: &out,
-                pos: 0,
-            };
-            assert_eq!(cursor.varint().unwrap(), n);
-            assert_eq!(cursor.pos, out.len());
-        }
-    }
-
-    #[test]
-    fn zigzag_round_trips_extremes() {
-        for n in [0i64, -1, 1, i64::MIN, i64::MAX, -300, 300] {
-            assert_eq!(unzigzag(zigzag(n)), n);
-        }
-    }
-
-    #[test]
-    fn values_round_trip() {
-        let value = Value::Map(vec![
-            ("null".into(), Value::Null),
-            ("b".into(), Value::Bool(true)),
-            ("i".into(), Value::I64(-42)),
-            ("u".into(), Value::U64(u64::MAX)),
-            ("f".into(), Value::F64(0.25)),
-            ("s".into(), Value::Str("snowman ☃".into())),
-            (
-                "seq".into(),
-                Value::Seq(vec![Value::I64(1), Value::Str("two".into())]),
-            ),
-        ]);
-        let mut bytes = Vec::new();
-        encode_value(&value, &mut bytes);
-        assert_eq!(decode_value(&bytes).unwrap(), value);
     }
 
     #[test]

@@ -447,3 +447,240 @@ proptest! {
         prop_assert!(matches!(decoded, Err(CodecError::Malformed { .. })));
     }
 }
+
+// ---------------------------------------------------------------------------
+// Streaming-codec oracles
+// ---------------------------------------------------------------------------
+//
+// The frames encode and decode bodies through the typed streaming path
+// (`Serialize::encode` / `Deserialize::decode`).  It must write exactly the
+// bytes of the `Value` path — `encode_value(&x.to_value())` — and give the
+// same verdict as `T::from_value(&decode_value(b)?)` on any input: both
+// fail, or both return equal values.
+
+use serde::{Deserialize, Serialize, Value};
+use std::fmt::Debug;
+
+fn value_path_bytes<T: Serialize>(x: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    serde::encode_value(&x.to_value(), &mut out);
+    out
+}
+
+fn streamed_bytes<T: Serialize>(x: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    x.encode(&mut out);
+    out
+}
+
+/// Values compare by their bytes, so a damaged float that became NaN
+/// still compares.
+fn assert_same_verdict<T: Serialize + Deserialize + Debug>(bytes: &[u8], case: &str) {
+    let streamed = serde::decode::<T>(bytes);
+    let via_value = serde::decode_value(bytes).and_then(|v| T::from_value(&v));
+    match (streamed, via_value) {
+        (Ok(a), Ok(b)) => assert_eq!(
+            value_path_bytes(&a),
+            value_path_bytes(&b),
+            "{case}: the decoders return different values"
+        ),
+        (Err(_), Err(_)) => {}
+        (a, b) => panic!("{case}: streamed {a:?}, value path {b:?}"),
+    }
+}
+
+/// Every truncation point of a valid encoding, and one random single-byte
+/// change (a bit flip, then an arbitrary byte — often an unknown tag) at
+/// every position.
+fn assert_same_verdict_on_damage<T: Serialize + Deserialize + Debug>(bytes: &[u8], seed: u64) {
+    let mut rng = TestRng::from_seed(seed);
+    assert_same_verdict::<T>(bytes, "pristine");
+    for cut in 0..bytes.len() {
+        assert_same_verdict::<T>(&bytes[..cut], &format!("cut at {cut}"));
+    }
+    let mut damaged = bytes.to_vec();
+    for pos in 0..bytes.len() {
+        damaged[pos] ^= 1 << rng.below(8);
+        assert_same_verdict::<T>(&damaged, &format!("bit flip at {pos}"));
+        damaged[pos] = rng.next_u64() as u8;
+        assert_same_verdict::<T>(&damaged, &format!("byte {} at {pos}", damaged[pos]));
+        damaged[pos] = bytes[pos];
+    }
+}
+
+/// Rebuild a value tree with `edit` applied to the node numbered `target`
+/// in pre-order (`next` counts the nodes visited so far).
+fn rewrite_node(value: &Value, target: usize, next: &mut usize, edit: Edit) -> Value {
+    let index = *next;
+    *next += 1;
+    let rebuilt = match value {
+        Value::Seq(items) => Value::Seq(
+            items
+                .iter()
+                .map(|v| rewrite_node(v, target, next, edit))
+                .collect(),
+        ),
+        Value::Map(entries) => Value::Map(
+            entries
+                .iter()
+                .map(|(k, v)| (k.clone(), rewrite_node(v, target, next, edit)))
+                .collect(),
+        ),
+        leaf => leaf.clone(),
+    };
+    if index == target {
+        edit(rebuilt)
+    } else {
+        rebuilt
+    }
+}
+
+fn node_count(value: &Value) -> usize {
+    1 + match value {
+        Value::Seq(items) => items.iter().map(node_count).sum(),
+        Value::Map(entries) => entries.iter().map(|(_, v)| node_count(v)).sum(),
+        _ => 0,
+    }
+}
+
+type Edit = fn(Value) -> Value;
+
+/// Tree rewrites the binary form can carry but the encoder never writes:
+/// map keys reordered, unknown or duplicated (before and after the
+/// original), sequences and tuples with an extra item, integers sent as
+/// another number representation, and nesting past the depth bound.
+const REWRITES: &[(&str, Edit)] = &[
+    ("reordered keys", |v| match v {
+        Value::Map(mut m) => {
+            m.reverse();
+            Value::Map(m)
+        }
+        other => other,
+    }),
+    ("unknown key", |v| match v {
+        Value::Map(mut m) => {
+            m.insert(
+                m.len() / 2,
+                ("zz_unknown".into(), Value::Seq(vec![Value::Null])),
+            );
+            Value::Map(m)
+        }
+        other => other,
+    }),
+    ("later duplicate key", |v| match v {
+        Value::Map(mut m) if !m.is_empty() => {
+            m.push((m[0].0.clone(), Value::Str("duplicate".into())));
+            Value::Map(m)
+        }
+        other => other,
+    }),
+    ("earlier duplicate key", |v| match v {
+        Value::Map(mut m) if !m.is_empty() => {
+            m.insert(0, (m[0].0.clone(), Value::Null));
+            Value::Map(m)
+        }
+        other => other,
+    }),
+    ("extra item", |v| match v {
+        Value::Seq(mut items) => {
+            items.push(Value::Bool(true));
+            Value::Seq(items)
+        }
+        other => other,
+    }),
+    ("u64 as i64", |v| match v {
+        Value::U64(n) if n <= i64::MAX as u64 => Value::I64(n as i64),
+        other => other,
+    }),
+    ("i64 as u64", |v| match v {
+        Value::I64(n) if n >= 0 => Value::U64(n as u64),
+        other => other,
+    }),
+    ("integers as f64", |v| match v {
+        Value::U64(n) => Value::F64(n as f64),
+        Value::I64(n) => Value::F64(n as f64),
+        other => other,
+    }),
+    ("negative integers", |v| match v {
+        Value::U64(n) => Value::I64(-(n as i64 & 0xFFFF) - 1),
+        other => other,
+    }),
+    ("whole floats as integers", |v| match v {
+        Value::F64(x) if x.fract() == 0.0 && x.abs() < 1e15 => Value::U64(x.abs() as u64),
+        other => other,
+    }),
+    ("strings nested past the depth bound", |v| match v {
+        Value::Str(s) => {
+            (0..serde::binary::MAX_DEPTH).fold(Value::Str(s), |inner, _| Value::Seq(vec![inner]))
+        }
+        other => other,
+    }),
+];
+
+/// Each rewrite, applied to one node at a time (so an enclosing enum
+/// wrapper stays intact and the rewritten node is actually read).
+fn assert_same_verdict_on_rewrites<T: Serialize + Deserialize + Debug>(x: &T) {
+    let tree = x.to_value();
+    for (name, edit) in REWRITES {
+        for target in 0..node_count(&tree) {
+            let rewritten = rewrite_node(&tree, target, &mut 0, *edit);
+            if rewritten == tree {
+                continue;
+            }
+            let mut bytes = Vec::new();
+            serde::encode_value(&rewritten, &mut bytes);
+            assert_same_verdict::<T>(&bytes, &format!("{name} at node {target}"));
+        }
+    }
+}
+
+proptest! {
+    /// Requests stream to exactly the `Value` path's bytes.
+    #[test]
+    fn streamed_requests_write_the_value_path_bytes(body in request_body()) {
+        prop_assert_eq!(streamed_bytes(&body), value_path_bytes(&body));
+    }
+
+    /// So do responses and errors.
+    #[test]
+    fn streamed_responses_write_the_value_path_bytes(body in response_body(), err in api_error()) {
+        prop_assert_eq!(streamed_bytes(&body), value_path_bytes(&body));
+        prop_assert_eq!(streamed_bytes(&err), value_path_bytes(&err));
+    }
+
+    /// Truncated and byte-damaged requests get the same verdict from both
+    /// decoders.
+    #[test]
+    fn streamed_request_decoding_matches_the_value_path_on_damage(
+        body in request_body(),
+        seed in any::<u64>(),
+    ) {
+        assert_same_verdict_on_damage::<RequestBody>(&streamed_bytes(&body), seed);
+    }
+
+    /// Same for responses and errors.
+    #[test]
+    fn streamed_response_decoding_matches_the_value_path_on_damage(
+        body in response_body(),
+        err in api_error(),
+        seed in any::<u64>(),
+    ) {
+        assert_same_verdict_on_damage::<ResponseBody>(&streamed_bytes(&body), seed);
+        assert_same_verdict_on_damage::<ApiError>(&streamed_bytes(&err), seed);
+    }
+
+    /// Valid binary the encoder never writes — reordered, unknown and
+    /// duplicate keys, extra items, re-typed integers, over-deep nesting —
+    /// gets the same verdict from both decoders.
+    #[test]
+    fn streamed_decoding_matches_the_value_path_on_rewritten_trees(
+        body in request_body(),
+        outcome in outcome(),
+    ) {
+        assert_same_verdict_on_rewrites(&body);
+        match outcome {
+            Ok(body) => assert_same_verdict_on_rewrites(&body),
+            Err(err) => assert_same_verdict_on_rewrites(&err),
+        }
+    }
+}

@@ -1,6 +1,6 @@
 //! Data-plane timings at 1× / 100× / 1000× MAS scale: deterministic
 //! scaled-log build, post-churn publish (tiered compaction's headline
-//! number — it must stay flat as total history grows), sectioned v3
+//! number — it must stay flat as total history grows), sectioned v4
 //! snapshot write/read, and bounded-memory WAL recovery.
 //!
 //! One timed pass per phase (these are multi-second macro phases, not
@@ -77,7 +77,7 @@ fn run_factor(base: &QueryLog, factor: usize) {
         "",
     );
 
-    // Phase 3: sectioned v3 snapshot write and streaming read.
+    // Phase 3: sectioned v4 snapshot write and streaming read.
     let dir = temp_dir(&format!("snap-{factor}x"));
     fs::create_dir_all(&dir).unwrap();
     let path = dir.join("bench.snapshot");

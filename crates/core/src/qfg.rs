@@ -1114,206 +1114,16 @@ impl PartialEq for QueryFragmentGraph {
     }
 }
 
-/// Snapshot format v2 body: the interner table plus the columnar arrays,
-/// densified to live ids (dead slots are an in-process artifact of id
-/// stability and are dropped on the wire).
-#[derive(Serialize, Deserialize)]
-struct ColumnarQfg {
-    obscurity: Obscurity,
-    query_count: u64,
-    fragments: Vec<QueryFragment>,
-    occurrences: Vec<u64>,
-    offsets: Vec<u32>,
-    neighbors: Vec<u32>,
-    counts: Vec<u64>,
-}
-
-impl Serialize for QueryFragmentGraph {
-    fn to_value(&self) -> serde::Value {
-        // Serialize a compacted, densified view; `to_value` takes `&self`,
-        // so an uncompacted graph is compacted on a clone.
-        let owned;
-        let graph = if self.is_compacted() {
-            self
-        } else {
-            let mut c = self.clone();
-            c.compact();
-            owned = c;
-            &owned
-        };
-        let table = graph.interner.table_len();
-        let mut remap: Vec<u32> = vec![u32::MAX; table];
-        let mut fragments = Vec::with_capacity(graph.fragment_count());
-        let mut occurrences = Vec::with_capacity(graph.fragment_count());
-        for (slot, entry) in remap.iter_mut().enumerate() {
-            if graph.occurrences[slot] > 0 {
-                *entry = fragments.len() as u32;
-                fragments.push(graph.interner.fragments[slot].clone());
-                occurrences.push(graph.occurrences[slot]);
-            }
-        }
-        // The remap is monotone over live slots, so row order and in-row
-        // neighbor order survive unchanged.
-        let n = fragments.len();
-        let mut offsets = vec![0u32; n + 1];
-        let mut neighbors = Vec::with_capacity(graph.csr.neighbors.len());
-        let mut counts = Vec::with_capacity(graph.csr.counts.len());
-        for lo in 0..table {
-            let new_lo = remap[lo];
-            let (start, end) = (
-                graph.csr.offsets[lo] as usize,
-                graph.csr.offsets[lo + 1] as usize,
-            );
-            for e in start..end {
-                debug_assert!(new_lo != u32::MAX, "CSR edge touching a dead slot");
-                neighbors.push(remap[graph.csr.neighbors[e] as usize]);
-                counts.push(graph.csr.counts[e]);
-                offsets[new_lo as usize + 1] += 1;
-            }
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        ColumnarQfg {
-            obscurity: graph.obscurity,
-            query_count: graph.query_count as u64,
-            fragments,
-            occurrences,
-            offsets,
-            neighbors,
-            counts,
-        }
-        .to_value()
-    }
-}
-
-impl Deserialize for QueryFragmentGraph {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let columnar = ColumnarQfg::from_value(value)?;
-        QueryFragmentGraph::from_columnar(columnar).map_err(serde::Error::new)
-    }
-}
-
-impl QueryFragmentGraph {
-    /// Validate and adopt a deserialized columnar body.  Every structural
-    /// invariant is checked so a corrupted or truncated snapshot surfaces as
-    /// a typed error instead of panics or silently wrong scores.
-    fn from_columnar(c: ColumnarQfg) -> Result<Self, String> {
-        let n = c.fragments.len();
-        if c.occurrences.len() != n {
-            return Err(format!(
-                "occurrence column length {} does not match {} fragments",
-                c.occurrences.len(),
-                n
-            ));
-        }
-        if c.occurrences.contains(&0) {
-            return Err("serialized graph contains a zero-occurrence fragment".to_string());
-        }
-        if c.offsets.len() != n + 1 || c.offsets.first() != Some(&0) {
-            return Err(format!(
-                "CSR offsets length {} does not match {} fragments",
-                c.offsets.len(),
-                n
-            ));
-        }
-        if c.offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("CSR offsets are not monotone".to_string());
-        }
-        let edges = *c.offsets.last().unwrap() as usize;
-        if c.neighbors.len() != edges || c.counts.len() != edges {
-            return Err(format!(
-                "truncated CSR: offsets expect {} edges, found {} neighbors / {} counts",
-                edges,
-                c.neighbors.len(),
-                c.counts.len()
-            ));
-        }
-        let mut ids: HashMap<QueryFragment, FragmentId> = HashMap::with_capacity(n);
-        for (slot, fragment) in c.fragments.iter().enumerate() {
-            if ids
-                .insert(fragment.clone(), FragmentId(slot as u32))
-                .is_some()
-            {
-                return Err(format!("duplicate interned fragment {fragment}"));
-            }
-        }
-        let mut denominators = Vec::with_capacity(edges);
-        let mut max_dice = vec![0.0f64; n];
-        let mut pair_degree = vec![0u32; n];
-        for lo in 0..n {
-            let (start, end) = (c.offsets[lo] as usize, c.offsets[lo + 1] as usize);
-            let mut prev: Option<u32> = None;
-            for e in start..end {
-                let hi = c.neighbors[e];
-                if (hi as usize) >= n || hi <= lo as u32 {
-                    return Err(format!("CSR neighbor {hi} out of range for row {lo}"));
-                }
-                if prev.is_some_and(|p| p >= hi) {
-                    return Err(format!("CSR row {lo} neighbors are not strictly sorted"));
-                }
-                prev = Some(hi);
-                pair_degree[lo] += 1;
-                pair_degree[hi as usize] += 1;
-                let count = c.counts[e];
-                if count == 0 || count > c.occurrences[lo].min(c.occurrences[hi as usize]) {
-                    return Err(format!(
-                        "co-occurrence count {count} of pair ({lo}, {hi}) is inconsistent \
-                         with its occurrence counts"
-                    ));
-                }
-                let denominator = c.occurrences[lo] + c.occurrences[hi as usize];
-                denominators.push(denominator);
-                let dice = (2.0 * count as f64) / (denominator as f64);
-                if dice > max_dice[lo] {
-                    max_dice[lo] = dice;
-                }
-                if dice > max_dice[hi as usize] {
-                    max_dice[hi as usize] = dice;
-                }
-            }
-        }
-        Ok(QueryFragmentGraph {
-            obscurity: c.obscurity,
-            interner: FragmentInterner {
-                ids,
-                fragments: c.fragments,
-                free: Vec::new(),
-            },
-            occurrences: c.occurrences,
-            pair_degree,
-            live_edges: edges,
-            csr: CsrAdjacency {
-                offsets: c.offsets,
-                neighbors: c.neighbors,
-                counts: c.counts,
-                denominators,
-            },
-            delta: BTreeMap::new(),
-            runs: Vec::new(),
-            run_fold_threshold: DELTA_RUN_FOLD,
-            max_dice,
-            occurrences_dirty: false,
-            query_count: c.query_count as usize,
-            compactions: 0,
-            run_folds: 0,
-            run_merges: 0,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Sectioned serialization (snapshot format v3)
+// Sectioned serialization (snapshot sections)
 // ---------------------------------------------------------------------------
 //
-// The v2 body (`to_value`) compacts a *clone* of the graph and densifies it
-// to live ids — a second full copy of the whole state in memory at write
-// time.  The v3 snapshot instead serializes the graph **as-is**, one
-// independent section at a time (interner table, occurrence column, CSR
-// adjacency, pending delta runs), so a streaming writer holds at most one
-// section and no clone, and pending work survives a snapshot without a
-// forced full compaction.  Dead (recyclable) interner slots are written as
-// `null` so raw slot ids in the CSR and the runs stay valid verbatim.
+// A snapshot serializes the graph **as-is**, one independent section at a
+// time (interner table, occurrence column, CSR adjacency, pending delta
+// runs), so a streaming writer holds at most one section and no clone, and
+// pending work survives a snapshot without a forced full compaction.  Dead
+// (recyclable) interner slots are written as `null` so raw slot ids in the
+// CSR and the runs stay valid verbatim.
 
 impl QueryFragmentGraph {
     fn slot_live(&self, slot: usize) -> bool {
@@ -1390,7 +1200,7 @@ impl QueryFragmentGraph {
         serde::Value::Seq(runs)
     }
 
-    /// Rebuild a graph from its v3 sections, validating every structural
+    /// Rebuild a graph from its snapshot sections, validating every structural
     /// invariant so a corrupted section surfaces as a typed error.  The
     /// result is observationally identical to the graph that was written:
     /// raw slot ids, dead slots and pending runs are restored verbatim.
@@ -1891,8 +1701,16 @@ mod tests {
         assert_eq!(qfg.max_dice_by_id(id), 1.0);
         qfg.compact();
         assert!(qfg.max_dice_by_id(id) < 1.0);
-        // A serde round-trip (snapshot load) restores the exact column.
-        let back = QueryFragmentGraph::from_value(&serde::Serialize::to_value(&qfg)).unwrap();
+        // A section round-trip (snapshot load) restores the exact column.
+        let back = QueryFragmentGraph::from_sections(
+            qfg.obscurity(),
+            qfg.query_count() as u64,
+            &qfg.fragments_section(),
+            &qfg.occurrences_section(),
+            &qfg.adjacency_section(),
+            &qfg.runs_section(),
+        )
+        .unwrap();
         assert_eq!(back.max_dice_by_id(id), qfg.max_dice_by_id(id));
     }
 
@@ -1942,40 +1760,6 @@ mod tests {
                 assert_eq!(pop[i].to_bits(), expected.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_observational_state() {
-        let mut qfg = QueryFragmentGraph::build(&figure3_log(), Obscurity::NoConstOp);
-        // Leave some pending delta so serialization exercises the
-        // compact-on-write path.
-        let (extra, _) = QueryLog::from_sql(["SELECT p.year FROM publication p"]);
-        qfg.ingest(&extra.queries()[0]);
-        let value = serde::Serialize::to_value(&qfg);
-        let back = QueryFragmentGraph::from_value(&value).unwrap();
-        assert_eq!(back, qfg);
-        assert!(back.is_compacted());
-        assert_eq!(back.query_count(), qfg.query_count());
-    }
-
-    #[test]
-    fn corrupted_columnar_bodies_are_rejected() {
-        let qfg = QueryFragmentGraph::build(&figure3_log(), Obscurity::NoConstOp);
-        let value = serde::Serialize::to_value(&qfg);
-        // Truncate the neighbor column: offsets promise more edges.
-        let serde::Value::Map(mut fields) = value.clone() else {
-            panic!("columnar body must be a map")
-        };
-        for (key, field) in &mut fields {
-            if key == "neighbors" {
-                let serde::Value::Seq(items) = field else {
-                    panic!("neighbors must be a seq")
-                };
-                items.pop();
-            }
-        }
-        let err = QueryFragmentGraph::from_value(&serde::Value::Map(fields)).unwrap_err();
-        assert!(err.to_string().contains("truncated CSR"), "{err}");
     }
 
     // -- tiered delta-log compaction ------------------------------------
@@ -2088,10 +1872,10 @@ mod tests {
         );
     }
 
-    // -- sectioned (v3) serialization -----------------------------------
+    // -- sectioned serialization ---------------------------------------
 
     /// A graph with dead interner slots, a compacted baseline, *and*
-    /// pending runs + mutable delta — the richest v3 shape.
+    /// pending runs + mutable delta — the richest sectioned shape.
     fn sectioned_fixture() -> QueryFragmentGraph {
         let queries = churn_queries(60);
         let mut qfg = QueryFragmentGraph::empty(Obscurity::NoConstOp);

@@ -506,7 +506,7 @@ proptest! {
         prop_assert_eq!(model.co_occurrences.len(), compacted.edge_count());
     }
 
-    /// A v3 sectioned export of the graph — at an arbitrary uncompacted
+    /// A sectioned export of the graph — at an arbitrary uncompacted
     /// tier state — reconstructs the *identical* graph, section for
     /// section: same interner slots, same occurrence column, same CSR, same
     /// pending runs, without forcing a compaction on either side.

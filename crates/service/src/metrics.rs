@@ -575,7 +575,7 @@ pub struct MetricsSnapshot {
     /// 0 until a durable service recovers.
     pub recovery_peak_batch_bytes: u64,
     /// On-disk size of the last snapshot written (or recovered from), in
-    /// bytes — the sectioned v3 body including every frame header and CRC.
+    /// bytes — the sectioned body including every frame header and CRC.
     pub snapshot_body_bytes: u64,
     /// Admission-control sheds: requests rejected with `Backpressure`
     /// before any work was queued, split by which limit fired — the
@@ -820,20 +820,20 @@ const PROM_FAMILIES: &[(&str, &str, &str, FieldGetter)] = &[
         |s| s.wal_applied_seq,
     ),
     (
-        "templar_join_cache_hits_total",
-        "counter",
+        "templar_join_cache_hits",
+        "gauge",
         "Join-cache hits of the current snapshot.",
         |s| s.join_cache_hits,
     ),
     (
-        "templar_join_cache_misses_total",
-        "counter",
+        "templar_join_cache_misses",
+        "gauge",
         "Join-cache misses of the current snapshot.",
         |s| s.join_cache_misses,
     ),
     (
-        "templar_join_cache_evictions_total",
-        "counter",
+        "templar_join_cache_evictions",
+        "gauge",
         "Join-cache evictions of the current snapshot.",
         |s| s.join_cache_evictions,
     ),
@@ -940,26 +940,26 @@ const PROM_FAMILIES: &[(&str, &str, &str, FieldGetter)] = &[
         |s| s.translation_cache_entries,
     ),
     (
-        "templar_word_memo_hits_total",
-        "counter",
+        "templar_word_memo_hits",
+        "gauge",
         "Word-vector memo hits of the current snapshot's similarity model.",
         |s| s.word_memo_hits,
     ),
     (
-        "templar_word_memo_misses_total",
-        "counter",
+        "templar_word_memo_misses",
+        "gauge",
         "Word-vector memo misses of the current snapshot's similarity model.",
         |s| s.word_memo_misses,
     ),
     (
-        "templar_phrase_memo_hits_total",
-        "counter",
+        "templar_phrase_memo_hits",
+        "gauge",
         "Phrase-vector memo hits of the current snapshot's similarity model.",
         |s| s.phrase_memo_hits,
     ),
     (
-        "templar_phrase_memo_misses_total",
-        "counter",
+        "templar_phrase_memo_misses",
+        "gauge",
         "Phrase-vector memo misses of the current snapshot's similarity model.",
         |s| s.phrase_memo_misses,
     ),

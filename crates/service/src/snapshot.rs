@@ -5,10 +5,10 @@
 //! serving log-informed translations immediately — no re-parse and no QFG
 //! rebuild of a potentially multi-million-entry log.
 //!
-//! # Format (version 3)
+//! # Format (version 4)
 //!
 //! ```text
-//! TEMPLAR-SNAPSHOT v3 obscurity=NoConstOp [watermark=N] sections=K\n
+//! TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp [watermark=N] sections=K\n
 //! [len u32 LE][crc32 u32 LE][name_len u16 LE][name][payload]   ← section 0
 //! [len u32 LE][crc32 u32 LE][name_len u16 LE][name][payload]   ← section 1
 //! …                                                            ← section K-1
@@ -17,8 +17,9 @@
 //! The body is `K` independent *sections*, each framed exactly like a WAL
 //! record (`len` counts the body after the 8-byte frame header; the CRC —
 //! the same [`crate::wal::crc32`] — covers `name_len + name + payload`).
-//! The payload of every section is one self-contained JSON document.
-//! Sections appear in a fixed order:
+//! The payload of every section is one value in the tagged binary codec of
+//! [`serde::binary`], the same codec the wire frames use.  Sections appear
+//! in a fixed order:
 //!
 //! | section          | payload                                            |
 //! |------------------|----------------------------------------------------|
@@ -29,18 +30,21 @@
 //! | `qfg/adjacency`  | the compacted CSR baseline (offsets/neighbors/counts)|
 //! | `qfg/runs`       | pending tiered delta runs, mutable delta last      |
 //!
-//! Compared to v2 — one monolithic JSON document that forced the writer to
-//! materialize the entire serialized state (and a *compacted clone* of the
-//! graph) in memory, and the reader to buffer and parse it all at once —
-//! the sectioned layout is written and read **streaming**: the writer holds
-//! one serialized section at a time and serializes the graph *as-is* (no
-//! clone, no forced compaction — pending tiered runs survive a snapshot
-//! verbatim), and the reader validates section-by-section, so a torn or
-//! bit-flipped section is caught by length/CRC checks before any parsing.
+//! The log chunks — nearly all of a snapshot's bytes — are encoded straight
+//! from each [`Query`] and decoded straight back into one
+//! ([`serde::Serialize::encode`] / [`serde::Deserialize::decode`]), with no
+//! value tree in between.  The small `meta` and `qfg/*` sections are binary
+//! [`serde::Value`]s, read back by [`QueryFragmentGraph::from_sections`].
 //!
-//! **Migration:** v2 snapshots still load natively (single-document body,
-//! columnar validation), and v1 snapshots load by rebuilding the graph from
-//! the stored log.  Both are only ever written back as v3.
+//! The layout is written and read **streaming**: the writer holds one
+//! serialized section at a time and serializes the graph *as-is* (no clone,
+//! no forced compaction — pending tiered runs survive a snapshot verbatim),
+//! and the reader validates section-by-section, so a torn or bit-flipped
+//! section is caught by length/CRC checks before any decoding.
+//!
+//! **Compatibility:** version 3 — the same header, sections and framing,
+//! with every payload a JSON document — is still read.  Versions 1 and 2
+//! are rejected as unsupported.  Everything is written as version 4.
 //!
 //! The header carries everything needed to *reject* a snapshot before
 //! touching the (potentially large) body:
@@ -75,9 +79,8 @@
 use crate::error::SnapshotError;
 use crate::storage::{FsStorage, Storage};
 use crate::wal::crc32;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use sqlparse::Query;
-use std::fs;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,9 +89,9 @@ use templar_core::{Obscurity, QueryFragmentGraph, QueryLog};
 /// First token of every snapshot file.
 pub const SNAPSHOT_MAGIC: &str = "TEMPLAR-SNAPSHOT";
 /// The format version this build writes.
-pub const SNAPSHOT_VERSION: u32 = 3;
-/// The oldest format version this build still reads (via migration).
-pub const SNAPSHOT_MIN_SUPPORTED_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 4;
+/// The oldest format version this build still reads.
+pub const SNAPSHOT_MIN_SUPPORTED_VERSION: u32 = 3;
 /// Logged queries per `log/<i>` section: bounds how much of the log a
 /// streaming reader or writer holds decoded at any moment.
 pub const LOG_SECTION_CHUNK: usize = 4096;
@@ -102,7 +105,7 @@ const MAX_SECTION_BYTES: u32 = 1 << 30;
 const MAX_HEADER_BYTES: u64 = 4096;
 
 /// The deserialized content of a snapshot file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// The query log at capture time.
     pub log: QueryLog,
@@ -110,7 +113,7 @@ pub struct Snapshot {
     pub qfg: QueryFragmentGraph,
 }
 
-/// Serialize the serving state to `path` (atomic replace, format v3).
+/// Serialize the serving state to `path` (atomic replace, format v4).
 /// Returns the total bytes written (header + all framed sections).
 pub fn write_snapshot(
     path: &Path,
@@ -181,44 +184,56 @@ pub fn write_snapshot_with(
         let mut out = BufWriter::new(file);
         let mut bytes = header.len() as u64;
         out.write_all(header.as_bytes())?;
-        // Stream one section at a time: each `write_section` serializes its
-        // payload, frames it, and drops it before the next is built — the
-        // writer never materializes the whole body (or a clone of the
-        // graph; the columns serialize as-is, pending runs included).
-        let meta = serde::Value::Map(vec![
+        // Stream one section at a time through one reused buffer: each
+        // `write_section` encodes its payload, frames it and writes it
+        // before the next is built — the writer never materializes the
+        // whole body (or a clone of the graph; the columns serialize as-is,
+        // pending runs included).
+        let mut body = Vec::new();
+        let meta = Value::Map(vec![
             (
                 "obscurity".to_string(),
-                serde::Value::Str(qfg.obscurity().name().to_string()),
+                Value::Str(qfg.obscurity().name().to_string()),
             ),
-            ("log_len".to_string(), serde::Value::U64(log.len() as u64)),
-            (
-                "log_chunks".to_string(),
-                serde::Value::U64(log_chunks as u64),
-            ),
+            ("log_len".to_string(), Value::U64(log.len() as u64)),
+            ("log_chunks".to_string(), Value::U64(log_chunks as u64)),
             (
                 "query_count".to_string(),
-                serde::Value::U64(qfg.query_count() as u64),
+                Value::U64(qfg.query_count() as u64),
             ),
         ]);
-        bytes += write_section(&mut out, "meta", &meta)?;
+        bytes += write_section(&mut out, &mut body, "meta", &meta)?;
         let queries = log.queries();
         for chunk in 0..log_chunks {
             let lo = chunk * LOG_SECTION_CHUNK;
             let hi = (lo + LOG_SECTION_CHUNK).min(queries.len());
-            let payload = serde::Value::Seq(
-                queries
-                    .iter()
-                    .skip(lo)
-                    .take(hi - lo)
-                    .map(|q| q.to_value())
-                    .collect(),
-            );
-            bytes += write_section(&mut out, &format!("log/{chunk}"), &payload)?;
+            let name = format!("log/{chunk}");
+            bytes += write_framed(&mut out, &mut body, &name, |payload| {
+                serde::binary::encode_seq_header(hi - lo, payload);
+                for query in queries.range(lo..hi) {
+                    query.encode(payload);
+                }
+            })?;
         }
-        bytes += write_section(&mut out, "qfg/fragments", &qfg.fragments_section())?;
-        bytes += write_section(&mut out, "qfg/occurrences", &qfg.occurrences_section())?;
-        bytes += write_section(&mut out, "qfg/adjacency", &qfg.adjacency_section())?;
-        bytes += write_section(&mut out, "qfg/runs", &qfg.runs_section())?;
+        bytes += write_section(
+            &mut out,
+            &mut body,
+            "qfg/fragments",
+            &qfg.fragments_section(),
+        )?;
+        bytes += write_section(
+            &mut out,
+            &mut body,
+            "qfg/occurrences",
+            &qfg.occurrences_section(),
+        )?;
+        bytes += write_section(
+            &mut out,
+            &mut body,
+            "qfg/adjacency",
+            &qfg.adjacency_section(),
+        )?;
+        bytes += write_section(&mut out, &mut body, "qfg/runs", &qfg.runs_section())?;
         let mut file = out
             .into_inner()
             .map_err(|e| SnapshotError::Io(e.into_error()))?;
@@ -237,33 +252,73 @@ pub fn write_snapshot_with(
     result
 }
 
-/// Frame one section: `[len][crc][name_len][name][payload]`, CRC over
-/// everything after the 8-byte frame header.  Returns the framed size.
+/// Frame one section whose payload is a binary [`Value`].
 fn write_section(
     out: &mut impl Write,
+    body: &mut Vec<u8>,
     name: &str,
-    payload: &serde::Value,
+    payload: &Value,
 ) -> Result<u64, SnapshotError> {
-    let json = serde_json::to_string(payload).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    let mut body = Vec::with_capacity(2 + name.len() + json.len());
+    write_framed(out, body, name, |bytes| serde::encode_value(payload, bytes))
+}
+
+/// Frame one section: `[len][crc][name_len][name][payload]`, CRC over
+/// everything after the 8-byte frame header, with `encode` appending the
+/// payload to the reused `body` buffer.  Returns the framed size.
+fn write_framed(
+    out: &mut impl Write,
+    body: &mut Vec<u8>,
+    name: &str,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> Result<u64, SnapshotError> {
+    body.clear();
     body.extend_from_slice(&(name.len() as u16).to_le_bytes());
     body.extend_from_slice(name.as_bytes());
-    body.extend_from_slice(json.as_bytes());
+    encode(body);
     if body.len() as u64 > MAX_SECTION_BYTES as u64 {
         return Err(SnapshotError::Corrupt(format!(
             "section `{name}` exceeds the {MAX_SECTION_BYTES}-byte frame limit"
         )));
     }
     out.write_all(&(body.len() as u32).to_le_bytes())?;
-    out.write_all(&crc32(&body).to_le_bytes())?;
-    out.write_all(&body)?;
+    out.write_all(&crc32(body).to_le_bytes())?;
+    out.write_all(body)?;
     Ok((SECTION_FRAME_HEADER + body.len()) as u64)
 }
 
+/// One framed section, CRC-validated: its name and its undecoded payload.
+struct Section {
+    name: String,
+    body: Vec<u8>,
+    payload_at: usize,
+}
+
+impl Section {
+    fn payload(&self) -> &[u8] {
+        &self.body[self.payload_at..]
+    }
+
+    /// The payload as one value tree: a JSON document in v3, a binary value
+    /// from v4 on.
+    fn value(&self, version: u32) -> Result<Value, SnapshotError> {
+        let name = &self.name;
+        if version == 3 {
+            let text = std::str::from_utf8(self.payload()).map_err(|_| {
+                SnapshotError::Corrupt(format!("section `{name}` payload is not UTF-8"))
+            })?;
+            serde_json::parse_value(text)
+                .map_err(|e| SnapshotError::Corrupt(format!("section `{name}`: {e}")))
+        } else {
+            serde::decode_value(self.payload())
+                .map_err(|e| SnapshotError::Corrupt(format!("section `{name}`: {e}")))
+        }
+    }
+}
+
 /// Read one framed section: validates the length bound and the CRC before
-/// parsing the payload, so torn or bit-flipped sections surface as
-/// [`SnapshotError::Corrupt`] without any JSON work.
-fn read_section(reader: &mut impl Read) -> Result<(String, serde::Value), SnapshotError> {
+/// the payload is decoded, so torn or bit-flipped sections surface as
+/// [`SnapshotError::Corrupt`] without any decoding work.
+fn read_section(reader: &mut impl Read) -> Result<Section, SnapshotError> {
     let mut frame = [0u8; SECTION_FRAME_HEADER];
     reader.read_exact(&mut frame).map_err(eof_is_torn)?;
     let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
@@ -287,11 +342,11 @@ fn read_section(reader: &mut impl Read) -> Result<(String, serde::Value), Snapsh
     let name = std::str::from_utf8(&body[2..2 + name_len])
         .map_err(|_| SnapshotError::Corrupt("section name is not UTF-8".to_string()))?
         .to_string();
-    let payload = std::str::from_utf8(&body[2 + name_len..])
-        .map_err(|_| SnapshotError::Corrupt(format!("section `{name}` payload is not UTF-8")))?;
-    let value = serde_json::parse_value(payload)
-        .map_err(|e| SnapshotError::Corrupt(format!("section `{name}`: {e}")))?;
-    Ok((name, value))
+    Ok(Section {
+        name,
+        body,
+        payload_at: 2 + name_len,
+    })
 }
 
 /// A short read inside a section frame is a torn snapshot, not an I/O fault
@@ -306,9 +361,7 @@ fn eof_is_torn(e: std::io::Error) -> SnapshotError {
 
 /// Read and validate a snapshot, rejecting wrong magic, unsupported versions
 /// and — crucially — snapshots captured at a different obscurity level than
-/// `expected`.  Version 1 snapshots are migrated on the fly (see the module
-/// docs), version 2 is read as a single columnar document, and version 3 is
-/// read streaming, section by section.
+/// `expected`.  Versions 3 and 4 are read streaming, section by section.
 pub fn read_snapshot(path: &Path, expected: Obscurity) -> Result<Snapshot, SnapshotError> {
     read_snapshot_with_watermark(path, expected).map(|(snapshot, _)| snapshot)
 }
@@ -384,51 +437,34 @@ pub fn read_snapshot_from(
             )));
         }
     }
-    let snapshot = match version {
-        1 | 2 => {
-            let mut body = String::new();
-            reader.read_to_string(&mut body)?;
-            if version == 1 {
-                migrate_v1(&body, obscurity)?
-            } else {
-                serde_json::from_str::<Snapshot>(&body)
-                    .map_err(|e| SnapshotError::Corrupt(e.to_string()))?
-            }
-        }
-        _ => {
-            let sections = sections.ok_or_else(|| {
-                SnapshotError::Corrupt("v3 header is missing its section count".to_string())
-            })?;
-            read_v3_body(&mut reader, sections, obscurity)?
-        }
-    };
-    if snapshot.qfg.obscurity() != obscurity {
-        return Err(SnapshotError::Corrupt(
-            "body obscurity disagrees with header".to_string(),
-        ));
-    }
+    let sections = sections.ok_or_else(|| {
+        SnapshotError::Corrupt(format!("v{version} header is missing its section count"))
+    })?;
+    let snapshot = read_body(&mut reader, version, sections, obscurity)?;
     Ok((snapshot, watermark))
 }
 
-/// Decode the sectioned v3 body: sections arrive in the fixed order the
-/// writer produces, each CRC-validated before parsing, with the section
+/// Decode the sectioned body: sections arrive in the fixed order the
+/// writer produces, each CRC-validated before decoding, with the section
 /// count cross-checked against the header and the `meta` section and a
 /// trailing-garbage probe after the final section.
-fn read_v3_body(
+fn read_body(
     reader: &mut impl Read,
+    version: u32,
     sections: u64,
     obscurity: Obscurity,
 ) -> Result<Snapshot, SnapshotError> {
-    let mut expect = |want: &str| -> Result<serde::Value, SnapshotError> {
-        let (name, payload) = read_section(reader)?;
-        if name != want {
+    let mut expect = |want: &str| -> Result<Section, SnapshotError> {
+        let section = read_section(reader)?;
+        if section.name != want {
             return Err(SnapshotError::Corrupt(format!(
-                "expected section `{want}`, found `{name}`"
+                "expected section `{want}`, found `{}`",
+                section.name
             )));
         }
-        Ok(payload)
+        Ok(section)
     };
-    let meta = expect("meta")?;
+    let meta = expect("meta")?.value(version)?;
     let meta_fields = meta
         .as_map()
         .ok_or_else(|| SnapshotError::Corrupt("meta section is not a map".to_string()))?;
@@ -463,15 +499,26 @@ fn read_v3_body(
     }
     let mut queries: Vec<Query> = Vec::with_capacity(log_len.min(1 << 20) as usize);
     for chunk in 0..log_chunks {
-        let payload = expect(&format!("log/{chunk}"))?;
-        let entries = payload.as_seq().ok_or_else(|| {
-            SnapshotError::Corrupt(format!("log chunk {chunk} is not a sequence"))
-        })?;
-        for entry in entries {
-            queries.push(
-                Query::from_value(entry)
-                    .map_err(|e| SnapshotError::Corrupt(format!("log chunk {chunk}: {e}")))?,
-            );
+        let section = expect(&format!("log/{chunk}"))?;
+        let corrupt = |e: serde::Error| SnapshotError::Corrupt(format!("log chunk {chunk}: {e}"));
+        if version == 3 {
+            let payload = section.value(version)?;
+            let entries = payload.as_seq().ok_or_else(|| {
+                SnapshotError::Corrupt(format!("log chunk {chunk} is not a sequence"))
+            })?;
+            for entry in entries {
+                queries.push(Query::from_value(entry).map_err(corrupt)?);
+            }
+        } else {
+            // Straight from the bytes into each `Query`: no value tree.
+            let mut decoder = serde::Decoder::new(section.payload());
+            let count = decoder.seq_len("log chunk").map_err(corrupt)?;
+            decoder.enter();
+            for _ in 0..count {
+                queries.push(Query::decode(&mut decoder).map_err(corrupt)?);
+            }
+            decoder.leave();
+            decoder.finish().map_err(corrupt)?;
         }
     }
     if queries.len() as u64 != log_len {
@@ -480,10 +527,10 @@ fn read_v3_body(
             queries.len()
         )));
     }
-    let fragments = expect("qfg/fragments")?;
-    let occurrences = expect("qfg/occurrences")?;
-    let adjacency = expect("qfg/adjacency")?;
-    let runs = expect("qfg/runs")?;
+    let fragments = expect("qfg/fragments")?.value(version)?;
+    let occurrences = expect("qfg/occurrences")?.value(version)?;
+    let adjacency = expect("qfg/adjacency")?.value(version)?;
+    let runs = expect("qfg/runs")?.value(version)?;
     let mut probe = [0u8; 1];
     if reader.read(&mut probe)? != 0 {
         return Err(SnapshotError::Corrupt(
@@ -505,106 +552,14 @@ fn read_v3_body(
     })
 }
 
-/// Load a v1 body: deserialize the stored log and rebuild the columnar graph
-/// from it.  Ingest-from-empty equals the batch build the v1 writer
-/// serialized (property-tested), so translations served from the migrated
-/// state are identical.
-fn migrate_v1(body: &str, obscurity: Obscurity) -> Result<Snapshot, SnapshotError> {
-    let value = serde_json::parse_value(body).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    let entries = value
-        .as_map()
-        .ok_or_else(|| SnapshotError::Corrupt("v1 body is not a JSON object".to_string()))?;
-    let log_value = entries
-        .iter()
-        .find(|(k, _)| k == "log")
-        .map(|(_, v)| v)
-        .ok_or_else(|| SnapshotError::Corrupt("v1 body is missing its log".to_string()))?;
-    let log = QueryLog::from_value(log_value)
-        .map_err(|e| SnapshotError::Corrupt(format!("v1 log: {e}")))?;
-    let qfg = QueryFragmentGraph::build(&log, obscurity);
-    Ok(Snapshot { log, qfg })
-}
-
 fn parse_obscurity(name: &str) -> Option<Obscurity> {
     Obscurity::ALL.into_iter().find(|o| o.name() == name)
-}
-
-/// Write a snapshot in the retired v2 format: one monolithic JSON document
-/// holding the log and the *compacted* columnar graph.  Kept so migration
-/// tests (and the v2→v3 property suite) can produce byte-faithful v2
-/// artifacts with the writer this build no longer uses in production.
-pub fn write_snapshot_v2(
-    path: &Path,
-    log: &QueryLog,
-    qfg: &QueryFragmentGraph,
-) -> Result<(), SnapshotError> {
-    let header = format!("{SNAPSHOT_MAGIC} v2 obscurity={}\n", qfg.obscurity().name());
-    let body_value = serde::Value::Map(vec![
-        ("log".to_string(), serde::Serialize::to_value(log)),
-        ("qfg".to_string(), serde::Serialize::to_value(qfg)),
-    ]);
-    let body =
-        serde_json::to_string(&body_value).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    fs::write(path, header + &body)?;
-    Ok(())
-}
-
-/// Write a snapshot in the retired v1 format: `n_v` as `[fragment, count]`
-/// pairs and `n_e` as `[[fragment, fragment], count]` pairs, both in the
-/// canonical serde ordering the old derived writer produced.  Kept only so
-/// tests can prove the migration path against byte-faithful v1 artifacts.
-#[cfg(test)]
-pub(crate) fn write_snapshot_v1(
-    path: &Path,
-    log: &QueryLog,
-    qfg: &QueryFragmentGraph,
-) -> Result<(), SnapshotError> {
-    use serde::{canonical_cmp, Value};
-    let header = format!("{SNAPSHOT_MAGIC} v1 obscurity={}\n", qfg.obscurity().name());
-    let mut occurrence_pairs: Vec<Value> = qfg
-        .fragments()
-        .map(|(fragment, count)| Value::Seq(vec![fragment.to_value(), Value::U64(count)]))
-        .collect();
-    occurrence_pairs.sort_by(canonical_cmp);
-    let mut co_occurrence_pairs: Vec<Value> = qfg
-        .co_occurrence_entries()
-        .into_iter()
-        .map(|(a, b, count)| {
-            // The v1 map key was the pair with the lexicographically smaller
-            // fragment first.
-            let (first, second) = if a <= b { (a, b) } else { (b, a) };
-            Value::Seq(vec![
-                Value::Seq(vec![first.to_value(), second.to_value()]),
-                Value::U64(count),
-            ])
-        })
-        .collect();
-    co_occurrence_pairs.sort_by(canonical_cmp);
-    let qfg_value = Value::Map(vec![
-        ("obscurity".to_string(), qfg.obscurity().to_value()),
-        ("occurrences".to_string(), Value::Seq(occurrence_pairs)),
-        (
-            "co_occurrences".to_string(),
-            Value::Seq(co_occurrence_pairs),
-        ),
-        (
-            "query_count".to_string(),
-            Value::U64(qfg.query_count() as u64),
-        ),
-    ]);
-    let body_value = Value::Map(vec![
-        ("log".to_string(), log.to_value()),
-        ("qfg".to_string(), qfg_value),
-    ]);
-    let body =
-        serde_json::to_string(&body_value).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    fs::write(path, header + &body)?;
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
     use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
@@ -642,9 +597,9 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_pending_runs_without_compacting() {
-        // The v2 writer compacted a clone of the graph; the v3 writer
-        // serializes pending tiered runs verbatim, so a snapshot taken
-        // mid-churn restores with the same pending work.
+        // The writer serializes pending tiered runs verbatim (no compacted
+        // clone), so a snapshot taken mid-churn restores with the same
+        // pending work.
         let (log, mut qfg) = sample_state(Obscurity::NoConstOp);
         let mut log = log;
         let (extra, _) = QueryLog::from_sql([
@@ -733,7 +688,7 @@ mod tests {
         write_snapshot_with_watermark(&path, &log, &qfg, Some(42)).unwrap();
         let text = fs::read(&path).unwrap();
         assert!(
-            text.starts_with(b"TEMPLAR-SNAPSHOT v3 obscurity=NoConstOp watermark=42 sections=6\n")
+            text.starts_with(b"TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp watermark=42 sections=6\n")
         );
         let (snapshot, watermark) =
             read_snapshot_with_watermark(&path, Obscurity::NoConstOp).unwrap();
@@ -748,7 +703,7 @@ mod tests {
         // A mangled watermark token is corruption, not silently 0.
         fs::write(
             &path,
-            "TEMPLAR-SNAPSHOT v2 obscurity=NoConstOp watermark=banana\n{}",
+            "TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp watermark=banana sections=6\n",
         )
         .unwrap();
         assert!(matches!(
@@ -759,48 +714,12 @@ mod tests {
     }
 
     #[test]
-    fn written_snapshots_carry_the_v3_header() {
+    fn written_snapshots_carry_the_v4_header() {
         let (log, qfg) = sample_state(Obscurity::NoConstOp);
-        let path = temp_path("v3header");
+        let path = temp_path("v4header");
         write_snapshot(&path, &log, &qfg).unwrap();
         let text = fs::read(&path).unwrap();
-        assert!(text.starts_with(b"TEMPLAR-SNAPSHOT v3 obscurity=NoConstOp sections=6\n"));
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v2_snapshots_still_load_natively() {
-        let (log, qfg) = sample_state(Obscurity::NoConstOp);
-        let path = temp_path("v2load");
-        write_snapshot_v2(&path, &log, &qfg).unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("TEMPLAR-SNAPSHOT v2 obscurity=NoConstOp\n"));
-        let snapshot = read_snapshot(&path, Obscurity::NoConstOp).unwrap();
-        assert_eq!(snapshot.log, log);
-        assert_eq!(snapshot.qfg, qfg);
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v1_snapshots_migrate_to_identical_state() {
-        let (log, qfg) = sample_state(Obscurity::NoConstOp);
-        let path = temp_path("v1migrate");
-        write_snapshot_v1(&path, &log, &qfg).unwrap();
-        let migrated = read_snapshot(&path, Obscurity::NoConstOp).unwrap();
-        assert_eq!(migrated.log, log);
-        assert_eq!(migrated.qfg, qfg, "migrated counts must be identical");
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v1_snapshots_respect_the_obscurity_gate() {
-        let (log, qfg) = sample_state(Obscurity::NoConst);
-        let path = temp_path("v1gate");
-        write_snapshot_v1(&path, &log, &qfg).unwrap();
-        assert!(matches!(
-            read_snapshot(&path, Obscurity::NoConstOp),
-            Err(SnapshotError::ObscurityMismatch { .. })
-        ));
+        assert!(text.starts_with(b"TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp sections=6\n"));
         fs::remove_file(&path).ok();
     }
 
@@ -837,6 +756,20 @@ mod tests {
             read_snapshot(&path, Obscurity::Full),
             Err(SnapshotError::UnsupportedVersion { found: 0, .. })
         ));
+        // The retired single-document formats are refused, not migrated.
+        for old in [1u32, 2] {
+            fs::write(
+                &path,
+                format!("TEMPLAR-SNAPSHOT v{old} obscurity=Full\n{{}}"),
+            )
+            .unwrap();
+            match read_snapshot(&path, Obscurity::Full) {
+                Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!((found, supported), (old, SNAPSHOT_VERSION));
+                }
+                other => panic!("v{old}: expected UnsupportedVersion, got {other:?}"),
+            }
+        }
         // A header with no newline within the scan bound is not a snapshot.
         fs::write(&path, "TEMPLAR-SNAPSHOT v3 obscurity=Full sections=6").unwrap();
         assert!(matches!(
@@ -849,15 +782,26 @@ mod tests {
     #[test]
     fn corrupt_body_is_rejected() {
         let path = temp_path("corrupt");
-        fs::write(
-            &path,
-            "TEMPLAR-SNAPSHOT v2 obscurity=NoConstOp\n{this is not json",
-        )
-        .unwrap();
+        let header = "TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp sections=6\n";
+        fs::write(&path, format!("{header}{{this is not a section frame")).unwrap();
         assert!(matches!(
             read_snapshot(&path, Obscurity::NoConstOp),
             Err(SnapshotError::Corrupt(_))
         ));
+        // A well-framed section (valid CRC) whose payload is not a binary
+        // value is rejected by the decoder, not the framing.
+        let mut bytes = header.as_bytes().to_vec();
+        write_framed(&mut bytes, &mut Vec::new(), "meta", |payload| {
+            payload.extend_from_slice(b"{not binary}")
+        })
+        .unwrap();
+        fs::write(&path, &bytes).unwrap();
+        match read_snapshot(&path, Obscurity::NoConstOp) {
+            Err(SnapshotError::Corrupt(detail)) => {
+                assert!(detail.contains("section `meta`"), "detail was: {detail}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
         fs::remove_file(&path).ok();
     }
 
@@ -865,56 +809,33 @@ mod tests {
     fn corrupt_header_is_rejected() {
         let path = temp_path("corrupt-header");
         // Version present but obscurity mangled.
-        fs::write(&path, "TEMPLAR-SNAPSHOT v2 obscurity=Sideways\n{}").unwrap();
+        fs::write(&path, "TEMPLAR-SNAPSHOT v4 obscurity=Sideways sections=6\n").unwrap();
         assert!(matches!(
             read_snapshot(&path, Obscurity::NoConstOp),
             Err(SnapshotError::Corrupt(_))
         ));
         // Obscurity field missing entirely.
-        fs::write(&path, "TEMPLAR-SNAPSHOT v2\n{}").unwrap();
+        fs::write(&path, "TEMPLAR-SNAPSHOT v4\n").unwrap();
         assert!(matches!(
             read_snapshot(&path, Obscurity::NoConstOp),
             Err(SnapshotError::Corrupt(_))
         ));
-        // A v3 header without its section count cannot be read.
-        fs::write(&path, "TEMPLAR-SNAPSHOT v3 obscurity=NoConstOp\n").unwrap();
-        assert!(matches!(
-            read_snapshot(&path, Obscurity::NoConstOp),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn truncated_csr_is_rejected_as_corrupt() {
-        let (log, qfg) = sample_state(Obscurity::NoConstOp);
-        let path = temp_path("truncated-csr");
-        write_snapshot_v2(&path, &log, &qfg).unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        // Drop one entry from the counts column: offsets now promise more
-        // edges than the columns hold.
-        let truncated = {
-            let marker = "\"counts\":[";
-            let start = text.find(marker).expect("counts column present") + marker.len();
-            let end = text[start..].find(']').unwrap() + start;
-            let column = &text[start..end];
-            let shorter = match column.rfind(',') {
-                Some(last_comma) => &column[..last_comma],
-                None => "",
-            };
-            format!("{}{}{}", &text[..start], shorter, &text[end..])
-        };
-        fs::write(&path, truncated).unwrap();
-        match read_snapshot(&path, Obscurity::NoConstOp) {
-            Err(SnapshotError::Corrupt(detail)) => {
-                assert!(detail.contains("truncated CSR"), "detail was: {detail}")
-            }
-            other => panic!("expected Corrupt for a truncated CSR, got {other:?}"),
+        // A header without its section count cannot be read.
+        for version in [3, 4] {
+            fs::write(
+                &path,
+                format!("TEMPLAR-SNAPSHOT v{version} obscurity=NoConstOp\n"),
+            )
+            .unwrap();
+            assert!(matches!(
+                read_snapshot(&path, Obscurity::NoConstOp),
+                Err(SnapshotError::Corrupt(_))
+            ));
         }
         fs::remove_file(&path).ok();
     }
 
-    /// Walk the section frames of a v3 snapshot, returning the byte offset
+    /// Walk the section frames of a snapshot, returning the byte offset
     /// where each section ends (the first offset is the end of the header).
     fn section_boundaries(bytes: &[u8]) -> Vec<usize> {
         let header_end = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
@@ -981,61 +902,6 @@ mod tests {
         fs::remove_file(&torn).ok();
     }
 
-    /// The end-to-end migration proof: a service state persisted with the
-    /// old v1 writer restores through the current loader and serves
-    /// *identical* translations (queries and scores) to the same state
-    /// persisted as v3.
-    #[test]
-    fn v1_snapshot_restores_and_serves_identically_under_v3() {
-        use crate::config::ServiceConfig;
-        use crate::server::TemplarService;
-        use relational::Database;
-        use std::sync::Arc;
-        use templar_core::TemplarConfig;
-
-        let db = Arc::new(academic_db());
-        let (log, skipped) = QueryLog::from_sql([
-            "SELECT p.title FROM publication p WHERE p.year > 1995",
-            "SELECT j.name FROM journal j",
-            "SELECT p.title FROM publication p, journal j WHERE j.name = 'TKDE' AND p.jid = j.jid",
-        ]);
-        assert_eq!(skipped, 0);
-        let qfg = QueryFragmentGraph::build(&log, Obscurity::NoConstOp);
-        let v1_path = temp_path("serve-v1");
-        let v3_path = temp_path("serve-v3");
-        write_snapshot_v1(&v1_path, &log, &qfg).unwrap();
-        write_snapshot(&v3_path, &log, &qfg).unwrap();
-
-        let nlq = papers_after_2000();
-        let from_v1 = TemplarService::spawn_from_snapshot(
-            Arc::clone(&db),
-            &v1_path,
-            TemplarConfig::paper_defaults(),
-            ServiceConfig::default(),
-        )
-        .expect("v1 snapshots must keep loading via the migration path");
-        let from_v3 = TemplarService::spawn_from_snapshot(
-            Arc::<Database>::clone(&db),
-            &v3_path,
-            TemplarConfig::paper_defaults(),
-            ServiceConfig::default(),
-        )
-        .unwrap();
-        let a = from_v1.translate(&nlq).unwrap();
-        let b = from_v3.translate(&nlq).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.query.to_string(), y.query.to_string());
-            assert!((x.score - y.score).abs() < 1e-12);
-        }
-        // Re-saving the migrated state produces a v3 snapshot.
-        from_v1.save_snapshot(&v1_path).unwrap();
-        let text = fs::read(&v1_path).unwrap();
-        assert!(text.starts_with(b"TEMPLAR-SNAPSHOT v3 "));
-        fs::remove_file(&v1_path).ok();
-        fs::remove_file(&v3_path).ok();
-    }
-
     fn academic_db() -> relational::Database {
         use relational::{DataType, Database, Schema};
         let schema = Schema::builder("academic")
@@ -1082,24 +948,36 @@ mod tests {
         )
     }
 
-    /// A snapshot written by the *pre-refactor* build (checked in as a test
-    /// fixture, byte-for-byte as its v2 writer produced it) must keep
-    /// loading and serve byte-identical top-3 translations to a freshly
-    /// built state over the same log.
+    /// A v3 snapshot written by the previous release's writer, checked in
+    /// byte for byte: JSON payloads, a pending delta run and dead interner
+    /// slots.
+    fn v3_fixture() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests")
+            .join("data")
+            .join("pre_refactor_v3.snapshot")
+    }
+
+    /// The v3 fixture keeps loading and serves byte-identical top-3
+    /// translations to a fresh v4 snapshot of the same log.
     #[test]
-    fn pre_refactor_v2_fixture_serves_byte_identical_translations() {
+    fn v3_fixture_serves_byte_identical_translations_to_v4() {
         use crate::config::ServiceConfig;
         use crate::server::TemplarService;
         use std::sync::Arc;
         use templar_core::TemplarConfig;
 
-        let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("tests")
-            .join("data")
-            .join("pre_refactor_v2.snapshot");
+        let fixture = v3_fixture();
+        assert!(fs::read(&fixture)
+            .unwrap()
+            .starts_with(b"TEMPLAR-SNAPSHOT v3 obscurity=NoConstOp sections=6\n"));
         let db = Arc::new(academic_db());
         let snapshot = read_snapshot(&fixture, Obscurity::NoConstOp)
-            .expect("the pre-refactor fixture must keep loading");
+            .expect("the v3 fixture must keep loading");
+        assert!(
+            !snapshot.qfg.is_compacted(),
+            "the fixture carries pending runs"
+        );
         let from_fixture = TemplarService::spawn_from_snapshot(
             Arc::clone(&db),
             &fixture,
@@ -1107,11 +985,14 @@ mod tests {
             ServiceConfig::default(),
         )
         .unwrap();
-        // The same log, built fresh through the current code path.
+        // The same log, built fresh and saved through the current writer.
         let fresh_qfg = QueryFragmentGraph::build(&snapshot.log, Obscurity::NoConstOp);
         assert_eq!(fresh_qfg, snapshot.qfg);
         let fresh_path = temp_path("fixture-fresh");
         write_snapshot(&fresh_path, &snapshot.log, &fresh_qfg).unwrap();
+        assert!(fs::read(&fresh_path)
+            .unwrap()
+            .starts_with(b"TEMPLAR-SNAPSHOT v4 "));
         let from_fresh = TemplarService::spawn_from_snapshot(
             db,
             &fresh_path,
@@ -1136,32 +1017,29 @@ mod tests {
     }
 
     #[test]
-    fn columnar_snapshots_are_smaller_than_v1() {
-        // The columnar sections write each fragment once; the v1 pair
-        // encoding repeated fragments once per incident edge.
-        let mut sql: Vec<String> = Vec::new();
-        for year in 0..40 {
-            sql.push(format!(
-                "SELECT p.title, j.name FROM publication p, journal j \
-                 WHERE p.jid = j.jid AND p.year > {year}"
-            ));
-        }
-        let (log, _) = QueryLog::from_sql(sql.iter().map(String::as_str));
-        let qfg = QueryFragmentGraph::build(&log, Obscurity::NoConstOp);
-        let v1 = temp_path("size-v1");
-        let v3 = temp_path("size-v3");
-        write_snapshot_v1(&v1, &log, &qfg).unwrap();
-        let v3_len = write_snapshot(&v3, &log, &qfg).unwrap();
-        let v1_len = fs::metadata(&v1).unwrap().len();
+    fn v4_snapshots_are_smaller_than_v3() {
+        // The fixture's exact state — pending run and dead slots included,
+        // restored verbatim — saved again: binary payloads drop JSON's
+        // quoting, punctuation and decimal numbers.
+        let fixture = v3_fixture();
+        let v3_len = fs::metadata(&fixture).unwrap().len();
+        let snapshot = read_snapshot(&fixture, Obscurity::NoConstOp).unwrap();
+        let path = temp_path("size-v4");
+        let v4_len = write_snapshot(&path, &snapshot.log, &snapshot.qfg).unwrap();
         assert!(
-            v3_len < v1_len,
-            "v3 snapshot ({v3_len} B) should be smaller than v1 ({v1_len} B)"
+            v4_len < v3_len,
+            "v4 snapshot ({v4_len} B) should be smaller than v3 ({v3_len} B)"
         );
-        fs::remove_file(&v1).ok();
-        fs::remove_file(&v3).ok();
+        let back = read_snapshot(&path, Obscurity::NoConstOp).unwrap();
+        assert_eq!(back, snapshot);
+        assert_eq!(
+            back.qfg.pending_delta_len(),
+            snapshot.qfg.pending_delta_len()
+        );
+        fs::remove_file(&path).ok();
     }
 
-    /// Write-side torn matrix for the sectioned v3 snapshot: crash the
+    /// Write-side torn matrix for the sectioned snapshot: crash the
     /// storage at a dense sweep of cumulative byte budgets (covering every
     /// section boundary of the write stream) and at every non-write fault
     /// site (temp-file create, fsync, rename, directory fsync).  An

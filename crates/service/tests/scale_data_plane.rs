@@ -8,22 +8,22 @@
 //! * crash recovery of a scaled log replays the journal in bounded-memory
 //!   batches — the peak decoded batch stays within the configured budget —
 //!   and the recovered service answers byte-identically,
-//! * v2 snapshots migrate through the v3 load path losslessly at any
-//!   graph shape (seeded sweep).
+//! * the v4 log sections' streaming codec writes the `Value` path's bytes
+//!   for every logged query.
 //!
 //! The 100× run executes in the default test tier; the full 1000× run is
 //! `#[ignore]`d locally and driven explicitly (in release mode) by CI's
 //! `scale-smoke` step.
 
 use datasets::{scale_log, Dataset};
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use serde::Serialize;
+use sqlparse::Query;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use templar_core::{Obscurity, QueryFragmentGraph, QueryLog, TemplarConfig};
-use templar_service::{snapshot, ServiceConfig, TemplarService};
+use templar_service::{ServiceConfig, TemplarService};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("templar-scale-{}-{name}", std::process::id()));
@@ -124,7 +124,7 @@ fn scaled_mas_recovery_roundtrip(factor: usize, batch_budget: usize) {
         "recovery must be byte-identical at {factor}x scale"
     );
 
-    // A checkpoint of the recovered state lands a v3 snapshot whose size is
+    // A checkpoint of the recovered state lands a v4 snapshot whose size is
     // surfaced as a gauge; a second recovery then replays (almost) nothing.
     recovered.checkpoint().unwrap();
     assert!(recovered.metrics().snapshot_body_bytes > 0);
@@ -220,59 +220,27 @@ fn tiered_publish_cost_tracks_recent_churn_not_total_pending() {
     assert!(graph.is_compacted());
 }
 
-/// v2 → v3 migration: any graph shape written with the retired v2 writer
-/// loads through the current reader into the observationally identical
-/// state, and re-saving it as v3 round-trips verbatim.  A seeded sweep
-/// over random log subsets stands in for a proptest (the service crate has
-/// no proptest dependency).
+/// The v4 log sections stream each `Query` through the typed codec.  For
+/// every logged query of the three benchmark logs and of a 100× scaled MAS
+/// log it must write exactly the bytes of the `Value` path, and decode them
+/// back to the same query.
 #[test]
-fn v2_snapshots_migrate_losslessly_across_random_graph_shapes() {
+fn logged_queries_stream_the_value_path_bytes() {
     let mas = Dataset::mas();
-    let full: Vec<_> = mas.full_log().queries().iter().cloned().collect();
-    let dir = temp_dir("v2-migration");
-    fs::create_dir_all(&dir).unwrap();
-    let mut rng = StdRng::seed_from_u64(0x5EED);
-    for round in 0..16 {
-        // A random-sized, random-offset slice, ingested in order; some
-        // rounds also remove a few queries so freed slots and pending
-        // deltas are part of the written shape.
-        let len = (rng.next_u64() as usize % full.len()).max(1);
-        let start = rng.next_u64() as usize % (full.len() - len + 1);
-        let mut log = QueryLog::new();
-        let mut graph = QueryFragmentGraph::empty(Obscurity::NoConstOp);
-        for query in &full[start..start + len] {
-            log.push(query.clone());
-            graph.ingest(query);
+    let logs = [
+        mas.full_log(),
+        Dataset::yelp().full_log(),
+        Dataset::imdb().full_log(),
+        scale_log(&mas.full_log(), 100, 0x5EED),
+    ];
+    for log in &logs {
+        for query in log.queries() {
+            let mut streamed = Vec::new();
+            query.encode(&mut streamed);
+            let mut via_value = Vec::new();
+            serde::encode_value(&query.to_value(), &mut via_value);
+            assert_eq!(streamed, via_value, "{query}");
+            assert_eq!(&serde::decode::<Query>(&streamed).unwrap(), query);
         }
-        for _ in 0..rng.next_u64() % 4 {
-            if let Some(victim) = log.pop_oldest() {
-                assert!(graph.remove(&victim));
-            }
-        }
-        let v2_path = dir.join(format!("round-{round}.v2.snapshot"));
-        snapshot::write_snapshot_v2(&v2_path, &log, &graph).unwrap();
-        let migrated = snapshot::read_snapshot(&v2_path, Obscurity::NoConstOp).unwrap();
-        assert_eq!(
-            migrated.log, log,
-            "round {round}: the log must survive migration"
-        );
-        assert_eq!(
-            migrated.qfg, graph,
-            "round {round}: the migrated graph must be observationally identical"
-        );
-        // Re-save as v3 and load again: still identical, now via the
-        // sectioned path.
-        let v3_path = dir.join(format!("round-{round}.v3.snapshot"));
-        snapshot::write_snapshot(&v3_path, &migrated.log, &migrated.qfg).unwrap();
-        let reread = snapshot::read_snapshot(&v3_path, Obscurity::NoConstOp).unwrap();
-        assert_eq!(
-            reread.log, log,
-            "round {round}: v3 re-save must round-trip the log"
-        );
-        assert_eq!(
-            reread.qfg, graph,
-            "round {round}: v3 re-save must round-trip the graph"
-        );
     }
-    fs::remove_dir_all(&dir).ok();
 }

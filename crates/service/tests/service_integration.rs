@@ -558,8 +558,46 @@ fn translation_cache_works_over_the_wire_with_bypass_flag() {
     let text = client.prometheus(Some("academic")).unwrap();
     assert!(text.contains("templar_translation_cache_hits_total{tenant=\"academic\"} 1"));
     assert!(text.contains("templar_translation_cache_entries{tenant=\"academic\"} 1"));
-    assert!(text.contains("templar_word_memo_hits_total{tenant=\"academic\"}"));
-    assert!(text.contains("templar_phrase_memo_misses_total{tenant=\"academic\"}"));
+    assert!(text.contains("templar_word_memo_hits{tenant=\"academic\"}"));
+    assert!(text.contains("templar_phrase_memo_misses{tenant=\"academic\"}"));
+
+    // Counters only grow: a publish replaces the snapshot and its caches,
+    // but no family typed `counter` may go down across it (the
+    // per-snapshot cache statistics are gauges for that reason).
+    let before = counter_samples(&text);
+    assert!(before.contains_key("templar_translations_total{tenant=\"academic\"}"));
+    let service = registry.get("academic").unwrap();
+    let swaps = service.metrics().snapshot_swaps;
+    service.submit_sql("SELECT j.name FROM journal j").unwrap();
+    service.flush();
+    assert!(
+        service.metrics().snapshot_swaps > swaps,
+        "flush must publish"
+    );
+    let after = counter_samples(&client.prometheus(Some("academic")).unwrap());
+    for (sample, value) in &before {
+        let now = after.get(sample).copied().unwrap_or(0);
+        assert!(
+            now >= *value,
+            "counter {sample} fell from {value} to {now} across a publish"
+        );
+    }
+}
+
+/// Every sample of every family typed `counter` in a Prometheus exposition,
+/// keyed by metric name plus labels.
+fn counter_samples(text: &str) -> std::collections::HashMap<String, u64> {
+    let counters: std::collections::HashSet<&str> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|rest| rest.strip_suffix(" counter"))
+        .collect();
+    text.lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| line.rsplit_once(' '))
+        .filter(|(sample, _)| counters.contains(sample.split('{').next().unwrap_or(sample)))
+        .map(|(sample, value)| (sample.to_string(), value.parse().unwrap()))
+        .collect()
 }
 
 #[test]

@@ -12,7 +12,7 @@
 # collects their BENCHJSON result lines into one JSON document, so the
 # repository's perf trajectory is recorded per PR instead of living in
 # commit messages.  The scale_data_plane group records the data plane's
-# macro phases (scaled-log build, post-churn publish, v3 snapshot
+# macro phases (scaled-log build, post-churn publish, v4 snapshot
 # write/read, bounded-memory WAL recovery) at 1x/100x/1000x MAS scale.
 #
 # Usage:
