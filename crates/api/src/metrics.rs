@@ -1,12 +1,13 @@
-//! The wire form of a tenant's service metrics.
+//! A tenant's service metrics, in process and on the wire.
 //!
-//! `templar-service` owns the live counters ([`MetricsSnapshot`](
-//! ../templar_service/metrics/struct.MetricsSnapshot.html)); this is the
-//! serializable projection a registry client receives from a `Metrics`
-//! request.  Field-for-field identical to the service-side snapshot so
-//! nothing is lost at the boundary — including the columnar data-plane
-//! gauges (interner / CSR sizes, compactions) and the skipped-statement
-//! count that makes malformed bootstrap logs observable.
+//! `templar-service` keeps the live counters as atomics and exports them
+//! straight into [`MetricsReport`]: the one struct that
+//! `TemplarService::metrics` returns, that a registry client receives from
+//! a `Metrics` request, and that the Prometheus exposition reads.  Nothing
+//! is copied between a service-side and a wire-side form, so nothing can
+//! be lost at the boundary — including the columnar data-plane gauges
+//! (interner / CSR sizes, compactions) and the skipped-statement count that
+//! makes malformed bootstrap logs observable.
 
 use serde::{Deserialize, Serialize};
 use templar_core::{RequestTrace, SearchStats};
@@ -100,7 +101,8 @@ pub struct MetricsReport {
     /// translation: configurations scored / provably pruned without
     /// scoring / prefix subtrees cut by the admissible bound, plus how
     /// many requests ran out of their search budget (best-effort rather
-    /// than provably exact rankings).
+    /// than provably exact rankings — also flagged per candidate in its
+    /// explanation).
     pub search_tuples_scored: u64,
     pub search_tuples_pruned: u64,
     pub search_bound_cutoffs: u64,
@@ -115,7 +117,8 @@ pub struct MetricsReport {
     /// final entry is `+Inf`).
     pub translate_buckets: Vec<HistogramBucket>,
     /// Per-stage latency distributions, one entry per pipeline stage in
-    /// execution order.
+    /// execution order — populated by the serving layer, which traces every
+    /// request it serves.
     pub stage_latencies: Vec<StageLatencyReport>,
     /// Ingestion counters: accepted into the queue / rejected at capacity /
     /// applied to the QFG / failed to parse on the live path.
@@ -124,11 +127,15 @@ pub struct MetricsReport {
     pub ingest_applied: u64,
     pub ingest_parse_errors: u64,
     /// Statements skipped as unparsable while assembling the service's
-    /// query log from raw SQL text.
+    /// query log from raw SQL text (`QueryLog::from_sql`) — e.g. the
+    /// initial log a service was spawned from.  Kept separate from
+    /// `ingest_parse_errors` (the live `submit_sql` path) so malformed
+    /// bootstrap logs are observable instead of silently dropped.
     pub log_skipped_statements: u64,
-    /// Entries accepted but not yet applied.
+    /// Entries accepted but not yet applied (queue + in-flight batch).
     pub ingest_lag: u64,
-    /// Log entries evicted under the retention bound.
+    /// Log entries evicted under the retention bound
+    /// (`ServiceConfig::max_log_entries`).
     pub log_evictions: u64,
     /// Snapshots published since start.
     pub snapshot_swaps: u64,
@@ -137,9 +144,8 @@ pub struct MetricsReport {
     pub feedback_accepted: u64,
     /// Write-ahead journal counters (0 on a non-durable tenant): records
     /// appended / fsyncs issued / records replayed at recovery / segments
-    /// garbage-collected / filesystem failures absorbed, plus the sequence
-    /// number of the last journal record applied (the next checkpoint's
-    /// watermark).
+    /// garbage-collected below the snapshot watermark / filesystem failures
+    /// absorbed.
     pub wal_appended: u64,
     pub wal_fsyncs: u64,
     pub wal_replayed: u64,
@@ -147,10 +153,12 @@ pub struct MetricsReport {
     pub wal_io_errors: u64,
     /// First OS errno of the current (or most recent) journal failure
     /// episode, encoded as `errno + 1` (0 = none recorded) — tells
-    /// operators `ENOSPC` (29) from `EIO` (6) straight from the report.
+    /// operators `ENOSPC` (errno 28, reported as 29) from `EIO` (errno 5,
+    /// reported as 6) straight from the report.
     pub wal_last_errno: u64,
     /// Write-availability state: 0 = healthy, 1 = degraded read-only
-    /// (journal failing; `SubmitSql`/`Feedback` refused with `Degraded`).
+    /// (journal failing; `SubmitSql`/`Feedback` refused with `Degraded`) —
+    /// the gauge encoding of `templar_service::HealthState`.
     pub health_state: u64,
     /// Write entries refused while degraded.
     pub degraded_entries_total: u64,
@@ -158,23 +166,31 @@ pub struct MetricsReport {
     pub journal_retries_total: u64,
     /// Degraded episodes healed (staged tail replayed, writes restored).
     pub journal_heals_total: u64,
-    /// Bytes cut off a torn journal tail at recovery (bounded data loss:
-    /// acknowledged-but-unsynced entries that did not survive a crash).
+    /// Bytes cut off a torn journal tail at recovery.  A non-zero value is
+    /// the signature of actual (bounded, expected) data loss: one or more
+    /// acknowledged-but-unsynced entries did not survive the crash.
     pub wal_truncated_bytes: u64,
     /// Largest decoded WAL batch the last recovery materialized — the
     /// bounded-memory replay's high-water mark, at most
-    /// `max(recovery_batch_bytes, largest single record)`.
+    /// `max(ServiceConfig::recovery_batch_bytes, largest single record)`.
+    /// 0 until a durable service recovers.
     pub recovery_peak_batch_bytes: u64,
-    /// On-disk size of the last snapshot written or recovered from, bytes.
+    /// On-disk size of the last snapshot written or recovered from, bytes —
+    /// the sectioned body including every frame header and CRC.
     pub snapshot_body_bytes: u64,
     /// Admission-control sheds: requests rejected with `Backpressure`
-    /// before any work was queued — at the tenant's own in-flight quota,
-    /// and at the serving plane's global in-flight cap (attributed to the
-    /// tenant whose request was turned away).
+    /// before any work was queued — at the tenant's own in-flight quota
+    /// (`ServiceConfig::max_inflight`), and at the serving plane's global
+    /// in-flight cap (attributed to the tenant whose request was turned
+    /// away).
     pub admission_tenant_shed: u64,
     pub admission_global_shed: u64,
+    /// Sequence number of the last journal record applied to the master
+    /// state — the watermark the next checkpoint will record.
     pub wal_applied_seq: u64,
-    /// Join-cache statistics of the current snapshot.
+    /// Join-cache statistics of the current snapshot (reset at each
+    /// publish): hits / misses / entries evicted under the capacity bound /
+    /// resident entries.
     pub join_cache_hits: u64,
     pub join_cache_misses: u64,
     pub join_cache_evictions: u64,
@@ -183,8 +199,11 @@ pub struct MetricsReport {
     pub qfg_fragments: u64,
     pub qfg_edges: u64,
     pub qfg_queries: u64,
-    /// Columnar data-plane gauges: interner table size, compacted CSR
-    /// edges, pending delta pairs, compactions performed.
+    /// Columnar data-plane gauges: the current snapshot's interner table
+    /// size (live + recyclable id slots) and edges resident in its
+    /// compacted CSR, then the master graph's pending delta pairs (deltas
+    /// accumulate there between publishes) and the compactions its lineage
+    /// has undergone.
     pub qfg_interned_fragments: u64,
     pub qfg_csr_edges: u64,
     pub qfg_pending_deltas: u64,
@@ -205,7 +224,8 @@ pub struct MetricsReport {
     pub translation_cache_entries: u64,
     /// Similarity-model memo counters sampled from the current snapshot's
     /// `WordModel`: single-word and phrase vector cache hits/misses since
-    /// the model instance was built.
+    /// the model instance was built (reset at each publish, like the
+    /// join-cache figures).
     pub word_memo_hits: u64,
     pub word_memo_misses: u64,
     pub phrase_memo_hits: u64,

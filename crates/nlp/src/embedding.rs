@@ -141,31 +141,10 @@ impl Default for WordModel {
 }
 
 impl Clone for WordModel {
+    /// A clone starts cold: empty memos and zero counters, like a freshly
+    /// built model.
     fn clone(&self) -> Self {
-        WordModel {
-            lexicon: self.lexicon.clone(),
-            lexicon_weight: self.lexicon_weight,
-            // Carry the warmth over: a cloned model (snapshot refresh) starts
-            // with the words and phrases the previous snapshot already
-            // embedded.  Counters restart: they describe one instance's
-            // traffic, not its lineage's.
-            vector_cache: RwLock::new(
-                self.vector_cache
-                    .read()
-                    .map(|cache| cache.clone())
-                    .unwrap_or_default(),
-            ),
-            phrase_cache: RwLock::new(
-                self.phrase_cache
-                    .read()
-                    .map(|cache| cache.clone())
-                    .unwrap_or_default(),
-            ),
-            word_hits: AtomicU64::new(0),
-            word_misses: AtomicU64::new(0),
-            phrase_hits: AtomicU64::new(0),
-            phrase_misses: AtomicU64::new(0),
-        }
+        Self::cold(self.lexicon.clone(), self.lexicon_weight)
     }
 }
 
@@ -177,24 +156,19 @@ impl WordModel {
 
     /// Build a model around a custom lexicon.
     pub fn with_lexicon(lexicon: SynonymLexicon) -> Self {
-        WordModel {
-            lexicon,
-            lexicon_weight: 0.75,
-            vector_cache: RwLock::new(HashMap::new()),
-            phrase_cache: RwLock::new(HashMap::new()),
-            word_hits: AtomicU64::new(0),
-            word_misses: AtomicU64::new(0),
-            phrase_hits: AtomicU64::new(0),
-            phrase_misses: AtomicU64::new(0),
-        }
+        Self::cold(lexicon, 0.75)
     }
 
     /// Build a model that ignores the lexicon entirely (character n-grams
     /// only); useful for ablations and tests.
     pub fn without_lexicon() -> Self {
+        Self::cold(SynonymLexicon::new(), 0.0)
+    }
+
+    fn cold(lexicon: SynonymLexicon, lexicon_weight: f64) -> Self {
         WordModel {
-            lexicon: SynonymLexicon::new(),
-            lexicon_weight: 0.0,
+            lexicon,
+            lexicon_weight,
             vector_cache: RwLock::new(HashMap::new()),
             phrase_cache: RwLock::new(HashMap::new()),
             word_hits: AtomicU64::new(0),
@@ -478,11 +452,11 @@ mod tests {
         let other = m.phrase_vector("business");
         assert_eq!(m.phrase_cache_stats(), (1, 2));
         assert_eq!(other, m.compute_phrase_vector("business"));
-        // Cloned models inherit warmth but report their own traffic.
+        // Cloned models start cold and report their own traffic.
         let cloned = m.clone();
         assert_eq!(cloned.phrase_cache_stats(), (0, 0));
-        cloned.phrase_vector("restaurant businesses");
-        assert_eq!(cloned.phrase_cache_stats(), (1, 0), "clone starts warm");
+        assert_eq!(cloned.phrase_vector("restaurant businesses"), first);
+        assert_eq!(cloned.phrase_cache_stats(), (0, 1), "clone starts cold");
     }
 
     #[test]
@@ -494,11 +468,11 @@ mod tests {
         let second = m.word_vector("restaurant");
         assert_eq!(m.word_cache_stats(), (1, 1));
         assert_eq!(first, second, "memo must return the identical vector");
-        // Cloned models inherit warmth but report their own traffic.
+        // Cloned models start cold and report their own traffic.
         let cloned = m.clone();
         assert_eq!(cloned.word_cache_stats(), (0, 0));
-        cloned.word_vector("restaurant");
-        assert_eq!(cloned.word_cache_stats(), (1, 0), "clone starts warm");
+        assert_eq!(cloned.word_vector("restaurant"), first);
+        assert_eq!(cloned.word_cache_stats(), (0, 1), "clone starts cold");
     }
 
     #[test]

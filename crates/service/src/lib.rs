@@ -64,7 +64,7 @@ pub use client::{is_retryable, retry_with_deadline, RegistryClient};
 pub use config::{ServiceConfig, WalConfig};
 pub use error::{ServiceError, SnapshotError, WalError};
 pub use ingest::IngestQueue;
-pub use metrics::{prometheus_text, HealthState, MetricsSnapshot, ServiceMetrics};
+pub use metrics::{prometheus_text, HealthState, ServiceMetrics};
 pub use registry::TenantRegistry;
 pub use server::{InflightPermit, TemplarService, LOCK_FILE, SNAPSHOT_FILE, WAL_DIR};
 pub use snapshot::{
@@ -72,3 +72,6 @@ pub use snapshot::{
     Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use storage::{FaultRule, FaultyStorage, FsStorage, Storage, StorageFile, StorageOp};
+/// The benchmark harness in `perfbench/` imports the metrics report under
+/// this older name; [`templar_api::MetricsReport`] is the one metrics type.
+pub use templar_api::MetricsReport as MetricsSnapshot;

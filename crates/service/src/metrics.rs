@@ -1,11 +1,12 @@
 //! Service observability: counters, end-to-end and per-stage latency
-//! histograms, and a Prometheus text-format exposition — exported as plain
-//! structs so callers and benches can consume them without pulling in a
-//! metrics framework.
+//! histograms, and a Prometheus text-format exposition.  The live atomics
+//! export straight into the wire type [`MetricsReport`], the one metrics
+//! struct callers, benches, the registry and the exposition all read, so
+//! no metrics framework and no second copy of the report sit in between.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use templar_api::{HistogramBucket, StageLatencyReport};
+use templar_api::{HistogramBucket, MetricsReport, StageLatencyReport};
 use templar_core::trace::{RequestTrace, Stage, STAGE_COUNT};
 
 /// Number of power-of-two latency buckets.  Bucket 0 holds only 0 µs;
@@ -40,7 +41,9 @@ impl HealthState {
         }
     }
 
-    fn from_gauge(v: u64) -> Self {
+    /// Inverse of [`HealthState::as_gauge`]; any non-zero gauge is
+    /// `Degraded`.
+    pub(crate) fn from_gauge(v: u64) -> Self {
         if v == 0 {
             HealthState::Healthy
         } else {
@@ -60,7 +63,6 @@ impl HealthState {
 /// Lock-free service counters, updated by translation and ingestion paths.
 #[derive(Debug, Default)]
 pub struct ServiceMetrics {
-    translations: AtomicU64,
     empty_translations: AtomicU64,
     search_tuples_scored: AtomicU64,
     search_tuples_pruned: AtomicU64,
@@ -128,33 +130,42 @@ impl LatencyHistogram {
         self.total_us.fetch_add(us, Ordering::Relaxed);
     }
 
-    fn count(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+    /// Load every bucket counter once.  All figures a scrape reports for
+    /// this histogram derive from the one sample, so its count always
+    /// equals its `+Inf` bucket even while writers keep recording.
+    fn sample(&self) -> HistogramSample {
+        HistogramSample {
+            counts: std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed)),
+            sum_us: self.total_us.load(Ordering::Relaxed),
+        }
     }
+}
 
-    fn sum_us(&self) -> u64 {
-        self.total_us.load(Ordering::Relaxed)
+/// One point-in-time load of a [`LatencyHistogram`].
+struct HistogramSample {
+    counts: [u64; BUCKETS],
+    sum_us: u64,
+}
+
+impl HistogramSample {
+    fn count(&self) -> u64 {
+        self.counts.iter().sum()
     }
 
     fn mean_us(&self) -> u64 {
-        self.sum_us().checked_div(self.count()).unwrap_or(0)
+        self.sum_us.checked_div(self.count()).unwrap_or(0)
     }
 
     /// Approximate quantile: the upper bound of the bucket where the
     /// cumulative count crosses `q`.
     fn quantile_us(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
+        let total = self.count();
         if total == 0 {
             return 0;
         }
         let target = ((total as f64) * q).ceil() as u64;
         let mut seen = 0u64;
-        for (i, count) in counts.iter().enumerate() {
+        for (i, count) in self.counts.iter().enumerate() {
             seen += count;
             if seen >= target {
                 // Upper bound of bucket i is 2^i µs (bucket i covers
@@ -172,18 +183,18 @@ impl LatencyHistogram {
     /// trimmed, and the final `+Inf` entry (`le_us == u64::MAX`) always
     /// carries the total count.
     fn cumulative_buckets(&self) -> Vec<HistogramBucket> {
-        let counts: Vec<u64> = self
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        let last_nonzero = counts.iter().rposition(|&c| c > 0);
+        let last_nonzero = self.counts.iter().rposition(|&c| c > 0);
         let mut buckets = Vec::new();
         let mut cumulative = 0u64;
         if let Some(last) = last_nonzero {
             // The open-ended final bucket has no finite bound — it is
             // covered by +Inf below.
-            for (i, &count) in counts.iter().enumerate().take(last.min(BUCKETS - 2) + 1) {
+            for (i, &count) in self
+                .counts
+                .iter()
+                .enumerate()
+                .take(last.min(BUCKETS - 2) + 1)
+            {
                 cumulative += count;
                 buckets.push(HistogramBucket {
                     le_us: (1u64 << i.min(63)) - 1,
@@ -193,12 +204,12 @@ impl LatencyHistogram {
         }
         buckets.push(HistogramBucket {
             le_us: u64::MAX,
-            count: counts.iter().sum(),
+            count: self.count(),
         });
         buckets
     }
 
-    /// Project the histogram into its wire report for one pipeline stage.
+    /// The wire report for one pipeline stage.
     fn stage_report(&self, stage: Stage) -> StageLatencyReport {
         StageLatencyReport {
             stage: stage.name().to_string(),
@@ -206,7 +217,7 @@ impl LatencyHistogram {
             p50_us: self.quantile_us(0.50),
             p99_us: self.quantile_us(0.99),
             mean_us: self.mean_us(),
-            sum_us: self.sum_us(),
+            sum_us: self.sum_us,
             buckets: self.cumulative_buckets(),
         }
     }
@@ -214,7 +225,6 @@ impl LatencyHistogram {
 
 impl ServiceMetrics {
     pub(crate) fn record_translation(&self, latency: Duration, produced_results: bool) {
-        self.translations.fetch_add(1, Ordering::Relaxed);
         if !produced_results {
             self.empty_translations.fetch_add(1, Ordering::Relaxed);
         }
@@ -410,30 +420,31 @@ impl ServiceMetrics {
 
     /// Export a point-in-time view.  QFG and cache figures are filled in by
     /// the service, which owns the current snapshot.
-    pub(crate) fn export(&self) -> MetricsSnapshot {
-        let translations = self.translations.load(Ordering::Relaxed);
-        let mean_us = self
-            .latency_buckets
-            .total_us
-            .load(Ordering::Relaxed)
-            .checked_div(translations)
-            .unwrap_or(0);
+    ///
+    /// The report is one struct literal naming every field, so a field added
+    /// to the wire report does not compile until it is filled here.
+    pub(crate) fn export(&self) -> MetricsReport {
+        let translate = self.latency_buckets.sample();
         let stage_latencies = Stage::ALL
             .iter()
-            .map(|&stage| self.stage_latency[stage as usize].stage_report(stage))
+            .map(|&stage| {
+                self.stage_latency[stage as usize]
+                    .sample()
+                    .stage_report(stage)
+            })
             .collect();
-        MetricsSnapshot {
-            translations_served: translations,
+        MetricsReport {
+            translations_served: translate.count(),
             empty_translations: self.empty_translations.load(Ordering::Relaxed),
             search_tuples_scored: self.search_tuples_scored.load(Ordering::Relaxed),
             search_tuples_pruned: self.search_tuples_pruned.load(Ordering::Relaxed),
             search_bound_cutoffs: self.search_bound_cutoffs.load(Ordering::Relaxed),
             search_budget_exhausted: self.search_budget_exhausted.load(Ordering::Relaxed),
-            translate_p50_us: self.latency_buckets.quantile_us(0.50),
-            translate_p99_us: self.latency_buckets.quantile_us(0.99),
-            translate_mean_us: mean_us,
-            translate_sum_us: self.latency_buckets.sum_us(),
-            translate_buckets: self.latency_buckets.cumulative_buckets(),
+            translate_p50_us: translate.quantile_us(0.50),
+            translate_p99_us: translate.quantile_us(0.99),
+            translate_mean_us: translate.mean_us(),
+            translate_sum_us: translate.sum_us,
+            translate_buckets: translate.cumulative_buckets(),
             stage_latencies,
             ingest_submitted: self.ingest_submitted.load(Ordering::Relaxed),
             ingest_rejected: self.ingest_rejected.load(Ordering::Relaxed),
@@ -490,476 +501,285 @@ impl ServiceMetrics {
     }
 }
 
-/// A point-in-time view of the service's health, as plain data.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Translations served since start.
-    pub translations_served: u64,
-    /// Translations that produced no SQL candidate.
-    pub empty_translations: u64,
-    /// Best-first configuration-search counters, summed over every
-    /// translation served: complete configurations scored, configurations
-    /// the admissible bound skipped without scoring, prefix subtrees cut
-    /// by the bound, and how many requests exhausted their
-    /// `search_budget` (returning a best-effort instead of provably exact
-    /// ranking — also flagged per candidate in its explanation).
-    pub search_tuples_scored: u64,
-    pub search_tuples_pruned: u64,
-    pub search_bound_cutoffs: u64,
-    pub search_budget_exhausted: u64,
-    /// Approximate translation latency quantiles (power-of-two bucket upper
-    /// bounds) and exact mean/sum, in microseconds.
-    pub translate_p50_us: u64,
-    pub translate_p99_us: u64,
-    pub translate_mean_us: u64,
-    pub translate_sum_us: u64,
-    /// Cumulative end-to-end latency buckets (Prometheus `le` semantics;
-    /// final entry is `+Inf`).
-    pub translate_buckets: Vec<HistogramBucket>,
-    /// Per-stage latency distributions, one entry per pipeline stage in
-    /// execution order — populated by the serving layer, which traces every
-    /// request it serves.
-    pub stage_latencies: Vec<StageLatencyReport>,
-    /// Ingestion counters: accepted into the queue / rejected at capacity /
-    /// applied to the QFG / failed to parse.
-    pub ingest_submitted: u64,
-    pub ingest_rejected: u64,
-    pub ingest_applied: u64,
-    pub ingest_parse_errors: u64,
-    /// Statements skipped as unparsable while assembling a [`QueryLog`]
-    /// from raw SQL text (`QueryLog::from_sql`) — e.g. the initial log a
-    /// service was spawned from.  Kept separate from `ingest_parse_errors`
-    /// (the live `submit_sql` path) so malformed bootstrap logs are
-    /// observable instead of silently dropped.
-    pub log_skipped_statements: u64,
-    /// Entries accepted but not yet applied (queue + in-flight batch).
-    pub ingest_lag: u64,
-    /// Log entries evicted under `max_log_entries`.
-    pub log_evictions: u64,
-    /// Snapshots published since start.
-    pub snapshot_swaps: u64,
-    /// Accepted-SQL feedback entries received over the `Feedback` wire
-    /// request (a subset of `ingest_submitted` — feedback rides the same
-    /// durable ingest path).
-    pub feedback_accepted: u64,
-    /// Write-ahead journal counters (all 0 on a non-durable service):
-    /// records appended / fsyncs issued / records replayed at recovery /
-    /// segments garbage-collected below the snapshot watermark / append or
-    /// fsync failures (entries *not* covered by the journal).
-    pub wal_appended: u64,
-    pub wal_fsyncs: u64,
-    pub wal_replayed: u64,
-    pub wal_segments_gc: u64,
-    pub wal_io_errors: u64,
-    /// First OS errno of the current (or most recent) journal failure
-    /// episode, encoded as `errno + 1` (0 = none recorded) — lets
-    /// operators tell `ENOSPC` (28) from `EIO` (5) without log access.
-    pub wal_last_errno: u64,
-    /// Write-availability state: 0 = healthy, 1 = degraded read-only
-    /// ([`HealthState`] gauge encoding).
-    pub health_state: u64,
-    /// `Ingest`/`Feedback` entries refused while degraded.
-    pub degraded_entries_total: u64,
-    /// In-line journal sync retries (attempts after the first failure).
-    pub journal_retries_total: u64,
-    /// Successful journal heals: degraded episodes that ended with the
-    /// staged tail replayed and writes restored.
-    pub journal_heals_total: u64,
-    /// Bytes cut off a torn journal tail at recovery — a non-zero value is
-    /// the signature of actual (bounded, expected) data loss: one or more
-    /// acknowledged-but-unsynced entries did not survive the crash.
-    pub wal_truncated_bytes: u64,
-    /// Largest decoded WAL batch the last recovery materialized — the
-    /// bounded-memory replay's high-water mark, at most
-    /// `max(ServiceConfig::recovery_batch_bytes, largest single record)`.
-    /// 0 until a durable service recovers.
-    pub recovery_peak_batch_bytes: u64,
-    /// On-disk size of the last snapshot written (or recovered from), in
-    /// bytes — the sectioned body including every frame header and CRC.
-    pub snapshot_body_bytes: u64,
-    /// Admission-control sheds: requests rejected with `Backpressure`
-    /// before any work was queued, split by which limit fired — the
-    /// tenant's own in-flight quota (`ServiceConfig::max_inflight`) versus
-    /// the serving plane's global in-flight cap (global sheds are
-    /// attributed to the tenant whose request was turned away).
-    pub admission_tenant_shed: u64,
-    pub admission_global_shed: u64,
-    /// Sequence number of the last journal record applied to the master
-    /// state — the watermark the next checkpoint will record.
-    pub wal_applied_seq: u64,
-    /// Join-cache statistics of the *current* snapshot (reset at swap):
-    /// hits / misses / entries evicted under the capacity bound / resident
-    /// entries.
-    pub join_cache_hits: u64,
-    pub join_cache_misses: u64,
-    pub join_cache_evictions: u64,
-    pub join_cache_entries: u64,
-    /// Size of the current snapshot's Query Fragment Graph.
-    pub qfg_fragments: u64,
-    pub qfg_edges: u64,
-    pub qfg_queries: u64,
-    /// Columnar data-plane gauges of the current snapshot: interner table
-    /// size (live + recyclable id slots), edges resident in the compacted
-    /// CSR, pending delta-log pairs (0 on a published snapshot, which is
-    /// compacted on construction), and the number of compactions the
-    /// graph's lineage has undergone.
-    pub qfg_interned_fragments: u64,
-    pub qfg_csr_edges: u64,
-    pub qfg_pending_deltas: u64,
-    pub qfg_compactions: u64,
-    /// Tiered-compaction gauges of the master graph: sorted delta runs
-    /// currently resident (tiers awaiting the next publish fold) and the
-    /// cumulative count of geometric run merges the lineage has performed.
-    /// Filled in by the service, which owns the master state.
-    pub qfg_delta_runs: u64,
-    pub qfg_run_merges: u64,
-    /// Translation-cache counters: requests answered from the current
-    /// snapshot's cache / requests that computed (and seeded it) / entries
-    /// dropped at the capacity bound / snapshot publishes that replaced the
-    /// cache with an empty one.  Bypassed requests touch neither hits nor
-    /// misses.  The entry gauge is filled in by the service, which owns the
-    /// cache.
-    pub translation_cache_hits: u64,
-    pub translation_cache_misses: u64,
-    pub translation_cache_evictions: u64,
-    pub translation_cache_invalidations: u64,
-    pub translation_cache_entries: u64,
-    /// Similarity-model memo counters sampled from the current snapshot's
-    /// `WordModel` (reset at swap, like the join-cache figures): single-word
-    /// and phrase vector cache hits/misses.  Filled in by the service.
-    pub word_memo_hits: u64,
-    pub word_memo_misses: u64,
-    pub phrase_memo_hits: u64,
-    pub phrase_memo_misses: u64,
+type FieldGetter = fn(&MetricsReport) -> u64;
+
+/// One numeric family of the exposition: metric name, TYPE, HELP and the
+/// report field it samples.
+type Family = (&'static str, &'static str, &'static str, FieldGetter);
+
+/// A family that monotonically accumulates since service start.
+const fn counter(name: &'static str, help: &'static str, get: FieldGetter) -> Family {
+    (name, "counter", help, get)
 }
 
-impl MetricsSnapshot {
-    /// This snapshot as a Prometheus text-format exposition for one tenant.
-    pub fn to_prometheus_text(&self, tenant: &str) -> String {
-        prometheus_text(&[(tenant, self)])
-    }
+/// A point-in-time family.
+const fn gauge(name: &'static str, help: &'static str, get: FieldGetter) -> Family {
+    (name, "gauge", help, get)
 }
 
-/// Every numeric family of the exposition: `(metric name, TYPE, HELP,
-/// extractor)`.  Counters monotonically accumulate since service start;
-/// gauges are point-in-time.
-type FieldGetter = fn(&MetricsSnapshot) -> u64;
-const PROM_FAMILIES: &[(&str, &str, &str, FieldGetter)] = &[
-    (
+const PROM_FAMILIES: &[Family] = &[
+    counter(
         "templar_translations_total",
-        "counter",
         "Translations served since start.",
         |s| s.translations_served,
     ),
-    (
+    counter(
         "templar_empty_translations_total",
-        "counter",
         "Translations that produced no SQL candidate.",
         |s| s.empty_translations,
     ),
-    (
+    counter(
         "templar_search_tuples_scored_total",
-        "counter",
         "Configurations fully scored by the best-first search.",
         |s| s.search_tuples_scored,
     ),
-    (
+    counter(
         "templar_search_tuples_pruned_total",
-        "counter",
         "Configurations skipped by the admissible bound without scoring.",
         |s| s.search_tuples_pruned,
     ),
-    (
+    counter(
         "templar_search_bound_cutoffs_total",
-        "counter",
         "Prefix subtrees cut by the admissible bound.",
         |s| s.search_bound_cutoffs,
     ),
-    (
+    counter(
         "templar_search_budget_exhausted_total",
-        "counter",
         "Requests whose configuration search ran out of budget.",
         |s| s.search_budget_exhausted,
     ),
-    (
+    counter(
         "templar_ingest_submitted_total",
-        "counter",
         "SQL entries accepted into the ingestion queue.",
         |s| s.ingest_submitted,
     ),
-    (
+    counter(
         "templar_ingest_rejected_total",
-        "counter",
         "SQL entries rejected at queue capacity.",
         |s| s.ingest_rejected,
     ),
-    (
+    counter(
         "templar_ingest_applied_total",
-        "counter",
         "SQL entries applied to the Query Fragment Graph.",
         |s| s.ingest_applied,
     ),
-    (
+    counter(
         "templar_ingest_parse_errors_total",
-        "counter",
         "SQL entries that failed to parse on the live ingest path.",
         |s| s.ingest_parse_errors,
     ),
-    (
+    counter(
         "templar_log_skipped_statements_total",
-        "counter",
         "Statements skipped as unparsable while assembling the bootstrap log.",
         |s| s.log_skipped_statements,
     ),
-    (
+    counter(
         "templar_log_evictions_total",
-        "counter",
         "Log entries evicted under the retention bound.",
         |s| s.log_evictions,
     ),
-    (
+    counter(
         "templar_snapshot_swaps_total",
-        "counter",
         "Snapshots published since start.",
         |s| s.snapshot_swaps,
     ),
-    (
+    counter(
         "templar_feedback_accepted_total",
-        "counter",
         "Accepted-SQL feedback entries received.",
         |s| s.feedback_accepted,
     ),
-    (
+    counter(
         "templar_wal_appended_total",
-        "counter",
         "Write-ahead journal records appended.",
         |s| s.wal_appended,
     ),
-    (
+    counter(
         "templar_wal_fsyncs_total",
-        "counter",
         "Write-ahead journal fsyncs issued.",
         |s| s.wal_fsyncs,
     ),
-    (
+    counter(
         "templar_wal_replayed_total",
-        "counter",
         "Journal records replayed at recovery.",
         |s| s.wal_replayed,
     ),
-    (
+    counter(
         "templar_wal_segments_gc_total",
-        "counter",
         "Journal segments garbage-collected.",
         |s| s.wal_segments_gc,
     ),
-    (
+    counter(
         "templar_wal_io_errors_total",
-        "counter",
         "Journal filesystem failures absorbed.",
         |s| s.wal_io_errors,
     ),
-    (
+    counter(
         "templar_wal_truncated_bytes_total",
-        "counter",
         "Bytes cut off a torn journal tail at recovery.",
         |s| s.wal_truncated_bytes,
     ),
-    (
+    gauge(
         "templar_wal_last_errno",
-        "gauge",
         "First OS errno of the last journal failure episode, plus one (0 = none).",
         |s| s.wal_last_errno,
     ),
-    (
+    gauge(
         "templar_health_state",
-        "gauge",
         "Write-availability state: 0 = healthy, 1 = degraded read-only.",
         |s| s.health_state,
     ),
-    (
+    counter(
         "templar_degraded_entries_total",
-        "counter",
         "Ingest/feedback entries refused while degraded.",
         |s| s.degraded_entries_total,
     ),
-    (
+    counter(
         "templar_journal_retries_total",
-        "counter",
         "In-line journal sync retries after a failure.",
         |s| s.journal_retries_total,
     ),
-    (
+    counter(
         "templar_journal_heals_total",
-        "counter",
         "Degraded episodes healed with the staged tail replayed.",
         |s| s.journal_heals_total,
     ),
-    (
+    counter(
         "templar_admission_tenant_shed_total",
-        "counter",
         "Requests shed at the tenant's in-flight quota.",
         |s| s.admission_tenant_shed,
     ),
-    (
+    counter(
         "templar_admission_global_shed_total",
-        "counter",
         "Requests shed at the serving plane's global in-flight cap.",
         |s| s.admission_global_shed,
     ),
-    (
+    gauge(
         "templar_ingest_lag",
-        "gauge",
         "Entries accepted but not yet applied.",
         |s| s.ingest_lag,
     ),
-    (
+    gauge(
         "templar_wal_applied_seq",
-        "gauge",
         "Sequence number of the last journal record applied.",
         |s| s.wal_applied_seq,
     ),
-    (
+    gauge(
         "templar_join_cache_hits",
-        "gauge",
         "Join-cache hits of the current snapshot.",
         |s| s.join_cache_hits,
     ),
-    (
+    gauge(
         "templar_join_cache_misses",
-        "gauge",
         "Join-cache misses of the current snapshot.",
         |s| s.join_cache_misses,
     ),
-    (
+    gauge(
         "templar_join_cache_evictions",
-        "gauge",
         "Join-cache evictions of the current snapshot.",
         |s| s.join_cache_evictions,
     ),
-    (
+    gauge(
         "templar_join_cache_entries",
-        "gauge",
         "Resident join-cache entries.",
         |s| s.join_cache_entries,
     ),
-    (
+    gauge(
         "templar_qfg_fragments",
-        "gauge",
         "Live query fragments in the current snapshot's QFG.",
         |s| s.qfg_fragments,
     ),
-    (
+    gauge(
         "templar_qfg_edges",
-        "gauge",
         "Co-occurrence edges in the current snapshot's QFG.",
         |s| s.qfg_edges,
     ),
-    (
+    gauge(
         "templar_qfg_queries",
-        "gauge",
         "Log queries folded into the current snapshot's QFG.",
         |s| s.qfg_queries,
     ),
-    (
+    gauge(
         "templar_qfg_interned_fragments",
-        "gauge",
         "Interner table size of the columnar data plane.",
         |s| s.qfg_interned_fragments,
     ),
-    (
+    gauge(
         "templar_qfg_csr_edges",
-        "gauge",
         "Edges resident in the compacted CSR.",
         |s| s.qfg_csr_edges,
     ),
-    (
+    gauge(
         "templar_qfg_pending_deltas",
-        "gauge",
         "Pending delta-log pairs awaiting compaction.",
         |s| s.qfg_pending_deltas,
     ),
-    (
+    counter(
         "templar_qfg_compactions_total",
-        "counter",
         "Compactions the QFG lineage has undergone.",
         |s| s.qfg_compactions,
     ),
-    (
+    gauge(
         "templar_qfg_delta_runs",
-        "gauge",
         "Sorted delta runs resident in the master graph's tiered compactor.",
         |s| s.qfg_delta_runs,
     ),
-    (
+    counter(
         "templar_qfg_run_merges_total",
-        "counter",
         "Geometric delta-run merges the QFG lineage has performed.",
         |s| s.qfg_run_merges,
     ),
-    (
+    gauge(
         "templar_recovery_peak_batch_bytes",
-        "gauge",
         "Largest decoded WAL batch the last recovery materialized.",
         |s| s.recovery_peak_batch_bytes,
     ),
-    (
+    gauge(
         "templar_snapshot_body_bytes",
-        "gauge",
         "On-disk size of the last snapshot written or recovered from.",
         |s| s.snapshot_body_bytes,
     ),
-    (
+    counter(
         "templar_translation_cache_hits_total",
-        "counter",
         "Translations answered from the current snapshot's translation cache.",
         |s| s.translation_cache_hits,
     ),
-    (
+    counter(
         "templar_translation_cache_misses_total",
-        "counter",
         "Translations computed because the cache had no entry.",
         |s| s.translation_cache_misses,
     ),
-    (
+    counter(
         "templar_translation_cache_evictions_total",
-        "counter",
         "Translation-cache entries dropped at the capacity bound.",
         |s| s.translation_cache_evictions,
     ),
-    (
+    counter(
         "templar_translation_cache_invalidations_total",
-        "counter",
         "Snapshot publishes that replaced the translation cache with an empty one.",
         |s| s.translation_cache_invalidations,
     ),
-    (
+    gauge(
         "templar_translation_cache_entries",
-        "gauge",
         "Resident translation-cache entries.",
         |s| s.translation_cache_entries,
     ),
-    (
+    gauge(
         "templar_word_memo_hits",
-        "gauge",
         "Word-vector memo hits of the current snapshot's similarity model.",
         |s| s.word_memo_hits,
     ),
-    (
+    gauge(
         "templar_word_memo_misses",
-        "gauge",
         "Word-vector memo misses of the current snapshot's similarity model.",
         |s| s.word_memo_misses,
     ),
-    (
+    gauge(
         "templar_phrase_memo_hits",
-        "gauge",
         "Phrase-vector memo hits of the current snapshot's similarity model.",
         |s| s.phrase_memo_hits,
     ),
-    (
+    gauge(
         "templar_phrase_memo_misses",
-        "gauge",
         "Phrase-vector memo misses of the current snapshot's similarity model.",
         |s| s.phrase_memo_misses,
     ),
@@ -984,13 +804,9 @@ fn prom_bucket_lines(
             bucket.count
         ));
     }
+    let labels = labels.trim_end_matches(',');
     out.push_str(&format!(
-        "{family}_sum{{{labels_trimmed}}} {sum_us}\n",
-        labels_trimmed = labels.trim_end_matches(',')
-    ));
-    out.push_str(&format!(
-        "{family}_count{{{labels_trimmed}}} {count}\n",
-        labels_trimmed = labels.trim_end_matches(',')
+        "{family}_sum{{{labels}}} {sum_us}\n{family}_count{{{labels}}} {count}\n"
     ));
 }
 
@@ -999,37 +815,34 @@ fn prom_bucket_lines(
 /// with one sample per tenant under a `tenant` label — the format's
 /// uniqueness rule, which is why expositions are assembled here rather than
 /// concatenated per tenant.
-pub fn prometheus_text(tenants: &[(&str, &MetricsSnapshot)]) -> String {
+pub fn prometheus_text(tenants: &[(&str, MetricsReport)]) -> String {
     let mut out = String::new();
     for (name, kind, help, get) in PROM_FAMILIES {
         out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-        for (tenant, snapshot) in tenants {
-            out.push_str(&format!(
-                "{name}{{tenant=\"{tenant}\"}} {}\n",
-                get(snapshot)
-            ));
+        for (tenant, report) in tenants {
+            out.push_str(&format!("{name}{{tenant=\"{tenant}\"}} {}\n", get(report)));
         }
     }
     let family = "templar_translate_latency_microseconds";
     out.push_str(&format!(
         "# HELP {family} End-to-end translation latency.\n# TYPE {family} histogram\n"
     ));
-    for (tenant, snapshot) in tenants {
+    for (tenant, report) in tenants {
         prom_bucket_lines(
             &mut out,
             family,
             &format!("tenant=\"{tenant}\","),
-            &snapshot.translate_buckets,
-            snapshot.translate_sum_us,
-            snapshot.translations_served,
+            &report.translate_buckets,
+            report.translate_sum_us,
+            report.translations_served,
         );
     }
     let family = "templar_stage_latency_microseconds";
     out.push_str(&format!(
         "# HELP {family} Per-stage translation latency, labelled by pipeline stage.\n# TYPE {family} histogram\n"
     ));
-    for (tenant, snapshot) in tenants {
-        for stage in &snapshot.stage_latencies {
+    for (tenant, report) in tenants {
+        for stage in &report.stage_latencies {
             prom_bucket_lines(
                 &mut out,
                 family,
@@ -1111,11 +924,15 @@ mod tests {
     fn quantiles_report_the_bucket_upper_bound() {
         let h = LatencyHistogram::default();
         h.record_us(1);
-        assert_eq!(h.quantile_us(0.5), 2, "1 µs lives in [1, 2) → bound 2");
+        assert_eq!(
+            h.sample().quantile_us(0.5),
+            2,
+            "1 µs lives in [1, 2) → bound 2"
+        );
         let h = LatencyHistogram::default();
         h.record_us(1024);
         assert_eq!(
-            h.quantile_us(0.5),
+            h.sample().quantile_us(0.5),
             2048,
             "1024 µs lives in [1024, 2048) → bound 2048"
         );
@@ -1127,7 +944,7 @@ mod tests {
         for us in [0u64, 1, 3, 3, 700, 1024] {
             h.record_us(us);
         }
-        let buckets = h.cumulative_buckets();
+        let buckets = h.sample().cumulative_buckets();
         let last = buckets.last().unwrap();
         assert_eq!(last.le_us, u64::MAX);
         assert_eq!(last.count, 6);
@@ -1143,6 +960,107 @@ mod tests {
         // the 1024 µs observation's bucket and nothing beyond it.
         let max_finite = buckets[buckets.len() - 2].le_us;
         assert_eq!(max_finite, 2047);
+    }
+
+    #[test]
+    fn scrapes_are_consistent_under_concurrent_traffic() {
+        use std::sync::atomic::AtomicBool;
+        use templar_core::trace::TraceSpans;
+
+        let m = ServiceMetrics::default();
+        let stop = AtomicBool::new(false);
+        let written = AtomicU64::new(0);
+        let inf = |buckets: &[HistogramBucket]| buckets.last().map_or(0, |b| b.count);
+        let mut disagreements = Vec::new();
+        let mut scrapes = 0;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for us in (0..5_000).cycle() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    m.record_translation(Duration::from_micros(us), true);
+                    let spans = TraceSpans::new();
+                    spans.add(Stage::CandidatePruning, us * 600);
+                    spans.add(Stage::SqlConstruction, us * 300);
+                    m.record_stage_latencies(&spans.finish(Duration::from_micros(us)));
+                    written.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            // Scrape at least 1,000 times, and while the writer records at
+            // least 1,000 translations.
+            while written.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            let start = written.load(Ordering::Relaxed);
+            while scrapes < 1_000 || written.load(Ordering::Relaxed) < start + 1_000 {
+                let r = m.export();
+                let end_to_end = (
+                    "translate",
+                    r.translations_served,
+                    inf(&r.translate_buckets),
+                );
+                let stages = r.stage_latencies.iter();
+                let stages = stages.map(|s| (s.stage.as_str(), s.count, inf(&s.buckets)));
+                for (name, count, plus_inf) in stages.chain([end_to_end]) {
+                    if count != plus_inf {
+                        disagreements.push(format!("{name}: count {count} vs +Inf {plus_inf}"));
+                    }
+                }
+                scrapes += 1;
+            }
+            // Stop the writer before asserting, so a failure cannot leave
+            // the scope waiting on it.
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert!(
+            disagreements.is_empty(),
+            "{} disagreements in {scrapes} scrapes, first: {}",
+            disagreements.len(),
+            disagreements[0]
+        );
+    }
+
+    #[test]
+    fn every_report_counter_reaches_the_exposition() {
+        use serde::{Deserialize, Serialize, Value};
+
+        // Give every numeric field of the report a distinct value, listing
+        // the fields through the report's serde form so a new field is
+        // covered without editing this test.
+        let Value::Map(fields) = MetricsReport::default().to_value() else {
+            panic!("a report serializes as a map");
+        };
+        let fields: Vec<(String, Value)> = fields
+            .into_iter()
+            .enumerate()
+            .map(|(i, (name, value))| match value {
+                Value::U64(_) => (name, Value::U64(1_000_003 + 7_919 * i as u64)),
+                other => (name, other),
+            })
+            .collect();
+        let report = MetricsReport::from_value(&Value::Map(fields.clone())).unwrap();
+        let text = prometheus_text(&[("t", report)]);
+        let samples: std::collections::BTreeSet<&str> = text
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .filter_map(|line| line.rsplit_once(' ').map(|(_, value)| value))
+            .collect();
+        // The latency histogram already carries these three.
+        let derived = ["translate_p50_us", "translate_p99_us", "translate_mean_us"];
+        let mut checked = 0;
+        for (name, value) in &fields {
+            let Value::U64(value) = value else { continue };
+            if derived.contains(&name.as_str()) {
+                continue;
+            }
+            assert!(
+                samples.contains(value.to_string().as_str()),
+                "report field {name} reaches no Prometheus sample"
+            );
+            checked += 1;
+        }
+        assert!(checked > 50, "only {checked} numeric fields checked");
     }
 
     #[test]
@@ -1173,8 +1091,7 @@ mod tests {
         let spans = templar_core::trace::TraceSpans::new();
         spans.add(Stage::ConfigSearch, 80_000);
         m.record_stage_latencies(&spans.finish(Duration::from_micros(150)));
-        let snap = m.export();
-        let text = snap.to_prometheus_text("mas");
+        let text = prometheus_text(&[("mas", m.export())]);
 
         let mut seen_families = std::collections::BTreeSet::new();
         let mut samples = 0usize;
@@ -1214,8 +1131,7 @@ mod tests {
         let a = ServiceMetrics::default();
         a.record_translation(Duration::from_micros(10), true);
         let b = ServiceMetrics::default();
-        let (sa, sb) = (a.export(), b.export());
-        let text = prometheus_text(&[("mas", &sa), ("yelp", &sb)]);
+        let text = prometheus_text(&[("mas", a.export()), ("yelp", b.export())]);
         assert_eq!(
             text.matches("# TYPE templar_translations_total counter")
                 .count(),

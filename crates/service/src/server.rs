@@ -35,7 +35,7 @@
 use crate::config::{ServiceConfig, WalConfig};
 use crate::error::{ServiceError, WalError};
 use crate::ingest::IngestQueue;
-use crate::metrics::{HealthState, MetricsSnapshot, ServiceMetrics};
+use crate::metrics::{HealthState, ServiceMetrics};
 use crate::slowlog::SlowQueryLog;
 use crate::snapshot;
 use crate::storage::{FsStorage, Storage};
@@ -51,7 +51,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use templar_api::{ApiError, SlowQueryReport, TraceReport, TranslateRequest, TranslateResponse};
+use templar_api::{
+    ApiError, MetricsReport, SlowQueryReport, TraceReport, TranslateRequest, TranslateResponse,
+};
 use templar_core::{
     Keyword, KeywordMetadata, QueryFragmentGraph, QueryLog, SharedTemplar, Templar, TemplarConfig,
     TraceCtx, TraceSpans,
@@ -887,7 +889,7 @@ impl TemplarService {
 
     /// Point-in-time service metrics, including the current snapshot's QFG
     /// size and join-cache statistics.
-    pub fn metrics(&self) -> MetricsSnapshot {
+    pub fn metrics(&self) -> MetricsReport {
         let mut snap = self.inner.metrics.export();
         let published = Arc::clone(&self.inner.published.read());
         let current = &published.templar;

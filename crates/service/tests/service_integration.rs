@@ -8,8 +8,9 @@ use sqlparse::{canon, parse_query, BinOp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use templar_api::MetricsReport;
 use templar_core::{Keyword, KeywordMetadata, Obscurity, QueryLog, TemplarConfig};
-use templar_service::{MetricsSnapshot, ServiceConfig, ServiceError, TemplarService};
+use templar_service::{ServiceConfig, ServiceError, TemplarService};
 
 fn academic_db() -> Arc<Database> {
     let schema = Schema::builder("academic")
@@ -462,7 +463,7 @@ fn translation_cache_hits_are_byte_identical_and_publish_invalidates() {
         after.translation_cache_hits - before.translation_cache_hits,
         WARM_HITS
     );
-    let zero_us = |m: &MetricsSnapshot| {
+    let zero_us = |m: &MetricsReport| {
         m.translate_buckets
             .iter()
             .find(|b| b.le_us == 0)
