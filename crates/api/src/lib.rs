@@ -17,8 +17,8 @@
 //!   envelopes, rejected on protocol-version mismatch.
 //!
 //! The crate deliberately contains no serving machinery: `templar-service`
-//! implements the routing ([`TenantRegistry`](../templar_service/registry/
-//! struct.TenantRegistry.html)) against these types.
+//! implements the routing (`templar_service::TenantRegistry`) against these
+//! types.
 
 pub mod binary;
 pub mod error;

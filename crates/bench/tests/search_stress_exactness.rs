@@ -82,35 +82,29 @@ fn deep_scenario_is_searched_exactly_within_the_default_budget() {
 #[test]
 fn starved_budget_is_flagged_not_silently_truncated() {
     let scenario = stress::deep_scenario();
-    let starved = scenario
-        .config
-        .clone()
-        .with_search_budget(50)
-        .with_scoring_threads(1);
-    let templar = Templar::new(scenario.db.clone(), &scenario.log, starved.clone()).unwrap();
-    let (ranked, stats) = templar.map_keywords_with_stats(&scenario.keywords, &starved);
-    assert!(
-        stats.budget_exhausted,
-        "a 50-evaluation budget must run out"
-    );
-    assert!(stats.tuples_scored <= 50);
-    // Still a usable, sorted best-effort ranking — and the exhaustion is
-    // explicit, unlike the old silent 5000-tuple insertion-order cut.
-    assert!(!ranked.is_empty());
-    for pair in ranked.windows(2) {
-        assert!(pair[0].score >= pair[1].score);
+    let templar =
+        Templar::new(scenario.db.clone(), &scenario.log, scenario.config.clone()).unwrap();
+    for budget in [50, 500] {
+        let starved = scenario.config.clone().with_search_budget(budget);
+        let (ranked, stats) = templar.map_keywords_with_stats(&scenario.keywords, &starved);
+        assert!(
+            stats.budget_exhausted,
+            "a {budget}-evaluation budget must run out"
+        );
+        assert!(stats.tuples_scored <= budget as u64);
+        // Still a usable, sorted best-effort ranking — and the exhaustion is
+        // explicit, unlike the old silent 5000-tuple insertion-order cut.
+        assert!(!ranked.is_empty());
+        for pair in ranked.windows(2) {
+            assert!(pair[0].score >= pair[1].score);
+        }
+        // A budget-cut ranking depends on the request alone: every repeat
+        // explores the same prefixes and reports the same statistics.
+        for call in 1..=20 {
+            let (again, again_stats) =
+                templar.map_keywords_with_stats(&scenario.keywords, &starved);
+            assert_eq!(again_stats, stats, "budget {budget}, repeat {call}");
+            assert_eq!(again, ranked, "budget {budget}, repeat {call}");
+        }
     }
-}
-
-#[test]
-fn single_threaded_and_parallel_searches_agree_on_the_stress_scenario() {
-    let scenario = stress::exact_scenario();
-    let serial_config = scenario.config.clone().with_scoring_threads(1);
-    let parallel_config = scenario.config.clone().with_scoring_threads(8);
-    let templar = Templar::new(scenario.db.clone(), &scenario.log, serial_config.clone()).unwrap();
-    let (serial, serial_stats) =
-        templar.map_keywords_with_stats(&scenario.keywords, &serial_config);
-    let (parallel, _) = templar.map_keywords_with_stats(&scenario.keywords, &parallel_config);
-    assert!(!serial_stats.budget_exhausted);
-    assert_eq!(serial, parallel, "fan-out must not change the ranking");
 }

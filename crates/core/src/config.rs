@@ -63,12 +63,6 @@ pub struct TemplarConfig {
     /// set of distinct bags is unbounded, so the cache evicts oldest-first
     /// beyond this capacity.
     pub join_cache_capacity: usize,
-    /// Number of worker threads candidate-configuration scoring may fan out
-    /// over (default: the machine's available parallelism).  Scoring runs
-    /// over interned fragment-id slices, so shards share the immutable
-    /// columnar QFG without synchronization; small batches are always scored
-    /// inline regardless of this setting.
-    pub scoring_threads: usize,
     /// Work budget of the best-first configuration search: the maximum
     /// number of candidate-tuple evaluations (complete configurations
     /// scored plus prefixes bound-checked) one `MAPKEYWORDS` call may
@@ -77,10 +71,9 @@ pub struct TemplarConfig {
     /// budget; when the budget runs out it returns the best configurations
     /// found so far and raises the `search_budget_exhausted` flag in its
     /// [`SearchStats`](crate::SearchStats) (surfaced through explanations
-    /// and service metrics) instead of truncating silently.  Every search
-    /// worker completes its first depth-first dive before honouring
-    /// exhaustion, so even a starved budget yields at least one ranked
-    /// configuration.
+    /// and service metrics) instead of truncating silently.  The search
+    /// completes its first depth-first dive before honouring exhaustion,
+    /// so even a starved budget yields at least one ranked configuration.
     pub search_budget: usize,
 }
 
@@ -95,7 +88,6 @@ impl Default for TemplarConfig {
             max_configurations: 16,
             join_candidates: 4,
             join_cache_capacity: 1024,
-            scoring_threads: default_scoring_threads(),
             search_budget: DEFAULT_SEARCH_BUDGET,
         }
     }
@@ -108,13 +100,6 @@ impl Default for TemplarConfig {
 /// `O(budget · keywords)` work instead of enumerating an unbounded
 /// cartesian product.
 pub const DEFAULT_SEARCH_BUDGET: usize = 100_000;
-
-/// The default scoring fan-out: one shard per available hardware thread.
-fn default_scoring_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 impl TemplarConfig {
     /// The configuration used for the headline results of Table III
@@ -153,13 +138,6 @@ impl TemplarConfig {
         self
     }
 
-    /// Set the scoring worker-pool size (clamped to ≥ 1; 1 disables the
-    /// fan-out entirely).
-    pub fn with_scoring_threads(mut self, threads: usize) -> Self {
-        self.scoring_threads = threads.max(1);
-        self
-    }
-
     /// Set the best-first search budget (clamped to ≥ 1).  Use
     /// `usize::MAX` for an effectively unbounded, always-exact search.
     pub fn with_search_budget(mut self, budget: usize) -> Self {
@@ -183,18 +161,9 @@ mod tests {
 
     #[test]
     fn builder_methods_clamp_inputs() {
-        let c = TemplarConfig::default()
-            .with_kappa(0)
-            .with_lambda(2.0)
-            .with_scoring_threads(0);
+        let c = TemplarConfig::default().with_kappa(0).with_lambda(2.0);
         assert_eq!(c.kappa, 1);
         assert_eq!(c.lambda, 1.0);
-        assert_eq!(c.scoring_threads, 1);
-    }
-
-    #[test]
-    fn scoring_threads_default_to_available_parallelism() {
-        assert!(TemplarConfig::default().scoring_threads >= 1);
     }
 
     #[test]

@@ -208,7 +208,7 @@ fn log_weight(
 /// relations connected by a FK-PK edge (Section VI-A.2).  [`infer_joins`]
 /// weights its join graph directly (no schema-graph clone); this remains for
 /// callers that keep a weighted [`SchemaGraph`] around, and applies the same
-/// [`log_weight`] rule.
+/// `log_weight` rule.
 pub fn apply_log_weights(schema_graph: &mut SchemaGraph, qfg: &QueryFragmentGraph) {
     let pairs: Vec<(String, String)> = schema_graph
         .schema()

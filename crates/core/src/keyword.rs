@@ -14,7 +14,6 @@ use nlp::{contains_number, extract_numbers, tokenize_lower, SimilarityModel};
 use relational::{AttributeRef, Database};
 use serde::{Deserialize, Serialize};
 use sqlparse::{Aggregate, BinOp, ColumnRef, Expr, Literal, Predicate};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 
 /// Additive smoothing applied to each pairwise Dice coefficient of
 /// `Score_QFG` (see [`qfg_breakdown`]).
@@ -283,9 +282,9 @@ impl<'a> KeywordMapper<'a> {
     /// into `trace`: candidate retrieval/pruning under
     /// [`Stage::CandidatePruning`], everything from fragment-id resolution
     /// through the best-first search and materialization under
-    /// [`Stage::ConfigSearch`] (with each sharded worker's busy time
-    /// reported separately).  The disabled context makes this identical to
-    /// the untraced call.
+    /// [`Stage::ConfigSearch`] (with the search's own busy time reported
+    /// separately).  The disabled context makes this identical to the
+    /// untraced call.
     pub fn map_keywords_traced(
         &self,
         keywords: &[(Keyword, KeywordMetadata)],
@@ -307,7 +306,7 @@ impl<'a> KeywordMapper<'a> {
 
     /// The exhaustive reference enumerator the best-first search replaced:
     /// scores **every** tuple of the cartesian product with the pairwise
-    /// [`qfg_breakdown`] and selects the top configurations under the
+    /// `qfg_breakdown` and selects the top configurations under the
     /// identical deterministic comparator.  Exponential in the number of
     /// keywords — kept as the executable specification that tests, benches
     /// and validation tooling check the search against (the two are
@@ -739,16 +738,6 @@ pub struct SearchStats {
     pub budget_exhausted: bool,
 }
 
-impl SearchStats {
-    /// Fold a worker's statistics into the request total.
-    fn absorb(&mut self, other: SearchStats) {
-        self.tuples_scored += other.tuples_scored;
-        self.tuples_pruned = self.tuples_pruned.saturating_add(other.tuples_pruned);
-        self.bound_cutoffs += other.bound_cutoffs;
-        self.budget_exhausted |= other.budget_exhausted;
-    }
-}
-
 /// Assign every candidate's [`ResolvedCandidate::popularity`] (`n_v / |L|`,
 /// the same expression [`qfg_breakdown`] evaluates per tuple, hoisted to
 /// once per request) as a flat gather → one divide sweep → scatter, instead
@@ -969,10 +958,6 @@ fn exhaustive_top_k(
 /// nothing in pruning power.
 const BOUND_MARGIN: f64 = 1e-9;
 
-/// Below this many potential tuples the search always runs on the calling
-/// thread: worker spawn latency would dwarf the arithmetic.
-const PARALLEL_MIN_TUPLES: u64 = 2048;
-
 /// Prefix-incremental score state of the best-first search.  Extending a
 /// prefix by one candidate updates this in O(prefix slots) — the pair
 /// factors against the new slot — instead of rescoring all O(k²) pairs,
@@ -1009,8 +994,8 @@ impl PrefixState {
 ///
 /// Each keyword's pruned candidates are already sorted by σ descending, so
 /// depth-first descent finds strong configurations early; the score floor
-/// (the current k-th best score, shared across workers through one atomic)
-/// then lets the **admissible upper bound** cut entire prefix subtrees that
+/// (the k-th best score of the walk's own top-k, once that is full) then
+/// lets the **admissible upper bound** cut entire prefix subtrees that
 /// provably cannot enter the top k.  The bound blends
 ///
 /// * `λ ·` the best completable geometric σ — the prefix's running σ
@@ -1028,19 +1013,13 @@ impl PrefixState {
 /// tie-breaks — whenever the search completes within
 /// [`TemplarConfig::search_budget`]; the budget turns a pathological
 /// many-keyword request into a best-effort ranking with an explicit
-/// `budget_exhausted` flag instead of unbounded work.
-///
-/// First-keyword candidates are sharded round-robin across
-/// `TemplarConfig::scoring_threads` scoped workers; the atomic floor makes
-/// every worker's discoveries prune every other worker's subtrees.  Each
-/// worker keeps its own local top-k (a superset filter: any global top-k
-/// member ranks top-k within its worker), and the merge re-sorts under the
-/// same total order, so the outcome is independent of the fan-out.
+/// `budget_exhausted` flag instead of unbounded work.  The walk is one
+/// deterministic depth-first pass, so a budget-cut ranking and its
+/// statistics are the same on every call.
 struct ConfigurationSearch<'a> {
     qfg: &'a QueryFragmentGraph,
     lambda: f64,
     top_k: usize,
-    threads: usize,
     resolved: &'a [Vec<ResolvedCandidate>],
     keyword_count: usize,
     /// `[d]`: product over keywords `k ≥ d` of the list's maximum σ.
@@ -1058,19 +1037,27 @@ struct ConfigurationSearch<'a> {
     /// `[d]`: number of complete tuples below one depth-`d` prefix
     /// (saturating), for the pruned-tuple accounting.
     suffix_tuples: Vec<u64>,
-    /// Shared work budget (`TemplarConfig::search_budget`): one unit per
-    /// prefix extension evaluated, which hard-caps total search work at
+    /// Work budget (`TemplarConfig::search_budget`): one unit per prefix
+    /// extension evaluated, which hard-caps total search work at
     /// `O(budget · keywords)` regardless of the product size.
     budget: u64,
-    /// Minimum potential-tuple count before the search fans out
-    /// ([`PARALLEL_MIN_TUPLES`]; tests lower it to drive the worker
-    /// machinery on small inputs).
-    parallel_min_tuples: u64,
-    evaluations: AtomicU64,
-    /// Bits of the shared score floor (the best k-th score any worker has
-    /// proven); starts at `-∞`.
-    floor_bits: AtomicU64,
-    exhausted: AtomicBool,
+    /// Prefix extensions charged against `budget` so far.
+    evaluations: u64,
+    /// The current prefix's candidate indices, one per visited keyword.
+    indices: Vec<u32>,
+    /// The prefix's non-relation slots, in keyword order.
+    slots: Vec<FragmentSlot>,
+    /// `slots` flattened to raw interned ids (`ABSENT_FRAGMENT` for
+    /// never-logged fragments), kept in lockstep so each extension runs the
+    /// pair factors as one contiguous [`QueryFragmentGraph::gather_dice`]
+    /// pass instead of a per-prior branchy lookup.
+    slot_ids: Vec<u32>,
+    dice_scratch: DiceGatherScratch,
+    dice_buf: Vec<f64>,
+    /// The best tuples so far, kept sorted under [`cmp_scored`] and capped
+    /// at `top_k` by [`offer_tuple`]: the final ranking as it stands.
+    top: Vec<ScoredTuple>,
+    stats: SearchStats,
 }
 
 impl<'a> ConfigurationSearch<'a> {
@@ -1125,7 +1112,6 @@ impl<'a> ConfigurationSearch<'a> {
             qfg,
             lambda: config.lambda,
             top_k: config.max_configurations,
-            threads: config.scoring_threads.max(1),
             resolved,
             keyword_count: k,
             max_sigma_suffix,
@@ -1133,92 +1119,62 @@ impl<'a> ConfigurationSearch<'a> {
             must_remaining,
             dice_bound,
             suffix_tuples,
-            // A starved budget still yields results: each worker always
+            // A starved budget still yields results: the walk always
             // completes its first depth-first dive (see the overdraw
-            // handling in `SearchWorker::explore`) before honouring
-            // exhaustion, so the budget is taken as-is.
+            // handling in `explore`) before honouring exhaustion, so the
+            // budget is taken as-is.
             budget: (config.search_budget as u64).max(1),
-            parallel_min_tuples: PARALLEL_MIN_TUPLES,
-            evaluations: AtomicU64::new(0),
-            floor_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-            exhausted: AtomicBool::new(false),
+            evaluations: 0,
+            indices: Vec::with_capacity(k),
+            slots: Vec::with_capacity(k),
+            slot_ids: Vec::with_capacity(k),
+            dice_scratch: DiceGatherScratch::default(),
+            dice_buf: Vec::with_capacity(k),
+            top: Vec::new(),
+            stats: SearchStats::default(),
         }
-    }
-
-    /// Pick the round-robin shard layout: `(depth, worker_count)`.  Depth 0
-    /// shards the first keyword's candidates; when that list is narrower
-    /// than the thread pool (e.g. one unambiguous first keyword followed by
-    /// many ambiguous ones), sharding moves to the flattened first-two-level
-    /// prefix space so a skewed request still fans out.
-    fn shard_layout(&self) -> (usize, usize) {
-        let first_len = self.resolved[0].len();
-        if self.suffix_tuples[0] < self.parallel_min_tuples {
-            return (0, 1);
-        }
-        if self.threads <= first_len || self.keyword_count < 2 {
-            return (0, self.threads.min(first_len));
-        }
-        let prefix_space = first_len * self.resolved[1].len();
-        (1, self.threads.min(prefix_space))
     }
 
     /// Run the search and return the final ranking plus its statistics.
     #[cfg(test)]
-    fn run(&self) -> (Vec<ScoredTuple>, SearchStats) {
+    fn run(self) -> (Vec<ScoredTuple>, SearchStats) {
         self.run_traced(TraceCtx::disabled())
     }
 
-    /// [`ConfigurationSearch::run`] reporting each worker's busy time into
-    /// `trace` — the wall-clock `config_search` span belongs to the caller;
-    /// this accounts the CPU the fan-out actually burned.
-    fn run_traced(&self, trace: TraceCtx<'_>) -> (Vec<ScoredTuple>, SearchStats) {
+    /// Run the search, reporting its busy time into `trace` as one search
+    /// worker; the wall-clock `config_search` span, which also covers
+    /// resolution and materialization, belongs to the caller.
+    fn run_traced(mut self, trace: TraceCtx<'_>) -> (Vec<ScoredTuple>, SearchStats) {
         if self.top_k == 0 {
             return (Vec::new(), SearchStats::default());
         }
-        let (shard_depth, workers) = self.shard_layout();
-        let mut results: Vec<(Vec<ScoredTuple>, SearchStats)> = if workers <= 1 {
-            let started = trace.worker_start();
-            let result = SearchWorker::new(self, 0, 0, 1).run();
-            trace.finish_worker(started);
-            vec![result]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let started = trace.worker_start();
-                            let result = SearchWorker::new(self, shard_depth, w, workers).run();
-                            trace.finish_worker(started);
-                            result
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("configuration search worker panicked"))
-                    .collect()
-            })
-        };
-        let mut stats = SearchStats::default();
-        let mut merged: Vec<ScoredTuple> = Vec::new();
-        for (top, worker_stats) in results.drain(..) {
-            stats.absorb(worker_stats);
-            merged.extend(top);
-        }
-        stats.budget_exhausted |= self.exhausted.load(AtomicOrdering::Relaxed);
-        merged.sort_by(|a, b| cmp_scored(self.resolved, a, b));
-        merged.truncate(self.top_k);
-        (merged, stats)
+        let started = trace.worker_start();
+        self.explore(0, PrefixState::empty());
+        trace.finish_worker(started);
+        (self.top, self.stats)
     }
 
-    /// True when no completion of a depth-`d` prefix with `m` slots and the
-    /// given running state can beat the floor.  Strict comparison: a
-    /// completion that could *tie* the k-th score is kept, because the
-    /// tie-break key may rank it inside the top k.
-    fn prunable(&self, d: usize, state: &PrefixState, m: usize, floor: f64) -> bool {
+    /// The score floor: the k-th best score once the top-k is full, `-∞`
+    /// before.  [`offer_tuple`] replaces the worst entry only with a better
+    /// one, so the floor never falls and a prefix cut against it stays cut
+    /// for the final ranking.
+    fn floor(&self) -> f64 {
+        match self.top.last() {
+            Some(worst) if self.top.len() == self.top_k => worst.score,
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
+    /// True when no completion of the current prefix, extended to depth
+    /// `d` with the given running state, can beat the floor.  Strict
+    /// comparison: a completion that could *tie* the k-th score is kept,
+    /// because the tie-break key may rank it inside the top k.
+    fn prunable(&self, d: usize, state: &PrefixState) -> bool {
+        let floor = self.floor();
         if floor == f64::NEG_INFINITY {
             return false;
         }
+        let m = self.slots.len();
         let k = self.keyword_count as f64;
         let sigma_base = state.sigma_product * self.max_sigma_suffix[d];
         let ub_sigma = if sigma_base <= 0.0 {
@@ -1249,11 +1205,12 @@ impl<'a> ConfigurationSearch<'a> {
         ub + BOUND_MARGIN < floor
     }
 
-    /// Finalize a complete prefix into a scored tuple (same operation
-    /// sequence as [`TupleScorer::score`], from the incrementally-carried
-    /// state).
-    fn finalize(&self, indices: &[u32], state: &PrefixState, slot_count: usize) -> ScoredTuple {
+    /// Finalize the current, complete prefix into a scored tuple (same
+    /// operation sequence as [`TupleScorer::score`], from the
+    /// incrementally-carried state).
+    fn finalize(&self, state: &PrefixState) -> ScoredTuple {
         let k = self.keyword_count;
+        let slot_count = self.slots.len();
         let sigma = if state.sigma_product <= 0.0 {
             0.0
         } else {
@@ -1273,7 +1230,7 @@ impl<'a> ConfigurationSearch<'a> {
         let qfg_score = if pairs == 0 { log_popularity } else { dice };
         let score = self.lambda * sigma + (1.0 - self.lambda) * qfg_score;
         ScoredTuple {
-            indices: indices.to_vec(),
+            indices: self.indices.clone(),
             sigma,
             log_popularity,
             dice,
@@ -1282,129 +1239,33 @@ impl<'a> ConfigurationSearch<'a> {
         }
     }
 
-    /// Charge one prefix extension against the shared budget; false when
-    /// the budget is exhausted (the caller unwinds and returns its best).
-    fn charge(&self) -> bool {
-        if self.exhausted.load(AtomicOrdering::Relaxed) {
+    /// Charge one prefix extension against the budget; false once the
+    /// budget is spent (the caller unwinds and returns its best).
+    fn charge(&mut self) -> bool {
+        if self.evaluations >= self.budget {
             return false;
         }
-        if self.evaluations.fetch_add(1, AtomicOrdering::Relaxed) >= self.budget {
-            self.exhausted.store(true, AtomicOrdering::Relaxed);
-            return false;
-        }
+        self.evaluations += 1;
         true
-    }
-
-    fn floor(&self) -> f64 {
-        f64::from_bits(self.floor_bits.load(AtomicOrdering::Relaxed))
-    }
-
-    /// Raise the shared floor to `candidate` if it is higher (atomic max).
-    fn raise_floor(&self, candidate: f64) {
-        let mut current = self.floor_bits.load(AtomicOrdering::Relaxed);
-        while f64::from_bits(current) < candidate {
-            match self.floor_bits.compare_exchange_weak(
-                current,
-                candidate.to_bits(),
-                AtomicOrdering::Relaxed,
-                AtomicOrdering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-}
-
-/// One search worker: owns a round-robin shard of the depth-`shard_depth`
-/// prefix space (flattened over the levels up to and including that depth)
-/// and a local top-k.
-struct SearchWorker<'a, 'r> {
-    search: &'a ConfigurationSearch<'r>,
-    shard_depth: usize,
-    offset: usize,
-    stride: usize,
-    indices: Vec<u32>,
-    /// The prefix's non-relation slots, in keyword order.
-    slots: Vec<FragmentSlot>,
-    /// `slots` flattened to raw interned ids (`ABSENT_FRAGMENT` for
-    /// never-logged fragments), kept in lockstep so each extension runs the
-    /// pair factors as one contiguous [`QueryFragmentGraph::gather_dice`]
-    /// pass instead of a per-prior branchy lookup.
-    slot_ids: Vec<u32>,
-    dice_scratch: DiceGatherScratch,
-    dice_buf: Vec<f64>,
-    top: Vec<ScoredTuple>,
-    stats: SearchStats,
-}
-
-impl<'a, 'r> SearchWorker<'a, 'r> {
-    fn new(
-        search: &'a ConfigurationSearch<'r>,
-        shard_depth: usize,
-        offset: usize,
-        stride: usize,
-    ) -> Self {
-        SearchWorker {
-            search,
-            shard_depth,
-            offset,
-            stride,
-            indices: Vec::with_capacity(search.keyword_count),
-            slots: Vec::with_capacity(search.keyword_count),
-            slot_ids: Vec::with_capacity(search.keyword_count),
-            dice_scratch: DiceGatherScratch::default(),
-            dice_buf: Vec::with_capacity(search.keyword_count),
-            top: Vec::new(),
-            stats: SearchStats::default(),
-        }
-    }
-
-    fn run(mut self) -> (Vec<ScoredTuple>, SearchStats) {
-        self.explore(0, PrefixState::empty());
-        (self.top, self.stats)
-    }
-
-    /// True when candidate `i` of keyword `d` belongs to this worker's
-    /// shard.  Only the shard depth filters: the flattened rank of the
-    /// prefix up to `d` is taken modulo the worker count, so the workers
-    /// partition the prefix space exactly.
-    fn in_shard(&self, d: usize, i: usize) -> bool {
-        if d != self.shard_depth || self.stride <= 1 {
-            return true;
-        }
-        let mut rank = i;
-        if d > 0 {
-            rank += self.indices[d - 1] as usize * self.search.resolved[d].len();
-        }
-        rank % self.stride == self.offset
     }
 
     /// Depth-first over the candidates of keyword `d`; returns false when
     /// the budget ran out and the whole search should unwind.
     fn explore(&mut self, d: usize, state: PrefixState) -> bool {
-        let search = self.search;
-        let list = &search.resolved[d];
-        let mut i = 0;
-        while i < list.len() {
-            if !self.in_shard(d, i) {
-                i += 1;
-                continue;
-            }
-            let overdrawn = !search.charge();
+        let resolved = self.resolved;
+        for (i, candidate) in resolved[d].iter().enumerate() {
+            let overdrawn = !self.charge();
             if overdrawn {
                 self.stats.budget_exhausted = true;
                 if self.stats.tuples_scored > 0 {
                     return false;
                 }
-                // The shared budget is gone but this worker has not
-                // completed a single configuration yet: keep following the
-                // current (first) dive so even a starved budget split
-                // across workers yields at least one ranked result per
-                // worker.  The leaf arm below stops the worker right after
+                // The budget is gone but the walk has not completed a
+                // single configuration yet: keep following the current
+                // (first) dive so even a starved budget yields a ranked
+                // result.  The leaf arm below stops the walk right after
                 // that first configuration is scored.
             }
-            let candidate = &list[i];
             let mut next = state;
             next.sigma_product = state.sigma_product * candidate.sigma;
             let adds_slot = candidate.slot != FragmentSlot::Relation;
@@ -1415,7 +1276,7 @@ impl<'a, 'r> SearchWorker<'a, 'r> {
                 // one smooth-and-bound multiply sweep.
                 match candidate.slot {
                     FragmentSlot::Known(id) => {
-                        search.qfg.gather_dice(
+                        self.qfg.gather_dice(
                             id,
                             &self.slot_ids,
                             &mut self.dice_scratch,
@@ -1445,23 +1306,17 @@ impl<'a, 'r> SearchWorker<'a, 'r> {
                 });
             }
             self.indices.push(i as u32);
-            let keep_going = if d + 1 == search.keyword_count {
+            let keep_going = if d + 1 == self.keyword_count {
                 self.stats.tuples_scored += 1;
-                let tuple = search.finalize(&self.indices, &next, self.slots.len());
-                self.offer(tuple);
+                let tuple = self.finalize(&next);
+                offer_tuple(resolved, &mut self.top, self.top_k, tuple);
                 !overdrawn
-            } else if d >= self.shard_depth
-                // Above the shard depth every worker walks the same
-                // prefixes: pruning there would count the same skipped
-                // subtree once per worker (and the walk is a handful of
-                // extensions), so cutting starts at the shard depth.
-                && search.prunable(d + 1, &next, self.slots.len(), search.floor())
-            {
+            } else if self.prunable(d + 1, &next) {
                 self.stats.bound_cutoffs += 1;
                 self.stats.tuples_pruned = self
                     .stats
                     .tuples_pruned
-                    .saturating_add(search.suffix_tuples[d + 1]);
+                    .saturating_add(self.suffix_tuples[d + 1]);
                 true
             } else {
                 self.explore(d + 1, next)
@@ -1474,22 +1329,8 @@ impl<'a, 'r> SearchWorker<'a, 'r> {
             if !keep_going {
                 return false;
             }
-            i += 1;
         }
         true
-    }
-
-    /// Offer a scored leaf to the local top-k; when the local ranking is
-    /// full, its k-th score becomes a candidate for the shared floor (any
-    /// single worker's k-th best is a lower bound on the global k-th best).
-    fn offer(&mut self, tuple: ScoredTuple) {
-        let search = self.search;
-        offer_tuple(search.resolved, &mut self.top, search.top_k, tuple);
-        if self.top.len() == search.top_k {
-            if let Some(worst) = self.top.last() {
-                search.raise_floor(worst.score);
-            }
-        }
     }
 }
 
@@ -1870,10 +1711,10 @@ mod tests {
     fn scoring_never_clones_query_fragments() {
         // The id-based hot path is contractually clone-free: candidates are
         // resolved to FragmentIds once per request and every score is pure
-        // array arithmetic.  Scoring is pinned to one thread so the
+        // array arithmetic.  The search runs on the calling thread, so the
         // thread-local counter observes the entire path.
         let db = academic_db();
-        let config = TemplarConfig::default().with_scoring_threads(1);
+        let config = TemplarConfig::default();
         let qfg = QueryFragmentGraph::build(&academic_log(), config.obscurity);
         let sim = TextSimilarity::new();
         let mapper = KeywordMapper::new(&db, &qfg, &sim, &config);
@@ -1893,19 +1734,6 @@ mod tests {
             cloned, 0,
             "MAPKEYWORDS must not clone any QueryFragment; counted {cloned}"
         );
-    }
-
-    #[test]
-    fn parallel_scoring_matches_single_threaded_scoring() {
-        // End-to-end: thread count must never change what MAPKEYWORDS
-        // returns.
-        let keywords = vec![
-            (Keyword::new("papers"), KeywordMetadata::select()),
-            (Keyword::new("TKDE"), KeywordMetadata::filter()),
-        ];
-        let serial = run_mapper(&keywords, &TemplarConfig::default().with_scoring_threads(1));
-        let parallel = run_mapper(&keywords, &TemplarConfig::default().with_scoring_threads(8));
-        assert_eq!(serial, parallel, "fan-out must not change any result");
     }
 
     // -----------------------------------------------------------------
@@ -2067,18 +1895,15 @@ mod tests {
         }
     }
 
-    fn search_config(threads: usize) -> TemplarConfig {
-        TemplarConfig::default()
-            .with_scoring_threads(threads)
-            .with_search_budget(usize::MAX)
+    fn search_config() -> TemplarConfig {
+        TemplarConfig::default().with_search_budget(usize::MAX)
     }
 
     proptest! {
         /// The best-first search is byte-identical — scores, order and every
         /// explanation component — to scoring the entire cartesian product
         /// and sorting it with the original string tie-break, on random
-        /// candidate lists over random QFGs, at several λ, serial and
-        /// fanned out.
+        /// candidate lists over random QFGs, at several λ.
         #[test]
         fn best_first_search_is_byte_identical_to_exhaustive(
             seed in any::<u64>(),
@@ -2087,26 +1912,13 @@ mod tests {
         ) {
             let (qfg, resolved) = random_search_input(seed, keywords, 4);
             let lambda = f64::from(lambda_grid) / 4.0;
-            let config = search_config(1).with_lambda(lambda);
+            let config = search_config().with_lambda(lambda);
             let reference = full_sort_reference(
                 &qfg, lambda, &resolved, config.max_configurations,
             );
-            for threads in [1usize, 4] {
-                let config = search_config(threads).with_lambda(lambda);
-                let mut search = ConfigurationSearch::new(&qfg, &config, &resolved);
-                // Drop the fan-out gate so threads = 4 genuinely exercises
-                // the sharded workers (incl. depth-1 sharding when the
-                // first list is narrower than the pool) on these small
-                // inputs instead of falling back to one worker.
-                search.parallel_min_tuples = 0;
-                let (found, stats) = search.run();
-                prop_assert!(!stats.budget_exhausted);
-                assert_tuples_identical(
-                    &format!("seed {seed} λ {lambda} threads {threads}"),
-                    &reference,
-                    &found,
-                );
-            }
+            let (found, stats) = ConfigurationSearch::new(&qfg, &config, &resolved).run();
+            prop_assert!(!stats.budget_exhausted);
+            assert_tuples_identical(&format!("seed {seed} λ {lambda}"), &reference, &found);
         }
 
         /// The streamed joined-key comparator orders index tuples exactly
@@ -2196,7 +2008,7 @@ mod tests {
     #[test]
     fn exhausted_budget_is_flagged_and_bounds_the_work() {
         let (qfg, resolved) = random_search_input(7, 5, 4);
-        let config = search_config(1).with_search_budget(10);
+        let config = search_config().with_search_budget(10);
         let search = ConfigurationSearch::new(&qfg, &config, &resolved);
         let (found, stats) = search.run();
         assert!(
@@ -2212,66 +2024,27 @@ mod tests {
             );
         }
         // And a generous budget on the same input is exact and unflagged.
-        let config = search_config(1);
+        let config = search_config();
         let search = ConfigurationSearch::new(&qfg, &config, &resolved);
         let (_, stats) = search.run();
         assert!(!stats.budget_exhausted);
     }
 
     #[test]
-    fn skewed_first_list_shards_at_depth_one_and_stays_exact() {
-        // One unambiguous first keyword (a single candidate) followed by
-        // wide lists: depth-0 sharding would serialize this shape, so the
-        // layout moves to the flattened first-two-level prefix space.
-        let (qfg, mut resolved) = random_search_input(23, 3, 6);
-        resolved[0].truncate(1);
-        let lambda = 0.8;
-        let reference = full_sort_reference(&qfg, lambda, &resolved, 16);
-        let config = search_config(4).with_lambda(lambda);
-        let mut search = ConfigurationSearch::new(&qfg, &config, &resolved);
-        search.parallel_min_tuples = 0;
-        assert_eq!(search.shard_layout().0, 1, "must shard at depth 1");
-        assert!(search.shard_layout().1 > 1, "must still fan out");
-        let (found, stats) = search.run();
-        assert!(!stats.budget_exhausted);
-        assert_tuples_identical("skewed first list", &reference, &found);
-    }
-
-    #[test]
     fn starved_budget_yields_a_result_even_with_parallel_workers() {
-        // Inflate the lists so the product (8^4 = 4096) engages the
-        // worker fan-out, then give the *whole pool* a 2-evaluation
-        // budget: each worker must still finish its first dive and
-        // return at least one configuration, never an empty result.
-        let (qfg, base) = random_search_input(11, 4, 8);
-        let resolved: Vec<Vec<ResolvedCandidate>> = base
-            .iter()
-            .map(|list| {
-                (0..8)
-                    .map(|i| {
-                        let c = &list[i % list.len()];
-                        ResolvedCandidate {
-                            sigma: c.sigma,
-                            slot: c.slot,
-                            sort_key: format!("{}{i}", c.sort_key),
-                            popularity: c.popularity,
-                            pair_factor_cap: c.pair_factor_cap,
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        assert!(resolved.iter().map(|l| l.len() as u64).product::<u64>() >= 2048);
-        let config = search_config(4).with_search_budget(2);
-        let search = ConfigurationSearch::new(&qfg, &config, &resolved);
-        let (found, stats) = search.run();
+        // A 2-evaluation budget runs out halfway down a 4-keyword dive: the
+        // walk must still finish that first dive and return exactly one
+        // complete configuration, never an empty result.
+        let (qfg, resolved) = random_search_input(11, 4, 8);
+        let config = search_config().with_search_budget(2);
+        let (found, stats) = ConfigurationSearch::new(&qfg, &config, &resolved).run();
         assert!(stats.budget_exhausted);
-        assert!(
-            !found.is_empty(),
-            "every worker must complete its first dive before honouring exhaustion"
+        assert_eq!(stats.tuples_scored, 1);
+        assert_eq!(
+            found.len(),
+            1,
+            "the first dive completes before honouring exhaustion"
         );
-        for tuple in &found {
-            assert_eq!(tuple.indices.len(), resolved.len());
-        }
+        assert_eq!(found[0].indices, vec![0; resolved.len()]);
     }
 }

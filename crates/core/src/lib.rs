@@ -13,7 +13,7 @@
 //!   Algorithms 1–3) producing ranked *configurations* (Definition 5),
 //! * [`join`] — join path inference (`INFERJOINS`, Section VI) with
 //!   default or log-driven edge weights and self-join forking,
-//! * [`templar`] — the [`Templar`](templar::Templar) facade exposing exactly
+//! * [`templar`] — the [`Templar`] facade exposing exactly
 //!   the two interface calls of Figure 2, which the `nlidb` crate's systems
 //!   consume,
 //! * [`trace`] — zero-dependency per-request tracing: thread-aware stage

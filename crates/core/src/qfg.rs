@@ -37,7 +37,7 @@
 //! plus the mutable delta.  Mutations (`ingest` / `remove`) only touch the
 //! columnar occurrence vector and the delta log.  When the delta map fills
 //! (`run_fold_threshold` pairs) it is folded into a sorted immutable
-//! [`DeltaRun`] in O(churn) — **not** into the CSR — and runs merge
+//! `DeltaRun` in O(churn) — **not** into the CSR — and runs merge
 //! geometrically, so the cost of absorbing pending work during heavy ingest
 //! is O(recent churn · log pending), independent of the total CSR size.
 //! [`QueryFragmentGraph::compact`] performs the full fold (runs + delta →

@@ -7,9 +7,8 @@
 //! module is the vendored, zero-dependency substrate the serving layer
 //! attributes latency with:
 //!
-//! * [`TraceSpans`] — the per-request collector: one atomic nanosecond
-//!   accumulator and call counter per [`Stage`], safe to feed from the
-//!   sharded search workers concurrently,
+//! * [`TraceSpans`] — the per-request collector: one relaxed atomic
+//!   nanosecond accumulator and call counter per [`Stage`],
 //! * [`TraceCtx`] — the `Copy` handle threaded through the pipeline.  The
 //!   **disabled** context is the default everywhere in this crate and is a
 //!   `None` check per stage: no clock is read, nothing is recorded, so the
@@ -20,10 +19,10 @@
 //! * [`RequestTrace`] — the immutable, serializable breakdown exported once
 //!   the request finishes, carried on the wire by `templar-api`.
 //!
-//! Worker threads of the sharded configuration search report their busy time
-//! separately ([`RequestTrace::search_worker_nanos`]): wall-clock stage time
-//! answers "where did this request's latency go", worker time answers "how
-//! much CPU did the fan-out actually burn".
+//! The configuration search also reports its own busy time, as one search
+//! worker ([`RequestTrace::search_worker_nanos`]): the `config_search` span
+//! covers fragment-id resolution and materialization too, while the worker
+//! time is the best-first walk alone.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,8 +77,8 @@ impl Stage {
     }
 }
 
-/// The per-request span collector.  All counters are relaxed atomics so the
-/// sharded search workers can report concurrently with the request thread.
+/// The per-request span collector.  All counters are relaxed atomics, so a
+/// collector is `Sync` and any thread holding its [`TraceCtx`] can record.
 #[derive(Debug, Default)]
 pub struct TraceSpans {
     nanos: [AtomicU64; STAGE_COUNT],
@@ -163,8 +162,7 @@ impl<'a> TraceCtx<'a> {
     }
 
     /// Start a search-worker busy timer (`None` when disabled).  Pass the
-    /// result to [`TraceCtx::finish_worker`] when the worker's shard is
-    /// done.
+    /// result to [`TraceCtx::finish_worker`] when the search is done.
     pub fn worker_start(self) -> Option<Instant> {
         self.spans.map(|_| Instant::now())
     }
@@ -218,11 +216,12 @@ pub struct RequestTrace {
     /// One entry per [`Stage`], in execution order (stages that never ran
     /// carry zero calls).
     pub stages: Vec<StageSpan>,
-    /// Busy time summed across the sharded configuration-search workers —
-    /// the CPU cost of the fan-out, as opposed to the wall-clock
-    /// `config_search` span.
+    /// Busy time of the configuration search's own walk, without the
+    /// resolution and materialization the wall-clock `config_search` span
+    /// also covers.
     pub search_worker_nanos: u64,
-    /// Number of search workers that reported busy time.
+    /// Number of search workers that reported busy time: one whenever the
+    /// search ran.
     pub search_workers: u64,
 }
 

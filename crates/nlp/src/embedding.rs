@@ -4,7 +4,7 @@
 //! Templar's `sim_text` (Algorithm 3).  Vectors are built from hashed
 //! character n-grams so that morphologically similar words (e.g. `review`
 //! and `reviews`) land close together, and the overall pairwise similarity
-//! is blended with the [`SynonymLexicon`](crate::lexicon::SynonymLexicon)
+//! is blended with the [`SynonymLexicon`]
 //! so that domain synonyms (e.g. `papers` / `publication`) score highly even
 //! when they share no characters.
 //!

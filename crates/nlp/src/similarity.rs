@@ -4,7 +4,7 @@
 //! mentions word2vec and GloVe interchangeably); this module defines the
 //! [`SimilarityModel`] trait so that the core crate can be tested against
 //! mock models, and provides [`TextSimilarity`], the production
-//! implementation backed by [`WordModel`](crate::embedding::WordModel).
+//! implementation backed by [`WordModel`].
 
 use crate::embedding::WordModel;
 

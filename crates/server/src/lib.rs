@@ -6,7 +6,7 @@
 //! in front of that boundary, hand-rolled on the platform's own syscalls
 //! (the workspace builds without crates.io):
 //!
-//! * [`poller`] *(internal)* — readiness over raw fds: `epoll` on Linux, a
+//! * `poller` *(internal)* — readiness over raw fds: `epoll` on Linux, a
 //!   portable `poll` fallback elsewhere (and under
 //!   [`ServerConfig::force_poll`], so the fallback stays exercised),
 //! * [`server::TemplarServer`] — one reactor thread owning every socket

@@ -1,5 +1,5 @@
 //! The serving plane: a single reactor thread multiplexing every connection
-//! over [`Poller`], a pool of worker threads executing decoded requests
+//! over `Poller`, a pool of worker threads executing decoded requests
 //! against the [`TenantRegistry`], and layered admission control.
 //!
 //! ## Threading model

@@ -3,7 +3,7 @@
 //!
 //! Producers ([`TemplarService::submit_sql`](crate::TemplarService::submit_sql))
 //! never block: a full queue fails fast with
-//! [`ServiceError::QueueFull`](crate::ServiceError::QueueFull), which bounds
+//! [`ServiceError::QueueFull`], which bounds
 //! the memory the serving process can spend on un-ingested log entries no
 //! matter how far the worker falls behind.  The single consumer (the
 //! worker) blocks with a timeout so it can also wake up for time-based

@@ -42,9 +42,8 @@
 //! and the reader validates section-by-section, so a torn or bit-flipped
 //! section is caught by length/CRC checks before any decoding.
 //!
-//! **Compatibility:** version 3 — the same header, sections and framing,
-//! with every payload a JSON document — is still read.  Versions 1 and 2
-//! are rejected as unsupported.  Everything is written as version 4.
+//! **Compatibility:** only version 4 is read; versions 1–3 are rejected as
+//! unsupported.
 //!
 //! The header carries everything needed to *reject* a snapshot before
 //! touching the (potentially large) body:
@@ -88,10 +87,8 @@ use templar_core::{Obscurity, QueryFragmentGraph, QueryLog};
 
 /// First token of every snapshot file.
 pub const SNAPSHOT_MAGIC: &str = "TEMPLAR-SNAPSHOT";
-/// The format version this build writes.
+/// The format version this build writes and reads.
 pub const SNAPSHOT_VERSION: u32 = 4;
-/// The oldest format version this build still reads.
-pub const SNAPSHOT_MIN_SUPPORTED_VERSION: u32 = 3;
 /// Logged queries per `log/<i>` section: bounds how much of the log a
 /// streaming reader or writer holds decoded at any moment.
 pub const LOG_SECTION_CHUNK: usize = 4096;
@@ -298,20 +295,10 @@ impl Section {
         &self.body[self.payload_at..]
     }
 
-    /// The payload as one value tree: a JSON document in v3, a binary value
-    /// from v4 on.
-    fn value(&self, version: u32) -> Result<Value, SnapshotError> {
-        let name = &self.name;
-        if version == 3 {
-            let text = std::str::from_utf8(self.payload()).map_err(|_| {
-                SnapshotError::Corrupt(format!("section `{name}` payload is not UTF-8"))
-            })?;
-            serde_json::parse_value(text)
-                .map_err(|e| SnapshotError::Corrupt(format!("section `{name}`: {e}")))
-        } else {
-            serde::decode_value(self.payload())
-                .map_err(|e| SnapshotError::Corrupt(format!("section `{name}`: {e}")))
-        }
+    /// The payload as one binary value tree.
+    fn value(&self) -> Result<Value, SnapshotError> {
+        serde::decode_value(self.payload())
+            .map_err(|e| SnapshotError::Corrupt(format!("section `{}`: {e}", self.name)))
     }
 }
 
@@ -361,7 +348,7 @@ fn eof_is_torn(e: std::io::Error) -> SnapshotError {
 
 /// Read and validate a snapshot, rejecting wrong magic, unsupported versions
 /// and — crucially — snapshots captured at a different obscurity level than
-/// `expected`.  Versions 3 and 4 are read streaming, section by section.
+/// `expected`.  The body is read streaming, section by section.
 pub fn read_snapshot(path: &Path, expected: Obscurity) -> Result<Snapshot, SnapshotError> {
     read_snapshot_with_watermark(path, expected).map(|(snapshot, _)| snapshot)
 }
@@ -401,7 +388,7 @@ pub fn read_snapshot_from(
         .and_then(|v| v.strip_prefix('v'))
         .and_then(|v| v.parse::<u32>().ok())
         .ok_or(SnapshotError::BadMagic)?;
-    if !(SNAPSHOT_MIN_SUPPORTED_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+    if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: SNAPSHOT_VERSION,
@@ -437,10 +424,9 @@ pub fn read_snapshot_from(
             )));
         }
     }
-    let sections = sections.ok_or_else(|| {
-        SnapshotError::Corrupt(format!("v{version} header is missing its section count"))
-    })?;
-    let snapshot = read_body(&mut reader, version, sections, obscurity)?;
+    let sections = sections
+        .ok_or_else(|| SnapshotError::Corrupt("header is missing its section count".to_string()))?;
+    let snapshot = read_body(&mut reader, sections, obscurity)?;
     Ok((snapshot, watermark))
 }
 
@@ -450,7 +436,6 @@ pub fn read_snapshot_from(
 /// trailing-garbage probe after the final section.
 fn read_body(
     reader: &mut impl Read,
-    version: u32,
     sections: u64,
     obscurity: Obscurity,
 ) -> Result<Snapshot, SnapshotError> {
@@ -464,7 +449,7 @@ fn read_body(
         }
         Ok(section)
     };
-    let meta = expect("meta")?.value(version)?;
+    let meta = expect("meta")?.value()?;
     let meta_fields = meta
         .as_map()
         .ok_or_else(|| SnapshotError::Corrupt("meta section is not a map".to_string()))?;
@@ -501,25 +486,15 @@ fn read_body(
     for chunk in 0..log_chunks {
         let section = expect(&format!("log/{chunk}"))?;
         let corrupt = |e: serde::Error| SnapshotError::Corrupt(format!("log chunk {chunk}: {e}"));
-        if version == 3 {
-            let payload = section.value(version)?;
-            let entries = payload.as_seq().ok_or_else(|| {
-                SnapshotError::Corrupt(format!("log chunk {chunk} is not a sequence"))
-            })?;
-            for entry in entries {
-                queries.push(Query::from_value(entry).map_err(corrupt)?);
-            }
-        } else {
-            // Straight from the bytes into each `Query`: no value tree.
-            let mut decoder = serde::Decoder::new(section.payload());
-            let count = decoder.seq_len("log chunk").map_err(corrupt)?;
-            decoder.enter();
-            for _ in 0..count {
-                queries.push(Query::decode(&mut decoder).map_err(corrupt)?);
-            }
-            decoder.leave();
-            decoder.finish().map_err(corrupt)?;
+        // Straight from the bytes into each `Query`: no value tree.
+        let mut decoder = serde::Decoder::new(section.payload());
+        let count = decoder.seq_len("log chunk").map_err(corrupt)?;
+        decoder.enter();
+        for _ in 0..count {
+            queries.push(Query::decode(&mut decoder).map_err(corrupt)?);
         }
+        decoder.leave();
+        decoder.finish().map_err(corrupt)?;
     }
     if queries.len() as u64 != log_len {
         return Err(SnapshotError::Corrupt(format!(
@@ -527,10 +502,10 @@ fn read_body(
             queries.len()
         )));
     }
-    let fragments = expect("qfg/fragments")?.value(version)?;
-    let occurrences = expect("qfg/occurrences")?.value(version)?;
-    let adjacency = expect("qfg/adjacency")?.value(version)?;
-    let runs = expect("qfg/runs")?.value(version)?;
+    let fragments = expect("qfg/fragments")?.value()?;
+    let occurrences = expect("qfg/occurrences")?.value()?;
+    let adjacency = expect("qfg/adjacency")?.value()?;
+    let runs = expect("qfg/runs")?.value()?;
     let mut probe = [0u8; 1];
     if reader.read(&mut probe)? != 0 {
         return Err(SnapshotError::Corrupt(
@@ -756,8 +731,8 @@ mod tests {
             read_snapshot(&path, Obscurity::Full),
             Err(SnapshotError::UnsupportedVersion { found: 0, .. })
         ));
-        // The retired single-document formats are refused, not migrated.
-        for old in [1u32, 2] {
+        // Retired formats are refused, not migrated.
+        for old in [1u32, 2, 3] {
             fs::write(
                 &path,
                 format!("TEMPLAR-SNAPSHOT v{old} obscurity=Full\n{{}}"),
@@ -771,7 +746,7 @@ mod tests {
             }
         }
         // A header with no newline within the scan bound is not a snapshot.
-        fs::write(&path, "TEMPLAR-SNAPSHOT v3 obscurity=Full sections=6").unwrap();
+        fs::write(&path, "TEMPLAR-SNAPSHOT v4 obscurity=Full sections=6").unwrap();
         assert!(matches!(
             read_snapshot(&path, Obscurity::Full),
             Err(SnapshotError::BadMagic)
@@ -821,17 +796,11 @@ mod tests {
             Err(SnapshotError::Corrupt(_))
         ));
         // A header without its section count cannot be read.
-        for version in [3, 4] {
-            fs::write(
-                &path,
-                format!("TEMPLAR-SNAPSHOT v{version} obscurity=NoConstOp\n"),
-            )
-            .unwrap();
-            assert!(matches!(
-                read_snapshot(&path, Obscurity::NoConstOp),
-                Err(SnapshotError::Corrupt(_))
-            ));
-        }
+        fs::write(&path, "TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp\n").unwrap();
+        assert!(matches!(
+            read_snapshot(&path, Obscurity::NoConstOp),
+            Err(SnapshotError::Corrupt(_))
+        ));
         fs::remove_file(&path).ok();
     }
 
@@ -900,143 +869,6 @@ mod tests {
         read_snapshot(&torn, Obscurity::NoConstOp).unwrap();
         fs::remove_file(&path).ok();
         fs::remove_file(&torn).ok();
-    }
-
-    fn academic_db() -> relational::Database {
-        use relational::{DataType, Database, Schema};
-        let schema = Schema::builder("academic")
-            .relation(
-                "publication",
-                &[
-                    ("pid", DataType::Integer),
-                    ("title", DataType::Text),
-                    ("year", DataType::Integer),
-                    ("jid", DataType::Integer),
-                ],
-                Some("pid"),
-            )
-            .relation(
-                "journal",
-                &[("jid", DataType::Integer), ("name", DataType::Text)],
-                Some("jid"),
-            )
-            .foreign_key("publication", "jid", "journal", "jid")
-            .build();
-        let mut db = Database::new(schema);
-        db.insert(
-            "publication",
-            vec![1.into(), "Query Processing".into(), 2003.into(), 1.into()],
-        )
-        .unwrap();
-        db.insert("journal", vec![1.into(), "TKDE".into()]).unwrap();
-        db
-    }
-
-    fn papers_after_2000() -> nlidb::Nlq {
-        use sqlparse::BinOp;
-        use templar_core::{Keyword, KeywordMetadata};
-        nlidb::Nlq::new(
-            "Return the papers after 2000",
-            vec![
-                (Keyword::new("papers"), KeywordMetadata::select()),
-                (
-                    Keyword::new("after 2000"),
-                    KeywordMetadata::filter_with_op(BinOp::Gt),
-                ),
-            ],
-            vec![],
-        )
-    }
-
-    /// A v3 snapshot written by the previous release's writer, checked in
-    /// byte for byte: JSON payloads, a pending delta run and dead interner
-    /// slots.
-    fn v3_fixture() -> PathBuf {
-        Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("tests")
-            .join("data")
-            .join("pre_refactor_v3.snapshot")
-    }
-
-    /// The v3 fixture keeps loading and serves byte-identical top-3
-    /// translations to a fresh v4 snapshot of the same log.
-    #[test]
-    fn v3_fixture_serves_byte_identical_translations_to_v4() {
-        use crate::config::ServiceConfig;
-        use crate::server::TemplarService;
-        use std::sync::Arc;
-        use templar_core::TemplarConfig;
-
-        let fixture = v3_fixture();
-        assert!(fs::read(&fixture)
-            .unwrap()
-            .starts_with(b"TEMPLAR-SNAPSHOT v3 obscurity=NoConstOp sections=6\n"));
-        let db = Arc::new(academic_db());
-        let snapshot = read_snapshot(&fixture, Obscurity::NoConstOp)
-            .expect("the v3 fixture must keep loading");
-        assert!(
-            !snapshot.qfg.is_compacted(),
-            "the fixture carries pending runs"
-        );
-        let from_fixture = TemplarService::spawn_from_snapshot(
-            Arc::clone(&db),
-            &fixture,
-            TemplarConfig::paper_defaults(),
-            ServiceConfig::default(),
-        )
-        .unwrap();
-        // The same log, built fresh and saved through the current writer.
-        let fresh_qfg = QueryFragmentGraph::build(&snapshot.log, Obscurity::NoConstOp);
-        assert_eq!(fresh_qfg, snapshot.qfg);
-        let fresh_path = temp_path("fixture-fresh");
-        write_snapshot(&fresh_path, &snapshot.log, &fresh_qfg).unwrap();
-        assert!(fs::read(&fresh_path)
-            .unwrap()
-            .starts_with(b"TEMPLAR-SNAPSHOT v4 "));
-        let from_fresh = TemplarService::spawn_from_snapshot(
-            db,
-            &fresh_path,
-            TemplarConfig::paper_defaults(),
-            ServiceConfig::default(),
-        )
-        .unwrap();
-        let nlq = papers_after_2000();
-        let a = from_fixture.translate(&nlq).unwrap();
-        let b = from_fresh.translate(&nlq).unwrap();
-        assert!(!a.is_empty());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.query.to_string(), y.query.to_string());
-            assert_eq!(
-                x.score.to_bits(),
-                y.score.to_bits(),
-                "fixture-served scores must be byte-identical"
-            );
-        }
-        fs::remove_file(&fresh_path).ok();
-    }
-
-    #[test]
-    fn v4_snapshots_are_smaller_than_v3() {
-        // The fixture's exact state — pending run and dead slots included,
-        // restored verbatim — saved again: binary payloads drop JSON's
-        // quoting, punctuation and decimal numbers.
-        let fixture = v3_fixture();
-        let v3_len = fs::metadata(&fixture).unwrap().len();
-        let snapshot = read_snapshot(&fixture, Obscurity::NoConstOp).unwrap();
-        let path = temp_path("size-v4");
-        let v4_len = write_snapshot(&path, &snapshot.log, &snapshot.qfg).unwrap();
-        assert!(
-            v4_len < v3_len,
-            "v4 snapshot ({v4_len} B) should be smaller than v3 ({v3_len} B)"
-        );
-        let back = read_snapshot(&path, Obscurity::NoConstOp).unwrap();
-        assert_eq!(back, snapshot);
-        assert_eq!(
-            back.qfg.pending_delta_len(),
-            snapshot.qfg.pending_delta_len()
-        );
-        fs::remove_file(&path).ok();
     }
 
     /// Write-side torn matrix for the sectioned snapshot: crash the
