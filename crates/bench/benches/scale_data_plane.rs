@@ -5,9 +5,6 @@
 //!
 //! One timed pass per phase (these are multi-second macro phases, not
 //! nanosecond kernels); `--test` runs a smoke pass at reduced factors.
-//! With `BENCH_JSON=1` every phase emits a `BENCHJSON` line whose
-//! `mean_ns` is the phase's wall-clock, so `tools/bench_snapshot.sh`
-//! records and diffs them like any criterion entry.
 
 use datasets::{scale_log, Dataset};
 use std::fs;
@@ -19,18 +16,10 @@ use templar_service::{snapshot, wal, ServiceConfig, TemplarService, WalConfig, W
 
 const RECOVERY_BATCH_BYTES: usize = 256 * 1024;
 
-/// Print one phase's wall-clock (and, with `BENCH_JSON=1`, its machine
-/// line).  `extra_json` is zero or more extra `"key":value` fields.
-fn report(id: &str, elapsed_ns: u128, extra_json: &str) {
-    println!("{id:<50} {:>12.1} ms", elapsed_ns as f64 / 1e6);
-    if std::env::var_os("BENCH_JSON").is_some() {
-        let extra = if extra_json.is_empty() {
-            String::new()
-        } else {
-            format!(",{extra_json}")
-        };
-        println!("BENCHJSON {{\"id\":\"{id}\",\"mean_ns\":{elapsed_ns}{extra}}}");
-    }
+/// Print one phase's wall-clock, followed by `detail` (may be empty).
+fn report(id: &str, elapsed_ns: u128, detail: &str) {
+    let line = format!("{id:<50} {:>12.1} ms  {detail}", elapsed_ns as f64 / 1e6);
+    println!("{}", line.trim_end());
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -55,11 +44,7 @@ fn run_factor(base: &QueryLog, factor: usize) {
     report(
         &format!("scale_data_plane/build_{factor}x"),
         started.elapsed().as_nanos(),
-        &format!(
-            "\"entries\":{},\"folds\":{}",
-            scaled.len(),
-            graph.run_folds()
-        ),
+        &format!("{} entries, {} folds", scaled.len(), graph.run_folds()),
     );
 
     // Phase 2: publish after bounded churn.  This is the number tiering
@@ -86,7 +71,7 @@ fn run_factor(base: &QueryLog, factor: usize) {
     report(
         &format!("scale_data_plane/snapshot_write_{factor}x"),
         started.elapsed().as_nanos(),
-        &format!("\"body_bytes\":{bytes}"),
+        &format!("{bytes} body bytes"),
     );
     let started = Instant::now();
     let snap = snapshot::read_snapshot(&path, Obscurity::NoConstOp).unwrap();
@@ -126,7 +111,7 @@ fn run_factor(base: &QueryLog, factor: usize) {
     report(
         &format!("scale_data_plane/recover_{factor}x"),
         elapsed,
-        &format!("\"peak_batch_bytes\":{}", metrics.recovery_peak_batch_bytes),
+        &format!("{} peak batch bytes", metrics.recovery_peak_batch_bytes),
     );
     drop(service);
     fs::remove_dir_all(&dir).ok();

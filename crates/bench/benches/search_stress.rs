@@ -6,57 +6,67 @@
 //! tuple product; `search_stress/deep_15kw` searches a 5¹⁵-tuple space
 //! (exactly, in practice — see the exactness tests); and
 //! `search_stress/exhaustive_1m` is the enumerate-everything reference on
-//! the same million-tuple scenario, for the ratio the PR records.
+//! the same million-tuple scenario, so its line against `exact_1m` gives
+//! the search's pruning ratio.
 //!
-//! With `BENCH_JSON=1` an extra machine-readable line records how many
-//! tuples the search scored versus the enumeration, so `BENCH_PR5.json`
-//! captures the pruning win alongside the timings.
+//! Each call gets one warm-up, then [`SAMPLES`] timed calls; the line shows
+//! their median and range, plus the tuples the call scored.  `--test` runs
+//! each call once, untimed.
 
 use bench::stress;
-use criterion::{criterion_group, criterion_main, Criterion};
-use templar_core::Templar;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+use templar_core::{SearchStats, Templar};
 
-fn bench_search_stress(c: &mut Criterion) {
+/// Timed calls per scenario after the warm-up.
+const SAMPLES: usize = 11;
+
+/// Run `call` once to warm up, then `SAMPLES` times, and print the median.
+fn time_call(id: &str, smoke: bool, mut call: impl FnMut() -> SearchStats) {
+    let stats = call();
+    if smoke {
+        println!("{id:<32} ran once, {} tuples scored", stats.tuples_scored);
+        return;
+    }
+    let mut samples: Vec<Duration> = (0..SAMPLES)
+        .map(|_| {
+            let started = Instant::now();
+            black_box(call());
+            started.elapsed()
+        })
+        .collect();
+    samples.sort_unstable();
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    println!(
+        "{id:<32} median {:>9.3} ms over {SAMPLES} calls (min {:.3}, max {:.3}), \
+         {} tuples scored",
+        ms(samples[SAMPLES / 2]),
+        ms(samples[0]),
+        ms(samples[SAMPLES - 1]),
+        stats.tuples_scored,
+    );
+}
+
+fn main() {
+    let smoke = std::env::args().any(|a| a == "--test");
     let exact = stress::exact_scenario();
     let exact_templar = Templar::new(exact.db.clone(), &exact.log, exact.config.clone()).unwrap();
     let deep = stress::deep_scenario();
     let deep_templar = Templar::new(deep.db.clone(), &deep.log, deep.config.clone()).unwrap();
 
-    if std::env::var_os("BENCH_JSON").is_some() {
-        let (_, fast) = exact_templar.map_keywords_with_stats(&exact.keywords, &exact.config);
-        let (_, reference) = exact_templar.map_keywords_exhaustive(&exact.keywords, &exact.config);
-        println!(
-            "BENCHJSON {{\"id\":\"search_stress/exact_1m_tuples\",\
-             \"tuples_scored\":{},\"tuples_enumerated\":{},\"budget_exhausted\":{}}}",
-            fast.tuples_scored, reference.tuples_scored, fast.budget_exhausted
-        );
-    }
-
-    c.bench_function("search_stress/exact_1m", |b| {
-        b.iter(|| {
-            exact_templar
-                .map_keywords_with_stats(&exact.keywords, &exact.config)
-                .0
-                .len()
-        })
+    time_call("search_stress/exact_1m", smoke, || {
+        exact_templar
+            .map_keywords_with_stats(&exact.keywords, &exact.config)
+            .1
     });
-    c.bench_function("search_stress/deep_15kw", |b| {
-        b.iter(|| {
-            deep_templar
-                .map_keywords_with_stats(&deep.keywords, &deep.config)
-                .0
-                .len()
-        })
+    time_call("search_stress/deep_15kw", smoke, || {
+        deep_templar
+            .map_keywords_with_stats(&deep.keywords, &deep.config)
+            .1
     });
-    c.bench_function("search_stress/exhaustive_1m", |b| {
-        b.iter(|| {
-            exact_templar
-                .map_keywords_exhaustive(&exact.keywords, &exact.config)
-                .0
-                .len()
-        })
+    time_call("search_stress/exhaustive_1m", smoke, || {
+        exact_templar
+            .map_keywords_exhaustive(&exact.keywords, &exact.config)
+            .1
     });
 }
-
-criterion_group!(benches, bench_search_stress);
-criterion_main!(benches);

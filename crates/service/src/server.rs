@@ -176,31 +176,16 @@ impl TemplarService {
         templar_config: TemplarConfig,
         service_config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
-        Self::spawn_with_similarity(
-            db,
-            initial_log,
-            TextSimilarity::new(),
-            templar_config,
-            service_config,
-        )
-    }
-
-    /// Start a service with an explicit similarity model.
-    pub fn spawn_with_similarity(
-        db: Arc<Database>,
-        initial_log: &QueryLog,
-        similarity: TextSimilarity,
-        templar_config: TemplarConfig,
-        service_config: ServiceConfig,
-    ) -> Result<Self, ServiceError> {
         let qfg = QueryFragmentGraph::build(initial_log, templar_config.obscurity);
-        Self::spawn_from_state(
+        Self::spawn_from_parts(
             db,
             initial_log.clone(),
             qfg,
-            similarity,
+            TextSimilarity::new(),
             templar_config,
             service_config,
+            None,
+            0,
         )
     }
 
@@ -235,31 +220,15 @@ impl TemplarService {
         service_config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
         let snap = snapshot::read_snapshot(path, templar_config.obscurity)?;
-        Self::spawn_from_state(
+        Self::spawn_from_parts(
             db,
             snap.log,
             snap.qfg,
             TextSimilarity::new(),
             templar_config,
             service_config,
-        )
-    }
-
-    /// Recover (or bootstrap) a **durable** service from a directory, with
-    /// the default similarity model.  See
-    /// [`TemplarService::recover_with_similarity`].
-    pub fn recover(
-        db: Arc<Database>,
-        dir: &Path,
-        templar_config: TemplarConfig,
-        service_config: ServiceConfig,
-    ) -> Result<Self, ServiceError> {
-        Self::recover_with_similarity(
-            db,
-            dir,
-            TextSimilarity::new(),
-            templar_config,
-            service_config,
+            None,
+            0,
         )
     }
 
@@ -279,10 +248,9 @@ impl TemplarService {
     /// `kill -9` between checkpoints loses at most the un-fsynced journal
     /// tail (bounded by the `fsync_every` / `fsync_interval` knobs of
     /// [`crate::config::WalConfig`]).
-    pub fn recover_with_similarity(
+    pub fn recover(
         db: Arc<Database>,
         dir: &Path,
-        similarity: TextSimilarity,
         templar_config: TemplarConfig,
         service_config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
@@ -290,16 +258,16 @@ impl TemplarService {
             db,
             dir,
             FsStorage::shared(),
-            similarity,
+            TextSimilarity::new(),
             templar_config,
             service_config,
         )
     }
 
-    /// [`recover_with_similarity`](Self::recover_with_similarity) over an
-    /// explicit [`Storage`] — the seam the chaos tests inject faults
-    /// through.  Every durable byte this service reads or writes (snapshot,
-    /// journal, lock file, directory fsyncs) crosses `storage`.
+    /// [`recover`](Self::recover) over an explicit [`Storage`] and
+    /// similarity model — the seam the chaos tests inject faults through.
+    /// Every durable byte this service reads or writes (snapshot, journal,
+    /// lock file, directory fsyncs) crosses `storage`.
     pub fn recover_with_storage(
         db: Arc<Database>,
         dir: &Path,
@@ -443,26 +411,6 @@ impl TemplarService {
                 .record_log_skipped(replay_parse_errors);
         }
         Ok(service)
-    }
-
-    fn spawn_from_state(
-        db: Arc<Database>,
-        log: QueryLog,
-        qfg: QueryFragmentGraph,
-        similarity: TextSimilarity,
-        templar_config: TemplarConfig,
-        service_config: ServiceConfig,
-    ) -> Result<Self, ServiceError> {
-        Self::spawn_from_parts(
-            db,
-            log,
-            qfg,
-            similarity,
-            templar_config,
-            service_config,
-            None,
-            0,
-        )
     }
 
     #[allow(clippy::too_many_arguments)]

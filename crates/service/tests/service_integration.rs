@@ -518,6 +518,80 @@ fn translation_cache_hits_are_byte_identical_and_publish_invalidates() {
 }
 
 #[test]
+fn cache_hits_match_misses_and_bypass_on_every_benchmark_case() {
+    use datasets::Dataset;
+    use templar_api::{binary::encode_response_frame, ResponseBody, TranslateRequest};
+
+    for dataset in Dataset::all() {
+        // Only `flush` publishes, so the one swap below is the test's.
+        let service = TemplarService::spawn(
+            Arc::clone(&dataset.db),
+            &dataset.full_log(),
+            TemplarConfig::paper_defaults(),
+            ServiceConfig::default()
+                .with_refresh_every(1_000_000)
+                .with_refresh_interval(Duration::from_secs(3600)),
+        )
+        .unwrap();
+        let requests: Vec<TranslateRequest> = dataset
+            .cases
+            .iter()
+            .map(|case| {
+                TranslateRequest::new(&dataset.name, &case.nlq.text, case.nlq.keywords.clone())
+            })
+            .collect();
+        let frame = |request: &TranslateRequest| {
+            let outcome = service
+                .translate_request(request)
+                .map(ResponseBody::Translated);
+            encode_response_frame(0, &outcome)
+        };
+        // Every case answered three ways — a miss, a hit, a bypass — must
+        // put the same bytes on the wire.
+        let answer_all = || -> Vec<Vec<u8>> {
+            requests
+                .iter()
+                .map(|request| {
+                    let miss = frame(request);
+                    let what = format!("{}: {:?}", dataset.name, request.nlq);
+                    assert_eq!(frame(request), miss, "{what}: hit differs from miss");
+                    let bypass = frame(&request.clone().with_bypass_cache());
+                    assert_eq!(bypass, miss, "{what}: bypass differs from miss");
+                    miss
+                })
+                .collect()
+        };
+
+        let before = answer_all();
+        for case in dataset.cases.iter().step_by(8) {
+            service.submit_sql(&case.gold_sql.to_string()).unwrap();
+        }
+        service.flush();
+        let after = answer_all();
+
+        let cases = dataset.cases.len() as u64;
+        let m = service.metrics();
+        assert_eq!(
+            m.snapshot_swaps, 1,
+            "{}: only the flush publishes",
+            dataset.name
+        );
+        assert_eq!(
+            (m.translation_cache_hits, m.translation_cache_misses),
+            (2 * cases, 2 * cases),
+            "{}: one miss and one hit per case and pass",
+            dataset.name
+        );
+        assert!(
+            before.iter().zip(&after).any(|(b, a)| b != a),
+            "{}: the publish must change some answer",
+            dataset.name
+        );
+        service.shutdown();
+    }
+}
+
+#[test]
 fn translation_cache_works_over_the_wire_with_bypass_flag() {
     use templar_api::TranslateRequest;
     use templar_service::{RegistryClient, TenantRegistry};
