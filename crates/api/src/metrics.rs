@@ -208,8 +208,10 @@ pub struct MetricsReport {
     pub qfg_csr_edges: u64,
     pub qfg_pending_deltas: u64,
     pub qfg_compactions: u64,
-    /// Tiered-compaction gauges of the ingest plane: sorted delta runs
-    /// resident in the master graph and geometric run merges performed.
+    /// Always 0: the graph keeps one pending delta and no sorted runs, so
+    /// there are no runs to count or merge.  Kept so the wire layout of
+    /// protocol v5 does not change; to be removed at the next protocol
+    /// version.
     pub qfg_delta_runs: u64,
     pub qfg_run_merges: u64,
     /// Translation-cache counters: requests answered from the current

@@ -1,7 +1,8 @@
 //! Data-plane timings at 1× / 100× / 1000× MAS scale: deterministic
-//! scaled-log build, post-churn publish (tiered compaction's headline
-//! number — it must stay flat as total history grows), sectioned v4
-//! snapshot write/read, and bounded-memory WAL recovery.
+//! scaled-log build, post-churn publish (one compaction of the pending
+//! delta into the CSR; its cost tracks the graph's live edges, which the
+//! `NoConstOp` level saturates), sectioned v4 snapshot write/read, and
+//! bounded-memory WAL recovery.
 //!
 //! One timed pass per phase (these are multi-second macro phases, not
 //! nanosecond kernels); `--test` runs a smoke pass at reduced factors.
@@ -12,7 +13,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 use templar_core::{Obscurity, QueryFragmentGraph, QueryLog, TemplarConfig};
-use templar_service::{snapshot, wal, ServiceConfig, TemplarService, WalConfig, WAL_DIR};
+use templar_service::{
+    snapshot, wal, FsStorage, ServiceConfig, TemplarService, WalConfig, WAL_DIR,
+};
 
 const RECOVERY_BATCH_BYTES: usize = 256 * 1024;
 
@@ -33,8 +36,8 @@ fn temp_dir(name: &str) -> PathBuf {
 fn run_factor(base: &QueryLog, factor: usize) {
     let scaled = scale_log(base, factor, 0x0BEA_C0DE + factor as u64);
 
-    // Phase 1: incremental build of the tiered graph from an empty state,
-    // ending in the publish-time compaction.
+    // Phase 1: incremental build of the graph from an empty state, ending
+    // in the publish-time compaction.
     let started = Instant::now();
     let mut graph = QueryFragmentGraph::empty(Obscurity::NoConstOp);
     for query in scaled.queries() {
@@ -44,13 +47,13 @@ fn run_factor(base: &QueryLog, factor: usize) {
     report(
         &format!("scale_data_plane/build_{factor}x"),
         started.elapsed().as_nanos(),
-        &format!("{} entries, {} folds", scaled.len(), graph.run_folds()),
+        &format!("{} entries, {} edges", scaled.len(), graph.edge_count()),
     );
 
-    // Phase 2: publish after bounded churn.  This is the number tiering
-    // exists for: one base-log's worth of fresh entries lands on a graph
-    // carrying `factor`× history, and the publish must cost O(churn) —
-    // flat across factors — not O(history).
+    // Phase 2: publish after bounded churn.  One base log's worth of fresh
+    // entries lands on a graph carrying `factor`× history, and the publish
+    // compacts the pending delta into a fresh CSR, at a cost that tracks
+    // the graph's fragments and edges, not how many entries it has seen.
     for query in base.queries() {
         graph.ingest(query);
     }
@@ -67,14 +70,14 @@ fn run_factor(base: &QueryLog, factor: usize) {
     fs::create_dir_all(&dir).unwrap();
     let path = dir.join("bench.snapshot");
     let started = Instant::now();
-    let bytes = snapshot::write_snapshot(&path, &scaled, &graph).unwrap();
+    let bytes = snapshot::write_snapshot_with(&FsStorage, &path, &scaled, &graph, None).unwrap();
     report(
         &format!("scale_data_plane/snapshot_write_{factor}x"),
         started.elapsed().as_nanos(),
         &format!("{bytes} body bytes"),
     );
     let started = Instant::now();
-    let snap = snapshot::read_snapshot(&path, Obscurity::NoConstOp).unwrap();
+    let (snap, _) = snapshot::read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp).unwrap();
     assert_eq!(snap.log.len(), scaled.len());
     report(
         &format!("scale_data_plane/snapshot_read_{factor}x"),
@@ -89,7 +92,9 @@ fn run_factor(base: &QueryLog, factor: usize) {
     let wal_dir = dir.join(WAL_DIR);
     fs::create_dir_all(&wal_dir).unwrap();
     {
-        let mut writer = wal::WalWriter::create(&wal_dir, 1, WalConfig::default()).unwrap();
+        let mut writer =
+            wal::WalWriter::create_with(FsStorage::shared(), &wal_dir, 1, WalConfig::default())
+                .unwrap();
         for query in scaled.queries() {
             writer.append(&query.to_string());
         }

@@ -28,21 +28,17 @@
 //!                    each unordered pair stored once under its smaller id,
 //!                    with precomputed Dice denominators n_v(a) + n_v(b)
 //! delta log          BTreeMap<(id, id), i64> of co-occurrence changes not
-//!                    yet folded into a run or the CSR
-//! tiered runs        Vec<DeltaRun>: sorted immutable columns the delta map
-//!                    folds into when it fills, merged geometrically
+//!                    yet folded into the CSR
 //! ```
 //!
-//! Reads are always exact: `n_e` is the CSR count plus the pending runs
-//! plus the mutable delta.  Mutations (`ingest` / `remove`) only touch the
-//! columnar occurrence vector and the delta log.  When the delta map fills
-//! (`run_fold_threshold` pairs) it is folded into a sorted immutable
-//! `DeltaRun` in O(churn) — **not** into the CSR — and runs merge
-//! geometrically, so the cost of absorbing pending work during heavy ingest
-//! is O(recent churn · log pending), independent of the total CSR size.
-//! [`QueryFragmentGraph::compact`] performs the full fold (runs + delta →
-//! fresh CSR); the serving layer calls it only when a snapshot is
+//! Reads are always exact: `n_e` is the CSR count plus the pending delta.
+//! Mutations (`ingest` / `remove`) only touch the columnar occurrence
+//! vector and the delta log.  [`QueryFragmentGraph::compact`] folds the
+//! delta into a fresh CSR; the serving layer calls it when a snapshot is
 //! published, so the scoring hot path always runs on the compacted arrays.
+//! The delta holds one entry per distinct pair touched since the last
+//! compaction, so its size is bounded by the pairs the log can form, not by
+//! how many queries arrive between publishes.
 //!
 //! The graph supports two mutation models:
 //!
@@ -292,63 +288,6 @@ impl CsrAdjacency {
     }
 }
 
-/// One sorted, immutable run of pending co-occurrence changes: the mutable
-/// delta map folded into a flat `(lo, hi) → net change` column.  Runs are
-/// stacked newest-last and merge geometrically (a run absorbs its newer
-/// neighbour whenever it is less than twice its size), so at most
-/// O(log(pending / fold threshold)) runs exist at any time and every
-/// pending change is re-merged O(log) times before a full compaction folds
-/// everything into the CSR.
-#[derive(Debug, Clone, Default)]
-struct DeltaRun {
-    edges: Vec<((u32, u32), i64)>,
-}
-
-impl DeltaRun {
-    /// The run's net change for a pair, 0 when absent (one binary search).
-    fn net(&self, key: (u32, u32)) -> i64 {
-        self.edges
-            .binary_search_by_key(&key, |&(k, _)| k)
-            .map(|i| self.edges[i].1)
-            .unwrap_or(0)
-    }
-}
-
-/// Merge two sorted pending-change columns, summing same-key changes and
-/// dropping entries whose net cancels to zero.
-fn merge_sorted(a: &[((u32, u32), i64)], b: &[((u32, u32), i64)]) -> Vec<((u32, u32), i64)> {
-    let mut merged = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => {
-                merged.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                merged.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let net = a[i].1 + b[j].1;
-                if net != 0 {
-                    merged.push((a[i].0, net));
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    merged.extend_from_slice(&a[i..]);
-    merged.extend_from_slice(&b[j..]);
-    merged
-}
-
-/// Once the delta map holds this many pending pairs, `ingest` folds it into
-/// a sorted run (O(churn), *not* a full CSR rebuild) so the mutable map
-/// stays cache-friendly and bounded while runs absorb the history.
-const DELTA_RUN_FOLD: usize = 65_536;
-
 /// The Query Fragment Graph over interned fragment ids.
 #[derive(Debug, Clone)]
 pub struct QueryFragmentGraph {
@@ -366,14 +305,9 @@ pub struct QueryFragmentGraph {
     pair_degree: Vec<u32>,
     /// Compacted `n_e` baseline.
     csr: CsrAdjacency,
-    /// Pending `n_e` changes since the last run fold, keyed `(lo, hi)`.
+    /// Pending `n_e` changes since the last compaction, keyed `(lo, hi)`;
+    /// a change that cancels to zero is dropped, so every entry is nonzero.
     delta: BTreeMap<(u32, u32), i64>,
-    /// Tiered sorted runs of pending changes not yet folded into the CSR,
-    /// oldest (largest) first.
-    runs: Vec<DeltaRun>,
-    /// How many pending pairs the delta map may hold before it is folded
-    /// into a run (tunable for tests and benchmarks; never serialized).
-    run_fold_threshold: usize,
     /// Per-fragment maximum Dice coefficient over all *other* fragments,
     /// recomputed by [`QueryFragmentGraph::compact`] (exact on a compacted
     /// graph, unused otherwise — see [`QueryFragmentGraph::max_dice_by_id`]).
@@ -390,10 +324,6 @@ pub struct QueryFragmentGraph {
     /// Number of compactions performed over this graph's lifetime
     /// (monotonic; cloned along with the graph, exported by metrics).
     compactions: u64,
-    /// Number of delta-map → run folds over this graph's lifetime.
-    run_folds: u64,
-    /// Number of geometric run merges over this graph's lifetime.
-    run_merges: u64,
 }
 
 impl QueryFragmentGraph {
@@ -407,15 +337,11 @@ impl QueryFragmentGraph {
             pair_degree: Vec::new(),
             csr: CsrAdjacency::empty(),
             delta: BTreeMap::new(),
-            runs: Vec::new(),
-            run_fold_threshold: DELTA_RUN_FOLD,
             max_dice: Vec::new(),
             occurrences_dirty: false,
             live_edges: 0,
             query_count: 0,
             compactions: 0,
-            run_folds: 0,
-            run_merges: 0,
         }
     }
 
@@ -471,16 +397,6 @@ impl QueryFragmentGraph {
                 self.bump_pair(ids[i], ids[j], 1);
             }
         }
-        if self.delta.len() >= self.run_fold_threshold {
-            self.fold_delta_into_run();
-        }
-    }
-
-    /// Incrementally add one query to the graph.  Alias of
-    /// [`QueryFragmentGraph::ingest`], kept for the batch-construction
-    /// vocabulary used by earlier callers.
-    pub fn add_query(&mut self, query: &Query) {
-        self.ingest(query);
     }
 
     /// Remove one previously-ingested query from the graph (log eviction),
@@ -532,19 +448,13 @@ impl QueryFragmentGraph {
         true
     }
 
-    /// The pending runs' total net change for a pair (one binary search per
-    /// run; at most O(log pending) runs exist).
-    fn runs_net(&self, key: (u32, u32)) -> i64 {
-        self.runs.iter().map(|run| run.net(key)).sum()
-    }
-
     /// Current net count of an unordered id pair.
     fn pair_count(&self, a: u32, b: u32) -> u64 {
         if a == b {
             return self.occurrences[a as usize];
         }
         let key = if a < b { (a, b) } else { (b, a) };
-        let base = self.csr.count(key.0, key.1) as i64 + self.runs_net(key);
+        let base = self.csr.count(key.0, key.1) as i64;
         let net = base + self.delta.get(&key).copied().unwrap_or(0);
         debug_assert!(net >= 0, "pair count must never go negative");
         net.max(0) as u64
@@ -554,14 +464,14 @@ impl QueryFragmentGraph {
     /// edge counter.
     fn bump_pair(&mut self, a: u32, b: u32, change: i64) {
         let key = if a < b { (a, b) } else { (b, a) };
-        let base = self.csr.count(key.0, key.1) as i64 + self.runs_net(key);
+        let base = self.csr.count(key.0, key.1) as i64;
         let entry = self.delta.entry(key).or_insert(0);
         let before = base + *entry;
         *entry += change;
         let after = before + change;
         if *entry == 0 {
-            // The delta cancelled out; drop the entry so compaction and the
-            // auto-compact threshold only see real pending work.
+            // The delta cancelled out; drop the entry so compaction only
+            // sees real pending work.
             self.delta.remove(&key);
         }
         if before == 0 && after > 0 {
@@ -604,68 +514,11 @@ impl QueryFragmentGraph {
         );
     }
 
-    /// Fold the mutable delta map into a new immutable sorted run, then
-    /// merge runs geometrically so the stack stays O(log pending) deep.
-    ///
-    /// This is the cheap tier of compaction: O(|delta|) to drain the map
-    /// (already key-sorted) plus the amortized-O(log) geometric merges —
-    /// no CSR rebuild, no occurrence scan.  `ingest` calls it automatically
-    /// when the delta map reaches the fold threshold, so absorbing a burst
-    /// of pending work costs O(recent churn), not O(total pending) and not
-    /// O(CSR).  The full fold into the CSR is deferred to
-    /// [`QueryFragmentGraph::compact`].
-    pub fn fold_delta_into_run(&mut self) {
-        if self.delta.is_empty() {
-            return;
-        }
-        let edges: Vec<((u32, u32), i64)> = std::mem::take(&mut self.delta).into_iter().collect();
-        self.runs.push(DeltaRun { edges });
-        self.run_folds += 1;
-        // Geometric invariant: every run is at least twice the size of the
-        // run stacked on top of it.  Restoring it after a push merges the
-        // newest runs pairwise, so a pending pair is re-copied only
-        // O(log(pending / threshold)) times across its lifetime.
-        while self.runs.len() >= 2 {
-            let n = self.runs.len();
-            if self.runs[n - 2].edges.len() >= 2 * self.runs[n - 1].edges.len() {
-                break;
-            }
-            let newer = self.runs.pop().expect("len checked");
-            let older = self.runs.pop().expect("len checked");
-            self.runs.push(DeltaRun {
-                edges: merge_sorted(&older.edges, &newer.edges),
-            });
-            self.run_merges += 1;
-        }
-    }
-
-    /// All pending changes — every tiered run plus the mutable delta map —
-    /// merged into one sorted `(key, net change)` column, zero nets dropped.
-    fn pending_net(&self) -> Vec<((u32, u32), i64)> {
-        let mut merged: Vec<((u32, u32), i64)> = Vec::new();
-        for run in &self.runs {
-            merged = if merged.is_empty() {
-                run.edges.clone()
-            } else {
-                merge_sorted(&merged, &run.edges)
-            };
-        }
-        if !self.delta.is_empty() {
-            let delta: Vec<((u32, u32), i64)> = self.delta.iter().map(|(&k, &v)| (k, v)).collect();
-            merged = if merged.is_empty() {
-                delta
-            } else {
-                merge_sorted(&merged, &delta)
-            };
-        }
-        merged
-    }
-
-    /// Fold the tiered runs and the delta log into a fresh CSR and
-    /// recompute the precomputed Dice denominators.  Idempotent; ids are
-    /// never remapped.  The serving layer calls this on every snapshot
-    /// publish (`Templar::from_parts` compacts the graph it receives), so
-    /// the translation hot path always reads compacted arrays.
+    /// Fold the delta log into a fresh CSR and recompute the precomputed
+    /// Dice denominators.  Idempotent; ids are never remapped.  The serving
+    /// layer calls this on every snapshot publish (`Templar::from_parts`
+    /// compacts the graph it receives), so the translation hot path always
+    /// reads compacted arrays.
     pub fn compact(&mut self) {
         if self.is_compacted() {
             return;
@@ -721,33 +574,28 @@ impl QueryFragmentGraph {
             denominators,
         };
         self.delta.clear();
-        self.runs.clear();
         self.occurrences_dirty = false;
         self.compactions += 1;
     }
 
-    /// True when no pending work exists anywhere — delta map or tiered runs
-    /// — and the CSR (including its precomputed denominators) reflects the
-    /// current counts.
+    /// True when no pending delta exists and the CSR (including its
+    /// precomputed denominators) reflects the current counts.
     pub fn is_compacted(&self) -> bool {
-        self.delta.is_empty()
-            && self.runs.is_empty()
-            && !self.occurrences_dirty
-            && self.csr.offsets.len() == self.interner.table_len() + 1
+        self.fast_path() && self.csr.offsets.len() == self.interner.table_len() + 1
     }
 
     /// True when reads may take the precomputed CSR fast paths: no pending
-    /// change anywhere (map or runs) and fresh denominators.
+    /// change and fresh denominators.
     fn fast_path(&self) -> bool {
-        self.delta.is_empty() && self.runs.is_empty() && !self.occurrences_dirty
+        self.delta.is_empty() && !self.occurrences_dirty
     }
 
-    /// All pairs with a positive net count, sorted by `(lo, hi)`:
-    /// the CSR baseline merged with all pending changes (runs + delta).
+    /// All pairs with a positive net count, sorted by `(lo, hi)`: the CSR
+    /// baseline merged with the pending delta (a `BTreeMap`, so its
+    /// iteration is already key-sorted).
     fn net_edges(&self) -> Vec<(u32, u32, u64)> {
-        let pending_entries = self.pending_net();
-        let mut merged = Vec::with_capacity(self.csr.counts.len() + pending_entries.len());
-        let mut pending = pending_entries.iter().peekable();
+        let mut merged = Vec::with_capacity(self.csr.counts.len() + self.delta.len());
+        let mut pending = self.delta.iter().peekable();
         let rows = self.csr.offsets.len().saturating_sub(1);
         for lo in 0..rows as u32 {
             let (start, end) = (
@@ -757,7 +605,7 @@ impl QueryFragmentGraph {
             for e in start..end {
                 let hi = self.csr.neighbors[e];
                 // Pending-only pairs that sort before this CSR edge are new.
-                while let Some(&&(key, change)) = pending.peek() {
+                while let Some(&(&key, &change)) = pending.peek() {
                     if key < (lo, hi) {
                         if change > 0 {
                             merged.push((key.0, key.1, change as u64));
@@ -768,7 +616,7 @@ impl QueryFragmentGraph {
                     }
                 }
                 let mut net = self.csr.counts[e] as i64;
-                if let Some(&&(key, change)) = pending.peek() {
+                if let Some(&(&key, &change)) = pending.peek() {
                     if key == (lo, hi) {
                         net += change;
                         pending.next();
@@ -779,7 +627,7 @@ impl QueryFragmentGraph {
                 }
             }
         }
-        for &(key, change) in pending {
+        for (&key, &change) in pending {
             if change > 0 {
                 merged.push((key.0, key.1, change as u64));
             }
@@ -839,33 +687,10 @@ impl QueryFragmentGraph {
         self.csr.counts.len()
     }
 
-    /// Number of pending pairs across the mutable delta map and every
-    /// tiered run (everything a full compaction would fold into the CSR).
+    /// Number of pending pairs in the delta log (everything a compaction
+    /// would fold into the CSR).
     pub fn pending_delta_len(&self) -> usize {
-        self.delta.len() + self.runs.iter().map(|r| r.edges.len()).sum::<usize>()
-    }
-
-    /// Number of tiered delta runs currently stacked (O(log pending) by the
-    /// geometric merge invariant); exported by serving metrics.
-    pub fn delta_run_len(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Number of delta-map → run folds over this graph's lifetime.
-    pub fn run_folds(&self) -> u64 {
-        self.run_folds
-    }
-
-    /// Number of geometric run merges over this graph's lifetime.
-    pub fn run_merges(&self) -> u64 {
-        self.run_merges
-    }
-
-    /// Override the delta-map fold threshold (clamped to at least 1).  The
-    /// default suits serving; tests and benchmarks lower it to exercise the
-    /// tiered machinery without multi-million-pair logs.
-    pub fn set_run_fold_threshold(&mut self, pairs: usize) {
-        self.run_fold_threshold = pairs.max(1);
+        self.delta.len()
     }
 
     /// Number of compactions performed over this graph's lifetime.
@@ -1119,11 +944,28 @@ impl PartialEq for QueryFragmentGraph {
 // ---------------------------------------------------------------------------
 //
 // A snapshot serializes the graph **as-is**, one independent section at a
-// time (interner table, occurrence column, CSR adjacency, pending delta
-// runs), so a streaming writer holds at most one section and no clone, and
-// pending work survives a snapshot without a forced full compaction.  Dead
+// time (interner table, occurrence column, CSR adjacency, pending delta),
+// so a streaming writer holds at most one section and no clone, and
+// pending work survives a snapshot without a forced compaction.  Dead
 // (recyclable) interner slots are written as `null` so raw slot ids in the
-// CSR and the runs stay valid verbatim.
+// CSR and the delta stay valid verbatim.
+
+/// One run of the `qfg/runs` section: `[lo, hi, net change]` per entry, in
+/// the order given.
+fn run_value(entries: impl IntoIterator<Item = ((u32, u32), i64)>) -> serde::Value {
+    serde::Value::Seq(
+        entries
+            .into_iter()
+            .map(|((lo, hi), change)| {
+                serde::Value::Seq(vec![
+                    serde::Value::U64(lo as u64),
+                    serde::Value::U64(hi as u64),
+                    serde::Value::I64(change),
+                ])
+            })
+            .collect(),
+    )
+}
 
 impl QueryFragmentGraph {
     fn slot_live(&self, slot: usize) -> bool {
@@ -1171,39 +1013,26 @@ impl QueryFragmentGraph {
         ])
     }
 
-    /// Section `qfg/runs`: every pending tiered run, oldest first, with the
-    /// mutable delta map appended as one final run — so a snapshot needs no
-    /// full compaction before it is written.  Each entry is
-    /// `[lo, hi, net change]`.
+    /// Section `qfg/runs`: a sequence of sorted runs of pending changes,
+    /// each entry `[lo, hi, net change]`.  The writer emits the delta log as
+    /// one run, or no run when it is empty, so a snapshot needs no
+    /// compaction before it is written; [`QueryFragmentGraph::from_sections`]
+    /// accepts any number of runs.
     pub fn runs_section(&self) -> serde::Value {
-        let run_value = |edges: &mut dyn Iterator<Item = ((u32, u32), i64)>| {
-            serde::Value::Seq(
-                edges
-                    .map(|((lo, hi), change)| {
-                        serde::Value::Seq(vec![
-                            serde::Value::U64(lo as u64),
-                            serde::Value::U64(hi as u64),
-                            serde::Value::I64(change),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
-        let mut runs: Vec<serde::Value> = self
-            .runs
-            .iter()
-            .map(|run| run_value(&mut run.edges.iter().copied()))
-            .collect();
-        if !self.delta.is_empty() {
-            runs.push(run_value(&mut self.delta.iter().map(|(&k, &v)| (k, v))));
-        }
-        serde::Value::Seq(runs)
+        serde::Value::Seq(if self.delta.is_empty() {
+            Vec::new()
+        } else {
+            vec![run_value(
+                self.delta.iter().map(|(&key, &change)| (key, change)),
+            )]
+        })
     }
 
     /// Rebuild a graph from its snapshot sections, validating every structural
     /// invariant so a corrupted section surfaces as a typed error.  The
     /// result is observationally identical to the graph that was written:
-    /// raw slot ids, dead slots and pending runs are restored verbatim.
+    /// raw slot ids, dead slots and the pending delta are restored verbatim
+    /// (the runs of `qfg/runs` are summed into one delta).
     pub fn from_sections(
         obscurity: Obscurity,
         query_count: u64,
@@ -1352,26 +1181,24 @@ impl QueryFragmentGraph {
             }
         }
         let run_values = runs.as_seq().ok_or("runs section is not a sequence")?;
-        let mut parsed_runs: Vec<DeltaRun> = Vec::with_capacity(run_values.len());
-        for (r, run_value) in run_values.iter().enumerate() {
-            let entries = run_value
+        let mut delta: BTreeMap<(u32, u32), i64> = BTreeMap::new();
+        for (r, run) in run_values.iter().enumerate() {
+            let entries = run
                 .as_seq()
                 .ok_or_else(|| format!("delta run {r} is not a sequence"))?;
-            let mut run_edges: Vec<((u32, u32), i64)> = Vec::with_capacity(entries.len());
+            let id = |value: &serde::Value| {
+                value
+                    .as_u64()
+                    .and_then(|x| u32::try_from(x).ok())
+                    .ok_or_else(|| format!("delta run {r} holds a non-u32 id"))
+            };
             let mut prev: Option<(u32, u32)> = None;
             for entry in entries {
                 let triple = entry
                     .as_seq()
                     .filter(|t| t.len() == 3)
                     .ok_or_else(|| format!("delta run {r} holds a malformed entry"))?;
-                let lo = triple[0]
-                    .as_u64()
-                    .and_then(|x| u32::try_from(x).ok())
-                    .ok_or_else(|| format!("delta run {r} holds a non-u32 id"))?;
-                let hi = triple[1]
-                    .as_u64()
-                    .and_then(|x| u32::try_from(x).ok())
-                    .ok_or_else(|| format!("delta run {r} holds a non-u32 id"))?;
+                let (lo, hi) = (id(&triple[0])?, id(&triple[1])?);
                 let change = triple[2]
                     .as_i64()
                     .ok_or_else(|| format!("delta run {r} holds a non-integer change"))?;
@@ -1385,12 +1212,17 @@ impl QueryFragmentGraph {
                     return Err(format!("delta run {r} keys are not strictly sorted"));
                 }
                 prev = Some((lo, hi));
-                run_edges.push(((lo, hi), change));
+                let net = delta.entry((lo, hi)).or_insert(0);
+                *net = net
+                    .checked_add(change)
+                    .ok_or_else(|| format!("delta run {r} overflows pair ({lo}, {hi})"))?;
+                if *net == 0 {
+                    delta.remove(&(lo, hi));
+                }
             }
-            parsed_runs.push(DeltaRun { edges: run_edges });
         }
-        // Negative-net audit + live-edge count: merge all pending runs and
-        // check every touched pair against its CSR baseline.
+        // Negative-net audit + live-edge count: check every pending pair
+        // against its CSR baseline.
         let csr = CsrAdjacency {
             offsets,
             neighbors,
@@ -1406,15 +1238,7 @@ impl QueryFragmentGraph {
                 pair_degree[csr.neighbors[e] as usize] += 1;
             }
         }
-        let mut pending: Vec<((u32, u32), i64)> = Vec::new();
-        for run in &parsed_runs {
-            pending = if pending.is_empty() {
-                run.edges.clone()
-            } else {
-                merge_sorted(&pending, &run.edges)
-            };
-        }
-        for &((lo, hi), change) in &pending {
+        for (&(lo, hi), &change) in &delta {
             let base = csr.count(lo, hi) as i64;
             let net = base + change;
             if net < 0 {
@@ -1442,16 +1266,12 @@ impl QueryFragmentGraph {
             occurrences: occ,
             pair_degree,
             csr,
-            delta: BTreeMap::new(),
-            runs: parsed_runs,
-            run_fold_threshold: DELTA_RUN_FOLD,
+            delta,
             max_dice,
             occurrences_dirty: false,
             live_edges,
             query_count: query_count as usize,
             compactions: 0,
-            run_folds: 0,
-            run_merges: 0,
         };
         Ok(graph)
     }
@@ -1582,7 +1402,7 @@ mod tests {
         let batch = QueryFragmentGraph::build(&log, Obscurity::NoConst);
         let mut incremental = QueryFragmentGraph::build(&QueryLog::new(), Obscurity::NoConst);
         for q in log.queries() {
-            incremental.add_query(q);
+            incremental.ingest(q);
         }
         assert_eq!(batch.fragment_count(), incremental.fragment_count());
         assert_eq!(batch.edge_count(), incremental.edge_count());
@@ -1762,7 +1582,7 @@ mod tests {
         }
     }
 
-    // -- tiered delta-log compaction ------------------------------------
+    // -- delta-log churn -------------------------------------------------
 
     /// A varied pool of parsable queries for churn tests.
     fn churn_queries(n: usize) -> Vec<Query> {
@@ -1787,50 +1607,9 @@ mod tests {
     }
 
     #[test]
-    fn run_folding_bounds_the_mutable_delta_and_merges_geometrically() {
-        let mut qfg = QueryFragmentGraph::empty(Obscurity::NoConstOp);
-        qfg.set_run_fold_threshold(16);
-        let mut reference = QueryFragmentGraph::empty(Obscurity::NoConstOp);
-        for query in churn_queries(200) {
-            qfg.ingest(&query);
-            reference.ingest(&query);
-            // One query contributes at most a handful of pairs, so the
-            // mutable delta can only overshoot the threshold by that much
-            // before the post-ingest fold claws it back.
-            assert!(
-                qfg.delta.len() < 16 + 64,
-                "mutable delta must stay bounded by the fold threshold: {}",
-                qfg.delta.len()
-            );
-        }
-        assert!(qfg.run_folds() > 0, "threshold crossings must fold runs");
-        assert!(qfg.delta_run_len() > 0);
-        // Geometric invariant: each run is at least twice the size of the
-        // newer run above it, so the tier count is logarithmic.
-        for pair in qfg.runs.windows(2) {
-            assert!(
-                pair[0].edges.len() >= 2 * pair[1].edges.len(),
-                "runs must keep the geometric size invariant: {} vs {}",
-                pair[0].edges.len(),
-                pair[1].edges.len()
-            );
-        }
-        // Counts and Dice are exact while pending work sits in runs.
-        reference.compact();
-        assert_eq!(qfg, reference);
-        assert_eq!(qfg.compactions(), 0, "folding runs is not a full compact");
-        qfg.compact();
-        assert_eq!(qfg, reference);
-        assert!(qfg.is_compacted());
-        assert_eq!(qfg.pending_delta_len(), 0);
-        assert_eq!(qfg.delta_run_len(), 0);
-    }
-
-    #[test]
-    fn removals_and_recycled_ids_survive_run_folds() {
+    fn removals_and_recycled_ids_match_a_periodically_compacted_graph() {
         let queries = churn_queries(120);
         let mut qfg = QueryFragmentGraph::empty(Obscurity::NoConstOp);
-        qfg.set_run_fold_threshold(8);
         let mut reference = QueryFragmentGraph::empty(Obscurity::NoConstOp);
         for (i, query) in queries.iter().enumerate() {
             qfg.ingest(query);
@@ -1849,37 +1628,13 @@ mod tests {
         assert_eq!(qfg, reference);
     }
 
-    #[test]
-    fn publish_compaction_cost_tracks_recent_churn_not_total_pending() {
-        // With tiering, the mutable delta that `compact()` folds directly
-        // is bounded by the threshold no matter how much total churn is
-        // pending — the rest already sits in sorted runs.
-        let mut qfg = QueryFragmentGraph::empty(Obscurity::NoConstOp);
-        qfg.set_run_fold_threshold(32);
-        for query in churn_queries(400) {
-            qfg.ingest(&query);
-        }
-        assert!(qfg.pending_delta_len() > 200, "churn must accumulate");
-        assert!(
-            qfg.delta.len() <= 32 + 64,
-            "mutable delta stays O(threshold): {}",
-            qfg.delta.len()
-        );
-        assert!(
-            qfg.runs.len() <= 12,
-            "geometric merging keeps the tier count logarithmic: {}",
-            qfg.runs.len()
-        );
-    }
-
     // -- sectioned serialization ---------------------------------------
 
-    /// A graph with dead interner slots, a compacted baseline, *and*
-    /// pending runs + mutable delta — the richest sectioned shape.
-    fn sectioned_fixture() -> QueryFragmentGraph {
+    /// A graph with dead interner slots, a compacted baseline *and* a
+    /// pending delta — the richest sectioned shape.
+    fn dead_slots_and_pending_delta_fixture() -> QueryFragmentGraph {
         let queries = churn_queries(60);
         let mut qfg = QueryFragmentGraph::empty(Obscurity::NoConstOp);
-        qfg.set_run_fold_threshold(8);
         for query in &queries[..40] {
             qfg.ingest(query);
         }
@@ -1892,7 +1647,7 @@ mod tests {
                 assert!(seen < 100);
             }
         }
-        // Leave fresh churn pending across runs and the mutable delta.
+        // Leave fresh churn pending in the delta.
         for query in &queries[40..] {
             qfg.ingest(query);
         }
@@ -1902,7 +1657,7 @@ mod tests {
 
     #[test]
     fn sections_round_trip_uncompacted_graphs_verbatim() {
-        let qfg = sectioned_fixture();
+        let qfg = dead_slots_and_pending_delta_fixture();
         let back = QueryFragmentGraph::from_sections(
             qfg.obscurity(),
             qfg.query_count() as u64,
@@ -1932,8 +1687,47 @@ mod tests {
     }
 
     #[test]
+    fn runs_splitting_a_pending_delta_load_into_an_equal_graph() {
+        // The writer emits at most one run, but `qfg/runs` is a sequence:
+        // a section that splits the pending delta across two runs — one
+        // pair's change divided between them, and a spare pair that
+        // cancels out — must load into the same graph.
+        let qfg = dead_slots_and_pending_delta_fixture();
+        let n = qfg.interned_len() as u32;
+        let spare = (0..n)
+            .flat_map(|lo| (lo + 1..n).map(move |hi| (lo, hi)))
+            .find(|key| !qfg.delta.contains_key(key))
+            .expect("the fixture leaves some pair untouched");
+        let (mut older, mut newer) = (vec![(spare, 1)], vec![(spare, -1)]);
+        for (i, (&key, &change)) in qfg.delta.iter().enumerate() {
+            match i % 3 {
+                0 => {
+                    older.push((key, 2 * change));
+                    newer.push((key, -change));
+                }
+                1 => older.push((key, change)),
+                _ => newer.push((key, change)),
+            }
+        }
+        older.sort_unstable_by_key(|&(key, _)| key);
+        newer.sort_unstable_by_key(|&(key, _)| key);
+        let runs = [older, newer].map(run_value);
+        let back = QueryFragmentGraph::from_sections(
+            qfg.obscurity(),
+            qfg.query_count() as u64,
+            &qfg.fragments_section(),
+            &qfg.occurrences_section(),
+            &qfg.adjacency_section(),
+            &serde::Value::Seq(runs.to_vec()),
+        )
+        .unwrap();
+        assert_eq!(back, qfg);
+        assert_eq!(back.delta, qfg.delta, "the runs sum to the written delta");
+    }
+
+    #[test]
     fn sections_reject_structural_corruption() {
-        let qfg = sectioned_fixture();
+        let qfg = dead_slots_and_pending_delta_fixture();
         let fragments = qfg.fragments_section();
         let occurrences = qfg.occurrences_section();
         let adjacency = qfg.adjacency_section();
@@ -1977,11 +1771,7 @@ mod tests {
         let serde::Value::Seq(mut run_list) = runs.clone() else {
             panic!()
         };
-        run_list.push(serde::Value::Seq(vec![serde::Value::Seq(vec![
-            serde::Value::U64(0),
-            serde::Value::U64(1),
-            serde::Value::I64(-1_000_000),
-        ])]));
+        run_list.push(run_value([((0, 1), -1_000_000)]));
         let err = rebuild(
             &fragments,
             &occurrences,
@@ -1991,20 +1781,17 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("negative"), "{err}");
         // Unsorted run keys.
-        let bad_run = serde::Value::Seq(vec![serde::Value::Seq(vec![
-            serde::Value::Seq(vec![
-                serde::Value::U64(1),
-                serde::Value::U64(2),
-                serde::Value::I64(1),
-            ]),
-            serde::Value::Seq(vec![
-                serde::Value::U64(0),
-                serde::Value::U64(2),
-                serde::Value::I64(1),
-            ]),
-        ])]);
+        let bad_run = serde::Value::Seq(vec![run_value([((1, 2), 1), ((0, 2), 1)])]);
         let err = rebuild(&fragments, &occurrences, &adjacency, &bad_run).unwrap_err();
         assert!(err.contains("not strictly sorted"), "{err}");
+        // Two runs whose changes to one pair overflow when summed.
+        let overflowing = serde::Value::Seq(
+            [i64::MAX, 1]
+                .map(|change| run_value([((0, 1), change)]))
+                .to_vec(),
+        );
+        let err = rebuild(&fragments, &occurrences, &adjacency, &overflowing).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
         // The pristine sections still load.
         rebuild(&fragments, &occurrences, &adjacency, &runs).unwrap();
     }

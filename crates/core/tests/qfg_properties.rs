@@ -441,17 +441,13 @@ proptest! {
         }
     }
 
-    /// Tiered compaction is observation-neutral at *every* tier state: with
-    /// a tiny run-fold threshold forcing deltas into sorted runs constantly,
-    /// an arbitrary interleaving of ingests, removes, partial folds and full
-    /// compactions stays observationally identical to the map-based model —
-    /// and the runs always satisfy the geometric merge invariant, so
-    /// publish-time compaction cost is bounded by recent churn.
+    /// Compaction is observation-neutral at *every* pending state: an
+    /// arbitrary interleaving of ingests, removes and compactions stays
+    /// observationally identical to the map-based model.
     #[test]
-    fn tiered_compaction_interleavings_match_the_model_at_any_tier_state(
+    fn compaction_interleavings_match_the_model_at_any_pending_state(
         base in log_strategy(),
         extra in log_strategy(),
-        threshold in 1usize..24,
         op_seed in any::<u64>(),
     ) {
         let obscurity = Obscurity::NoConstOp;
@@ -459,7 +455,6 @@ proptest! {
         let extra_log = parse_log(&extra);
         let mut model = ModelQfg::default();
         let mut graph = QueryFragmentGraph::empty(obscurity);
-        graph.set_run_fold_threshold(threshold);
         let mut rng = StdRng::seed_from_u64(op_seed);
         for query in base_log.queries() {
             model.ingest(query, obscurity);
@@ -473,10 +468,6 @@ proptest! {
                     prop_assert_eq!(model.remove(victim, obscurity), graph.remove(victim));
                 }
                 1 => graph.compact(),
-                // Shrinking the threshold mid-stream forces an immediate
-                // fold cascade on the next ingest; growing it lets the
-                // mutable delta run long — both are legal tier states.
-                2 => graph.set_run_fold_threshold((rng.next_u64() % 32) as usize + 1),
                 _ => {
                     model.ingest(query, obscurity);
                     graph.ingest(query);
@@ -486,7 +477,7 @@ proptest! {
             prop_assert_eq!(model.occurrences.len(), graph.fragment_count());
             prop_assert_eq!(model.co_occurrences.len(), graph.edge_count());
         }
-        // Observational sweep at the final (arbitrary) tier state.
+        // Observational sweep at the final (arbitrary) pending state.
         let fragments: Vec<QueryFragment> = model.occurrences.keys().cloned().collect();
         for a in &fragments {
             prop_assert_eq!(model.occurrences(a), graph.occurrences(a));
@@ -495,7 +486,7 @@ proptest! {
                 prop_assert!((model.dice(a, b) - graph.dice(a, b)).abs() < 1e-12);
             }
         }
-        // Full compaction from any tier state is observation-neutral and
+        // Compaction from any pending state is observation-neutral and
         // leaves no pending work behind.
         let mut compacted = graph.clone();
         compacted.compact();
@@ -507,21 +498,19 @@ proptest! {
     }
 
     /// A sectioned export of the graph — at an arbitrary uncompacted
-    /// tier state — reconstructs the *identical* graph, section for
-    /// section: same interner slots, same occurrence column, same CSR, same
-    /// pending runs, without forcing a compaction on either side.
+    /// state — reconstructs the *identical* graph, section for section:
+    /// same interner slots, same occurrence column, same CSR, same pending
+    /// delta, without forcing a compaction on either side.
     #[test]
-    fn v3_sections_round_trip_any_tier_state_verbatim(
+    fn sections_round_trip_any_pending_state_verbatim(
         base in log_strategy(),
         extra in log_strategy(),
-        threshold in 1usize..16,
         op_seed in any::<u64>(),
     ) {
         let obscurity = Obscurity::NoConstOp;
         let base_log = parse_log(&base);
         let extra_log = parse_log(&extra);
         let mut graph = QueryFragmentGraph::build(&base_log, obscurity);
-        graph.set_run_fold_threshold(threshold);
         let mut rng = StdRng::seed_from_u64(op_seed);
         for query in extra_log.queries() {
             if rng.next_u64() % 4 == 0 {

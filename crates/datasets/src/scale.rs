@@ -2,7 +2,7 @@
 //!
 //! The Table II benchmark logs top out at a few hundred queries — enough to
 //! reproduce the paper's accuracy numbers, three orders of magnitude short
-//! of exercising the serving data plane (tiered delta compaction, sectioned
+//! of exercising the serving data plane (delta compaction, sectioned
 //! snapshots, bounded-memory recovery) at the scale those mechanisms exist
 //! for.  [`scale_log`] turns a benchmark log into a million-entry workload
 //! while preserving the properties that make the original representative:

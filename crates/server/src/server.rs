@@ -183,6 +183,14 @@ struct ServerStats {
 }
 
 /// A point-in-time copy of the serving plane's counters.
+///
+/// The counters are read one by one while the reactor runs, so a live copy
+/// need not be consistent across fields.  In particular `requests_served`
+/// counts a response when it is queued for its connection, while
+/// `bytes_written` counts bytes only after the socket has accepted them: a
+/// live [`TemplarServer::stats`] read can show the first ahead of the
+/// second, even for a response the client already holds.  The pair is
+/// exact once [`TemplarServer::shutdown`] has joined the reactor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerStatsSnapshot {
     /// Connections admitted past the accept-time cap.
@@ -194,7 +202,8 @@ pub struct ServerStatsSnapshot {
     /// Closures forced by the greeting or idle timeout (a subset of
     /// `connections_closed`).
     pub connections_timed_out: u64,
-    /// Responses written back, successes and typed failures alike.
+    /// Responses queued for their connections, successes and typed
+    /// failures alike.
     pub requests_served: u64,
     /// Requests shed by the global in-flight cap (layer 2).
     pub global_sheds: u64,
@@ -202,7 +211,10 @@ pub struct ServerStatsSnapshot {
     pub json_requests: u64,
     /// Requests that arrived on binary connections.
     pub binary_requests: u64,
+    /// Bytes read from client sockets.
     pub bytes_read: u64,
+    /// Bytes the client sockets accepted, counted after each `write`
+    /// returns.
     pub bytes_written: u64,
 }
 

@@ -67,10 +67,7 @@ pub use ingest::IngestQueue;
 pub use metrics::{prometheus_text, HealthState, ServiceMetrics};
 pub use registry::TenantRegistry;
 pub use server::{InflightPermit, TemplarService, LOCK_FILE, SNAPSHOT_FILE, WAL_DIR};
-pub use snapshot::{
-    read_snapshot, read_snapshot_with_watermark, write_snapshot, write_snapshot_with_watermark,
-    Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
-};
+pub use snapshot::{Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use storage::{FaultRule, FaultyStorage, FsStorage, Storage, StorageFile, StorageOp};
 /// The benchmark harness in `perfbench/` imports the metrics report under
 /// this older name; [`templar_api::MetricsReport`] is the one metrics type.

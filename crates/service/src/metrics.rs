@@ -720,12 +720,12 @@ const PROM_FAMILIES: &[Family] = &[
     ),
     gauge(
         "templar_qfg_delta_runs",
-        "Sorted delta runs resident in the master graph's tiered compactor.",
+        "Always 0: the QFG keeps one pending delta and no sorted runs.",
         |s| s.qfg_delta_runs,
     ),
     counter(
         "templar_qfg_run_merges_total",
-        "Geometric delta-run merges the QFG lineage has performed.",
+        "Always 0: the QFG keeps one pending delta and merges no runs.",
         |s| s.qfg_run_merges,
     ),
     gauge(

@@ -81,6 +81,21 @@ struct MasterState {
     applied_seq: u64,
 }
 
+impl MasterState {
+    /// Cut a publish: reset the pending count and the refresh clock, fold
+    /// the delta log into the master CSR in place and clone the graph to
+    /// publish.  Compacting the master (not the clone) folds each epoch's
+    /// pending pairs exactly once, the published clone is born compacted
+    /// (`Templar::from_parts`'s compact becomes a no-op), and ingest/remove
+    /// lookups until the next epoch run against a fresh CSR.
+    fn cut_publish(&mut self) -> QueryFragmentGraph {
+        self.pending_since_swap = 0;
+        self.last_swap = Instant::now();
+        self.qfg.compact();
+        self.qfg.clone()
+    }
+}
+
 /// The durable half of a recovered service: the directory its snapshot and
 /// journal live in, and the journal's single writer.
 struct Durable {
@@ -219,7 +234,7 @@ impl TemplarService {
         templar_config: TemplarConfig,
         service_config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
-        let snap = snapshot::read_snapshot(path, templar_config.obscurity)?;
+        let (snap, _) = snapshot::read_snapshot_from(&FsStorage, path, templar_config.obscurity)?;
         Self::spawn_from_parts(
             db,
             snap.log,
@@ -321,7 +336,7 @@ impl TemplarService {
         let snapshot_body_bytes = storage.file_len(&snapshot_path).ok();
         let wal_dir = dir.join(WAL_DIR);
         // Replay the journal tail in bounded batches: ingest applies each
-        // batch against the tiered delta runs and the retention bound is
+        // batch to the graph's delta log and the retention bound is
         // enforced per batch, so recovery's decoded-entry footprint stays at
         // `recovery_batch_bytes` (plus one oversized record) no matter how
         // long the tail is.  Eviction keeps exactly the newest `cap` entries
@@ -769,16 +784,7 @@ impl TemplarService {
 
     /// Immediately publish a snapshot of the current master state.
     pub fn force_refresh(&self) {
-        let qfg = {
-            let mut master = self.inner.master.lock();
-            master.pending_since_swap = 0;
-            master.last_swap = Instant::now();
-            // Fold the delta log in place so each pending pair is merged
-            // exactly once (the clone below and every future clone start
-            // compacted) and the master's own lookups take the CSR path.
-            master.qfg.compact();
-            master.qfg.clone()
-        };
+        let qfg = self.inner.master.lock().cut_publish();
         publish(&self.inner, qfg);
     }
 
@@ -804,25 +810,19 @@ impl TemplarService {
             .as_ref()
             .map(|durable| durable.checkpoint_lock.lock());
         let (log, qfg, applied_seq) = self.clone_master_state();
-        let watermark = self.inner.durable.as_ref().map(|_| applied_seq);
-        let body_bytes = match self.inner.durable.as_ref() {
-            Some(durable) => snapshot::write_snapshot_with(
-                durable.storage.as_ref(),
-                path,
-                &log,
-                &qfg,
-                watermark,
-            )?,
-            None => snapshot::write_snapshot_with_watermark(path, &log, &qfg, watermark)?,
+        let (storage, watermark): (&dyn Storage, _) = match &self.inner.durable {
+            Some(durable) => (durable.storage.as_ref(), Some(applied_seq)),
+            None => (&FsStorage, None),
         };
+        let body_bytes = snapshot::write_snapshot_with(storage, path, &log, &qfg, watermark)?;
         self.inner.metrics.record_snapshot_body_bytes(body_bytes);
         Ok(())
     }
 
-    /// Compact the master graph in place (the serializer would otherwise
-    /// clone it a second time to compact the copy) and clone the state for
-    /// persistence.  The master lock is held only for the clone — disk I/O
-    /// always happens after it is released.
+    /// Compact the master graph in place, so the snapshot carries an empty
+    /// pending delta, and clone the state for persistence.  The master lock
+    /// is held only for the clone — disk I/O always happens after it is
+    /// released.
     fn clone_master_state(&self) -> (QueryLog, QueryFragmentGraph, u64) {
         let mut master = self.inner.master.lock();
         master.qfg.compact();
@@ -866,8 +866,6 @@ impl TemplarService {
             let master = self.inner.master.lock();
             snap.qfg_pending_deltas = master.qfg.pending_delta_len() as u64;
             snap.qfg_compactions = master.qfg.compactions();
-            snap.qfg_delta_runs = master.qfg.delta_run_len() as u64;
-            snap.qfg_run_merges = master.qfg.run_merges();
             snap.wal_applied_seq = master.applied_seq;
         }
         snap
@@ -1097,17 +1095,11 @@ fn ingest_worker(inner: Arc<ServiceInner>) {
                     inner.metrics.record_wal_fsync();
                 }
             }
-            let pending = {
-                let master = inner.master.lock();
-                master.pending_since_swap
+            let qfg = {
+                let mut master = inner.master.lock();
+                (master.pending_since_swap > 0).then(|| master.cut_publish())
             };
-            if pending > 0 {
-                let qfg = {
-                    let mut master = inner.master.lock();
-                    master.pending_since_swap = 0;
-                    master.qfg.compact();
-                    master.qfg.clone()
-                };
+            if let Some(qfg) = qfg {
                 publish(&inner, qfg);
             }
             return;
@@ -1193,20 +1185,7 @@ fn ingest_worker(inner: Arc<ServiceInner>) {
             let due_by_count = master.pending_since_swap >= config.refresh_every;
             let due_by_time = master.pending_since_swap > 0
                 && master.last_swap.elapsed() >= config.refresh_interval;
-            if due_by_count || due_by_time {
-                master.pending_since_swap = 0;
-                master.last_swap = Instant::now();
-                // Compact in place at the publish boundary: each epoch's
-                // delta pairs are folded into the master CSR exactly once,
-                // the published clone is born compacted
-                // (`Templar::from_parts`'s compact becomes a no-op), and
-                // ingest/remove lookups until the next epoch run against a
-                // fresh CSR instead of an ever-growing delta map.
-                master.qfg.compact();
-                Some(master.qfg.clone())
-            } else {
-                None
-            }
+            (due_by_count || due_by_time).then(|| master.cut_publish())
         };
         if applied > 0 {
             inner.metrics.record_applied(applied);

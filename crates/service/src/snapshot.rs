@@ -28,7 +28,7 @@
 //! | `qfg/fragments`  | the full interner table, dead slots as `null`      |
 //! | `qfg/occurrences`| the raw `n_v` column, 0 for dead slots             |
 //! | `qfg/adjacency`  | the compacted CSR baseline (offsets/neighbors/counts)|
-//! | `qfg/runs`       | pending tiered delta runs, mutable delta last      |
+//! | `qfg/runs`       | the pending delta as one sorted run, none if empty |
 //!
 //! The log chunks — nearly all of a snapshot's bytes — are encoded straight
 //! from each [`Query`] and decoded straight back into one
@@ -38,7 +38,7 @@
 //!
 //! The layout is written and read **streaming**: the writer holds one
 //! serialized section at a time and serializes the graph *as-is* (no clone,
-//! no forced compaction — pending tiered runs survive a snapshot verbatim),
+//! no forced compaction — the pending delta survives a snapshot verbatim),
 //! and the reader validates section-by-section, so a torn or bit-flipped
 //! section is caught by length/CRC checks before any decoding.
 //!
@@ -76,7 +76,7 @@
 //! name.
 
 use crate::error::SnapshotError;
-use crate::storage::{FsStorage, Storage};
+use crate::storage::Storage;
 use crate::wal::crc32;
 use serde::{Deserialize, Serialize, Value};
 use sqlparse::Query;
@@ -110,31 +110,12 @@ pub struct Snapshot {
     pub qfg: QueryFragmentGraph,
 }
 
-/// Serialize the serving state to `path` (atomic replace, format v4).
-/// Returns the total bytes written (header + all framed sections).
-pub fn write_snapshot(
-    path: &Path,
-    log: &QueryLog,
-    qfg: &QueryFragmentGraph,
-) -> Result<u64, SnapshotError> {
-    write_snapshot_with_watermark(path, log, qfg, None)
-}
-
-/// Serialize the serving state to `path`, optionally recording the journal
+/// Serialize the serving state to `path` through `storage`
+/// ([`crate::storage::FsStorage`] in production, a fault injector in tests)
+/// as an atomic replace in format v4, optionally recording the journal
 /// sequence number the snapshot covers (the recovery watermark).  Returns
-/// the total bytes written so callers can surface snapshot size as a metric
-/// without a second `stat`.
-pub fn write_snapshot_with_watermark(
-    path: &Path,
-    log: &QueryLog,
-    qfg: &QueryFragmentGraph,
-    watermark: Option<u64>,
-) -> Result<u64, SnapshotError> {
-    write_snapshot_with(&FsStorage, path, log, qfg, watermark)
-}
-
-/// [`write_snapshot_with_watermark`] over an explicit [`Storage`] (fault
-/// injection in tests; [`FsStorage`] in production).
+/// the total bytes written (header + all framed sections) so callers can
+/// surface snapshot size as a metric without a second `stat`.
 pub fn write_snapshot_with(
     storage: &dyn Storage,
     path: &Path,
@@ -346,23 +327,11 @@ fn eof_is_torn(e: std::io::Error) -> SnapshotError {
     }
 }
 
-/// Read and validate a snapshot, rejecting wrong magic, unsupported versions
-/// and — crucially — snapshots captured at a different obscurity level than
-/// `expected`.  The body is read streaming, section by section.
-pub fn read_snapshot(path: &Path, expected: Obscurity) -> Result<Snapshot, SnapshotError> {
-    read_snapshot_with_watermark(path, expected).map(|(snapshot, _)| snapshot)
-}
-
-/// [`read_snapshot`], additionally returning the journal watermark recorded
-/// in the header (0 when the snapshot was written outside the durable path).
-pub fn read_snapshot_with_watermark(
-    path: &Path,
-    expected: Obscurity,
-) -> Result<(Snapshot, u64), SnapshotError> {
-    read_snapshot_from(&FsStorage, path, expected)
-}
-
-/// [`read_snapshot_with_watermark`] over an explicit [`Storage`].
+/// Read and validate a snapshot through `storage`, rejecting wrong magic,
+/// unsupported versions and — crucially — snapshots captured at a different
+/// obscurity level than `expected`.  The body is read streaming, section by
+/// section.  Returns the snapshot and the journal watermark recorded in the
+/// header (0 when the snapshot was written outside the durable path).
 pub fn read_snapshot_from(
     storage: &dyn Storage,
     path: &Path,
@@ -534,6 +503,7 @@ fn parse_obscurity(name: &str) -> Option<Obscurity> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::FsStorage;
     use std::fs;
     use std::path::PathBuf;
 
@@ -558,21 +528,21 @@ mod tests {
     fn round_trip_preserves_log_and_counts() {
         let (log, qfg) = sample_state(Obscurity::NoConstOp);
         let path = temp_path("roundtrip");
-        let bytes = write_snapshot(&path, &log, &qfg).unwrap();
+        let bytes = write_snapshot_with(&FsStorage, &path, &log, &qfg, None).unwrap();
         assert_eq!(
             bytes,
             fs::metadata(&path).unwrap().len(),
             "the writer's byte count must match the file on disk"
         );
-        let snapshot = read_snapshot(&path, Obscurity::NoConstOp).unwrap();
+        let (snapshot, _) = read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp).unwrap();
         assert_eq!(snapshot.log, log);
         assert_eq!(snapshot.qfg, qfg);
         fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn round_trip_preserves_pending_runs_without_compacting() {
-        // The writer serializes pending tiered runs verbatim (no compacted
+    fn round_trip_preserves_pending_delta_without_compacting() {
+        // The writer serializes the pending delta verbatim (no compacted
         // clone), so a snapshot taken mid-churn restores with the same
         // pending work.
         let (log, mut qfg) = sample_state(Obscurity::NoConstOp);
@@ -588,9 +558,9 @@ mod tests {
         assert!(!qfg.is_compacted());
         let pending = qfg.pending_delta_len();
         assert!(pending > 0);
-        let path = temp_path("pending-runs");
-        write_snapshot(&path, &log, &qfg).unwrap();
-        let snapshot = read_snapshot(&path, Obscurity::NoConstOp).unwrap();
+        let path = temp_path("pending-delta");
+        write_snapshot_with(&FsStorage, &path, &log, &qfg, None).unwrap();
+        let (snapshot, _) = read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp).unwrap();
         assert_eq!(snapshot.qfg, qfg);
         assert!(!snapshot.qfg.is_compacted());
         assert_eq!(snapshot.qfg.pending_delta_len(), pending);
@@ -624,12 +594,12 @@ mod tests {
         std::thread::scope(|scope| {
             let a = scope.spawn(|| {
                 for _ in 0..20 {
-                    write_snapshot(&path_a, &log_a, &qfg_a).unwrap();
+                    write_snapshot_with(&FsStorage, &path_a, &log_a, &qfg_a, None).unwrap();
                 }
             });
             let b = scope.spawn(|| {
                 for _ in 0..20 {
-                    write_snapshot(&path_b, &log_b, &qfg_b).unwrap();
+                    write_snapshot_with(&FsStorage, &path_b, &log_b, &qfg_b, None).unwrap();
                 }
             });
             a.join().unwrap();
@@ -637,8 +607,8 @@ mod tests {
         });
 
         // Each target holds its own writer's state, not the sibling's.
-        let snap_a = read_snapshot(&path_a, Obscurity::NoConstOp).unwrap();
-        let snap_b = read_snapshot(&path_b, Obscurity::NoConstOp).unwrap();
+        let (snap_a, _) = read_snapshot_from(&FsStorage, &path_a, Obscurity::NoConstOp).unwrap();
+        let (snap_b, _) = read_snapshot_from(&FsStorage, &path_b, Obscurity::NoConstOp).unwrap();
         assert_eq!(snap_a.log, log_a);
         assert_eq!(snap_a.qfg, qfg_a);
         assert_eq!(snap_b.log, log_b);
@@ -660,20 +630,19 @@ mod tests {
     fn watermark_round_trips_and_defaults_to_zero() {
         let (log, qfg) = sample_state(Obscurity::NoConstOp);
         let path = temp_path("watermark");
-        write_snapshot_with_watermark(&path, &log, &qfg, Some(42)).unwrap();
+        write_snapshot_with(&FsStorage, &path, &log, &qfg, Some(42)).unwrap();
         let text = fs::read(&path).unwrap();
         assert!(
             text.starts_with(b"TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp watermark=42 sections=6\n")
         );
         let (snapshot, watermark) =
-            read_snapshot_with_watermark(&path, Obscurity::NoConstOp).unwrap();
+            read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp).unwrap();
         assert_eq!(watermark, 42);
         assert_eq!(snapshot.log, log);
-        // The plain reader still accepts a watermarked snapshot.
-        assert_eq!(read_snapshot(&path, Obscurity::NoConstOp).unwrap().qfg, qfg);
+        assert_eq!(snapshot.qfg, qfg);
         // And a plain snapshot reads back with watermark 0.
-        write_snapshot(&path, &log, &qfg).unwrap();
-        let (_, watermark) = read_snapshot_with_watermark(&path, Obscurity::NoConstOp).unwrap();
+        write_snapshot_with(&FsStorage, &path, &log, &qfg, None).unwrap();
+        let (_, watermark) = read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp).unwrap();
         assert_eq!(watermark, 0);
         // A mangled watermark token is corruption, not silently 0.
         fs::write(
@@ -682,7 +651,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            read_snapshot_with_watermark(&path, Obscurity::NoConstOp),
+            read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp),
             Err(SnapshotError::Corrupt(_))
         ));
         fs::remove_file(&path).ok();
@@ -692,7 +661,7 @@ mod tests {
     fn written_snapshots_carry_the_v4_header() {
         let (log, qfg) = sample_state(Obscurity::NoConstOp);
         let path = temp_path("v4header");
-        write_snapshot(&path, &log, &qfg).unwrap();
+        write_snapshot_with(&FsStorage, &path, &log, &qfg, None).unwrap();
         let text = fs::read(&path).unwrap();
         assert!(text.starts_with(b"TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp sections=6\n"));
         fs::remove_file(&path).ok();
@@ -702,8 +671,8 @@ mod tests {
     fn obscurity_mismatch_is_rejected() {
         let (log, qfg) = sample_state(Obscurity::NoConst);
         let path = temp_path("mismatch");
-        write_snapshot(&path, &log, &qfg).unwrap();
-        match read_snapshot(&path, Obscurity::NoConstOp) {
+        write_snapshot_with(&FsStorage, &path, &log, &qfg, None).unwrap();
+        match read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp) {
             Err(SnapshotError::ObscurityMismatch { expected, found }) => {
                 assert_eq!(expected, Obscurity::NoConstOp);
                 assert_eq!(found, Obscurity::NoConst);
@@ -718,17 +687,17 @@ mod tests {
         let path = temp_path("magic");
         fs::write(&path, "NOT-A-SNAPSHOT v2 obscurity=Full\n{}").unwrap();
         assert!(matches!(
-            read_snapshot(&path, Obscurity::Full),
+            read_snapshot_from(&FsStorage, &path, Obscurity::Full),
             Err(SnapshotError::BadMagic)
         ));
         fs::write(&path, "TEMPLAR-SNAPSHOT v99 obscurity=Full\n{}").unwrap();
         assert!(matches!(
-            read_snapshot(&path, Obscurity::Full),
+            read_snapshot_from(&FsStorage, &path, Obscurity::Full),
             Err(SnapshotError::UnsupportedVersion { found: 99, .. })
         ));
         fs::write(&path, "TEMPLAR-SNAPSHOT v0 obscurity=Full\n{}").unwrap();
         assert!(matches!(
-            read_snapshot(&path, Obscurity::Full),
+            read_snapshot_from(&FsStorage, &path, Obscurity::Full),
             Err(SnapshotError::UnsupportedVersion { found: 0, .. })
         ));
         // Retired formats are refused, not migrated.
@@ -738,7 +707,7 @@ mod tests {
                 format!("TEMPLAR-SNAPSHOT v{old} obscurity=Full\n{{}}"),
             )
             .unwrap();
-            match read_snapshot(&path, Obscurity::Full) {
+            match read_snapshot_from(&FsStorage, &path, Obscurity::Full) {
                 Err(SnapshotError::UnsupportedVersion { found, supported }) => {
                     assert_eq!((found, supported), (old, SNAPSHOT_VERSION));
                 }
@@ -748,7 +717,7 @@ mod tests {
         // A header with no newline within the scan bound is not a snapshot.
         fs::write(&path, "TEMPLAR-SNAPSHOT v4 obscurity=Full sections=6").unwrap();
         assert!(matches!(
-            read_snapshot(&path, Obscurity::Full),
+            read_snapshot_from(&FsStorage, &path, Obscurity::Full),
             Err(SnapshotError::BadMagic)
         ));
         fs::remove_file(&path).ok();
@@ -760,7 +729,7 @@ mod tests {
         let header = "TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp sections=6\n";
         fs::write(&path, format!("{header}{{this is not a section frame")).unwrap();
         assert!(matches!(
-            read_snapshot(&path, Obscurity::NoConstOp),
+            read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp),
             Err(SnapshotError::Corrupt(_))
         ));
         // A well-framed section (valid CRC) whose payload is not a binary
@@ -771,7 +740,7 @@ mod tests {
         })
         .unwrap();
         fs::write(&path, &bytes).unwrap();
-        match read_snapshot(&path, Obscurity::NoConstOp) {
+        match read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp) {
             Err(SnapshotError::Corrupt(detail)) => {
                 assert!(detail.contains("section `meta`"), "detail was: {detail}")
             }
@@ -786,19 +755,19 @@ mod tests {
         // Version present but obscurity mangled.
         fs::write(&path, "TEMPLAR-SNAPSHOT v4 obscurity=Sideways sections=6\n").unwrap();
         assert!(matches!(
-            read_snapshot(&path, Obscurity::NoConstOp),
+            read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp),
             Err(SnapshotError::Corrupt(_))
         ));
         // Obscurity field missing entirely.
         fs::write(&path, "TEMPLAR-SNAPSHOT v4\n").unwrap();
         assert!(matches!(
-            read_snapshot(&path, Obscurity::NoConstOp),
+            read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp),
             Err(SnapshotError::Corrupt(_))
         ));
         // A header without its section count cannot be read.
         fs::write(&path, "TEMPLAR-SNAPSHOT v4 obscurity=NoConstOp\n").unwrap();
         assert!(matches!(
-            read_snapshot(&path, Obscurity::NoConstOp),
+            read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp),
             Err(SnapshotError::Corrupt(_))
         ));
         fs::remove_file(&path).ok();
@@ -828,7 +797,7 @@ mod tests {
     fn torn_sections_are_rejected_at_every_boundary() {
         let (log, qfg) = sample_state(Obscurity::NoConstOp);
         let path = temp_path("torn-sections");
-        write_snapshot_with_watermark(&path, &log, &qfg, Some(7)).unwrap();
+        write_snapshot_with(&FsStorage, &path, &log, &qfg, Some(7)).unwrap();
         let bytes = fs::read(&path).unwrap();
         let boundaries = section_boundaries(&bytes);
         assert_eq!(boundaries.len(), 7, "6 sections + the header boundary");
@@ -840,7 +809,7 @@ mod tests {
         }
         for cut in cuts {
             fs::write(&torn, &bytes[..cut]).unwrap();
-            match read_snapshot(&torn, Obscurity::NoConstOp) {
+            match read_snapshot_from(&FsStorage, &torn, Obscurity::NoConstOp) {
                 Err(SnapshotError::Corrupt(_)) => {}
                 other => panic!("cut at {cut}: expected Corrupt, got {other:?}"),
             }
@@ -850,7 +819,7 @@ mod tests {
         let target = boundaries[1] + SECTION_FRAME_HEADER + 4;
         flipped[target] ^= 0x01;
         fs::write(&torn, &flipped).unwrap();
-        match read_snapshot(&torn, Obscurity::NoConstOp) {
+        match read_snapshot_from(&FsStorage, &torn, Obscurity::NoConstOp) {
             Err(SnapshotError::Corrupt(detail)) => {
                 assert!(detail.contains("CRC"), "detail was: {detail}")
             }
@@ -861,12 +830,12 @@ mod tests {
         extended.push(0);
         fs::write(&torn, &extended).unwrap();
         assert!(matches!(
-            read_snapshot(&torn, Obscurity::NoConstOp),
+            read_snapshot_from(&FsStorage, &torn, Obscurity::NoConstOp),
             Err(SnapshotError::Corrupt(_))
         ));
         // And the pristine bytes still load.
         fs::write(&torn, &bytes).unwrap();
-        read_snapshot(&torn, Obscurity::NoConstOp).unwrap();
+        read_snapshot_from(&FsStorage, &torn, Obscurity::NoConstOp).unwrap();
         fs::remove_file(&path).ok();
         fs::remove_file(&torn).ok();
     }
@@ -916,7 +885,7 @@ mod tests {
                 published,
                 "{case}: a failed overwrite must leave the published snapshot byte-identical"
             );
-            let (snapshot, watermark) = read_snapshot_with_watermark(&path, Obscurity::NoConstOp)
+            let (snapshot, watermark) = read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp)
                 .unwrap_or_else(|e| panic!("{case}: published snapshot unreadable: {e}"));
             assert_eq!(snapshot.log, log_a, "{case}");
             assert_eq!(snapshot.qfg, qfg_a, "{case}");
@@ -938,7 +907,7 @@ mod tests {
             write_snapshot_with(storage.as_ref(), &path, &log_b, &qfg_b, Some(9))
                 .unwrap_or_else(|e| panic!("{case}: healed overwrite failed: {e}"));
             let (snapshot, watermark) =
-                read_snapshot_with_watermark(&path, Obscurity::NoConstOp).unwrap();
+                read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp).unwrap();
             assert_eq!(
                 snapshot.log, log_b,
                 "{case}: healed snapshot must be the new state"
@@ -972,12 +941,12 @@ mod tests {
                     // temp file): the overwrite landed whole.
                     Ok(_) => {
                         let (snapshot, _) =
-                            read_snapshot_with_watermark(&path, Obscurity::NoConstOp).unwrap();
+                            read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp).unwrap();
                         assert_eq!(snapshot.log, log_b, "{case}");
                     }
                     Err(SnapshotError::Io(_)) => {
                         let (snapshot, watermark) =
-                            read_snapshot_with_watermark(&path, Obscurity::NoConstOp)
+                            read_snapshot_from(&FsStorage, &path, Obscurity::NoConstOp)
                                 .unwrap_or_else(|e| {
                                     panic!("{case}: target must stay a valid snapshot: {e}")
                                 });

@@ -41,17 +41,18 @@
 //!
 //! # Recovery
 //!
-//! [`replay`] walks the segments above a snapshot's covered sequence number
-//! (the *watermark*) and returns the surviving entries in order.  A torn
-//! final record — a partial frame or a CRC mismatch at the tail of the
-//! *last* segment, exactly what an interrupted `write(2)` leaves behind — is
-//! **truncated, not fatal**: the file is cut back to the last whole record
-//! and the writer resumes after it.  The same damage in a non-final segment
-//! means bytes the journal once promised are gone, which *is* fatal
+//! [`replay_batched_with`] walks the segments above a snapshot's covered
+//! sequence number (the *watermark*) and hands the surviving entries to a
+//! sink in order, in batches of bounded size.  A torn final record — a
+//! partial frame or a CRC mismatch at the tail of the *last* segment,
+//! exactly what an interrupted `write(2)` leaves behind — is **truncated,
+//! not fatal**: the file is cut back to the last whole record and the
+//! writer resumes after it.  The same damage in a non-final segment means
+//! bytes the journal once promised are gone, which *is* fatal
 //! ([`WalError::Corrupt`]).
 //!
-//! [`gc_segments`] deletes segments wholly covered by the watermark; the
-//! active (final) segment is never deleted.
+//! [`gc_segments_with`] deletes segments wholly covered by the watermark;
+//! the active (final) segment is never deleted.
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -60,7 +61,7 @@ use std::time::Instant;
 
 use crate::config::WalConfig;
 use crate::error::WalError;
-use crate::storage::{FsStorage, Storage, StorageFile};
+use crate::storage::{Storage, StorageFile};
 
 /// Filename prefix of every segment file.
 pub const SEGMENT_PREFIX: &str = "wal-";
@@ -194,16 +195,12 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Open the journal for appending, starting a fresh segment whose first
-    /// record will be `next_seq`.  Called after [`replay`] decided
-    /// `next_seq`, so an existing file at this name can only be an empty
-    /// leftover segment from a previous session that appended nothing.
-    pub fn create(dir: &Path, next_seq: u64, config: WalConfig) -> io::Result<Self> {
-        Self::create_with(FsStorage::shared(), dir, next_seq, config)
-    }
-
-    /// [`WalWriter::create`] over an explicit [`Storage`] (fault injection
-    /// in tests; [`FsStorage`] in production).
+    /// Open the journal for appending through `storage`
+    /// ([`crate::storage::FsStorage`] in production, a fault injector in
+    /// tests), starting a fresh segment whose first record will be
+    /// `next_seq`.  Called after [`replay_batched_with`] decided `next_seq`,
+    /// so an existing file at this name can only be an empty leftover
+    /// segment from a previous session that appended nothing.
     pub fn create_with(
         storage: Arc<dyn Storage>,
         dir: &Path,
@@ -239,9 +236,9 @@ impl WalWriter {
     /// retried later — the segment cap is a soft limit.
     ///
     /// Callers must not append empty entries: a zero-length frame is
-    /// indistinguishable from a zero-filled crash artifact, so [`replay`]
-    /// treats it as damage (the ingestion worker filters empties before
-    /// they reach the journal).
+    /// indistinguishable from a zero-filled crash artifact, so
+    /// [`replay_batched_with`] treats it as damage (the ingestion worker
+    /// filters empties before they reach the journal).
     pub fn append(&mut self, sql: &str) -> u64 {
         debug_assert!(
             !sql.is_empty(),
@@ -421,20 +418,7 @@ impl WalWriter {
 /// One decoded journal record: its sequence number and raw SQL payload.
 pub type ReplayedEntry = (u64, String);
 
-/// The outcome of replaying the journal tail above a watermark.
-#[derive(Debug)]
-pub struct WalReplay {
-    /// The surviving entries with sequence numbers strictly above the
-    /// watermark, in append order.
-    pub entries: Vec<ReplayedEntry>,
-    /// The sequence number the next append must receive (one past the last
-    /// record on disk, whether or not it was above the watermark).
-    pub next_seq: u64,
-    /// Bytes cut off the final segment's torn tail (0 on a clean journal).
-    pub truncated_bytes: u64,
-}
-
-/// Summary statistics of a batched replay ([`replay_batched`]).
+/// Summary statistics of a batched replay ([`replay_batched_with`]).
 #[derive(Debug)]
 pub struct WalReplayStats {
     /// The sequence number the next append must receive (one past the last
@@ -457,36 +441,6 @@ pub struct WalReplayStats {
 /// tuple bookkeeping it rides in.
 const ENTRY_OVERHEAD: usize = std::mem::size_of::<(u64, String)>();
 
-/// Replay the journal: read every segment, verify contiguity and framing,
-/// truncate a torn final record, and return the entries above `watermark`.
-///
-/// An empty or missing journal directory replays to nothing with
-/// `next_seq = watermark + 1` — a fresh service.
-///
-/// This eager form materializes the whole tail; recovery paths that must
-/// bound peak memory use [`replay_batched`] directly.
-pub fn replay(dir: &Path, watermark: u64) -> Result<WalReplay, WalError> {
-    let mut entries = Vec::new();
-    let stats = replay_batched(dir, watermark, usize::MAX, &mut |batch| {
-        entries.extend_from_slice(batch)
-    })?;
-    Ok(WalReplay {
-        entries,
-        next_seq: stats.next_seq,
-        truncated_bytes: stats.truncated_bytes,
-    })
-}
-
-/// [`replay_batched`] over the production filesystem.
-pub fn replay_batched(
-    dir: &Path,
-    watermark: u64,
-    batch_budget_bytes: usize,
-    sink: &mut dyn FnMut(&[ReplayedEntry]),
-) -> Result<WalReplayStats, WalError> {
-    replay_batched_with(&FsStorage, dir, watermark, batch_budget_bytes, sink)
-}
-
 /// Replay the journal tail above `watermark` in bounded-memory batches.
 ///
 /// Decoded entries accumulate until admitting the next one would push the
@@ -494,9 +448,10 @@ pub fn replay_batched(
 /// the buffer reused.  A single entry larger than the whole budget still
 /// flows through as a batch of one, so the bound on decoded-entry memory is
 /// `max(batch_budget_bytes, largest entry)` — never the size of the tail.
-/// Segment contiguity checks, benign-gap tolerance, and torn-tail physical
-/// truncation are identical to [`replay`] (which is a collect-all wrapper
-/// over this function).
+/// Segments are checked for contiguity (gaps wholly at or below the
+/// watermark are benign), and a torn final record is physically truncated.
+/// An empty or missing journal directory replays to nothing with
+/// `next_seq = watermark + 1` — a fresh service.
 pub fn replay_batched_with(
     storage: &dyn Storage,
     dir: &Path,
@@ -680,16 +635,11 @@ fn parse_segment(bytes: &[u8], name: &str, is_last: bool) -> Result<(Vec<String>
     Ok((records, bytes.len() as u64))
 }
 
-/// Delete segments wholly covered by `watermark` — a segment is deletable
-/// exactly when the *next* segment starts at or below `watermark + 1`, which
-/// proves every record in it has `seq <= watermark`.  The final segment is
-/// never deleted (its end is unknown and the writer owns it).  Returns the
-/// number of segments removed.
-pub fn gc_segments(dir: &Path, watermark: u64) -> io::Result<usize> {
-    gc_segments_with(&FsStorage, dir, watermark)
-}
-
-/// [`gc_segments`] over an explicit [`Storage`].
+/// Delete segments wholly covered by `watermark` through `storage` — a
+/// segment is deletable exactly when the *next* segment starts at or below
+/// `watermark + 1`, which proves every record in it has `seq <= watermark`.
+/// The final segment is never deleted (its end is unknown and the writer
+/// owns it).  Returns the number of segments removed.
 pub fn gc_segments_with(storage: &dyn Storage, dir: &Path, watermark: u64) -> io::Result<usize> {
     let segments = match list_segments(storage, dir) {
         Ok(segments) => segments,
@@ -714,6 +664,7 @@ pub fn gc_segments_with(storage: &dyn Storage, dir: &Path, watermark: u64) -> io
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::FsStorage;
     use std::fs::{self, OpenOptions};
     use std::time::Duration;
 
@@ -732,6 +683,33 @@ mod tests {
             max_staged_bytes: 8 * 1024 * 1024,
             ..WalConfig::default()
         }
+    }
+
+    /// The outcome of replaying the journal tail above a watermark in one
+    /// go.
+    #[derive(Debug)]
+    struct WalReplay {
+        /// The surviving entries with sequence numbers strictly above the
+        /// watermark, in append order.
+        entries: Vec<ReplayedEntry>,
+        /// The sequence number the next append must receive.
+        next_seq: u64,
+        /// Bytes cut off the final segment's torn tail (0 on a clean journal).
+        truncated_bytes: u64,
+    }
+
+    /// Replay the whole tail above `watermark` into memory: the eager
+    /// oracle the batched replay is checked against.
+    fn replay(dir: &Path, watermark: u64) -> Result<WalReplay, WalError> {
+        let mut entries = Vec::new();
+        let stats = replay_batched_with(&FsStorage, dir, watermark, usize::MAX, &mut |batch| {
+            entries.extend_from_slice(batch)
+        })?;
+        Ok(WalReplay {
+            entries,
+            next_seq: stats.next_seq,
+            truncated_bytes: stats.truncated_bytes,
+        })
     }
 
     /// The reference bitwise CRC-32 the sliced tables must reproduce.
@@ -782,7 +760,7 @@ mod tests {
     #[test]
     fn append_and_replay_round_trip() {
         let dir = temp_wal_dir("roundtrip");
-        let mut wal = WalWriter::create(&dir, 1, fast_config()).unwrap();
+        let mut wal = WalWriter::create_with(FsStorage::shared(), &dir, 1, fast_config()).unwrap();
         for (i, sql) in ["SELECT a FROM t", "SELECT b FROM u", "SELECT c FROM v"]
             .iter()
             .enumerate()
@@ -812,7 +790,8 @@ mod tests {
     #[test]
     fn fsync_policy_batches_and_forces() {
         let dir = temp_wal_dir("fsync");
-        let mut wal = WalWriter::create(
+        let mut wal = WalWriter::create_with(
+            FsStorage::shared(),
             &dir,
             1,
             WalConfig {
@@ -840,7 +819,7 @@ mod tests {
     #[test]
     fn segments_rotate_and_stay_contiguous() {
         let dir = temp_wal_dir("rotate");
-        let mut wal = WalWriter::create(&dir, 1, fast_config()).unwrap();
+        let mut wal = WalWriter::create_with(FsStorage::shared(), &dir, 1, fast_config()).unwrap();
         for i in 0..10 {
             wal.append(&format!("SELECT c{i} FROM t"));
         }
@@ -860,7 +839,7 @@ mod tests {
     #[test]
     fn torn_final_record_is_truncated_not_fatal() {
         let dir = temp_wal_dir("torn");
-        let mut wal = WalWriter::create(&dir, 1, fast_config()).unwrap();
+        let mut wal = WalWriter::create_with(FsStorage::shared(), &dir, 1, fast_config()).unwrap();
         wal.append("SELECT a FROM t");
         wal.append("SELECT b FROM t");
         wal.sync().unwrap();
@@ -885,7 +864,8 @@ mod tests {
     #[test]
     fn crc_mismatch_below_valid_records_is_fatal_even_in_the_final_segment() {
         let dir = temp_wal_dir("midfile-crc");
-        let mut wal = WalWriter::create(
+        let mut wal = WalWriter::create_with(
+            FsStorage::shared(),
             &dir,
             1,
             WalConfig {
@@ -944,7 +924,7 @@ mod tests {
     #[test]
     fn zero_filled_tail_is_truncated_not_replayed_as_phantom_records() {
         let dir = temp_wal_dir("zero-tail");
-        let mut wal = WalWriter::create(&dir, 1, fast_config()).unwrap();
+        let mut wal = WalWriter::create_with(FsStorage::shared(), &dir, 1, fast_config()).unwrap();
         wal.append("SELECT a FROM t");
         wal.append("SELECT b FROM t");
         wal.sync().unwrap();
@@ -972,7 +952,7 @@ mod tests {
     #[test]
     fn corruption_below_the_tail_is_fatal() {
         let dir = temp_wal_dir("corrupt");
-        let mut wal = WalWriter::create(&dir, 1, fast_config()).unwrap();
+        let mut wal = WalWriter::create_with(FsStorage::shared(), &dir, 1, fast_config()).unwrap();
         for i in 0..6 {
             wal.append(&format!("SELECT c{i} FROM t"));
         }
@@ -1004,7 +984,7 @@ mod tests {
     #[test]
     fn missing_covered_segments_are_detected() {
         let dir = temp_wal_dir("gap");
-        let mut wal = WalWriter::create(&dir, 1, fast_config()).unwrap();
+        let mut wal = WalWriter::create_with(FsStorage::shared(), &dir, 1, fast_config()).unwrap();
         for i in 0..10 {
             wal.append(&format!("SELECT c{i} FROM t"));
         }
@@ -1026,7 +1006,7 @@ mod tests {
     #[test]
     fn gaps_below_the_watermark_are_benign() {
         let dir = temp_wal_dir("benign-gap");
-        let mut wal = WalWriter::create(&dir, 1, fast_config()).unwrap();
+        let mut wal = WalWriter::create_with(FsStorage::shared(), &dir, 1, fast_config()).unwrap();
         for i in 0..10 {
             wal.append(&format!("SELECT c{i} FROM t"));
         }
@@ -1045,14 +1025,14 @@ mod tests {
     #[test]
     fn gc_removes_only_wholly_covered_segments() {
         let dir = temp_wal_dir("gc");
-        let mut wal = WalWriter::create(&dir, 1, fast_config()).unwrap();
+        let mut wal = WalWriter::create_with(FsStorage::shared(), &dir, 1, fast_config()).unwrap();
         for i in 0..10 {
             wal.append(&format!("SELECT c{i} FROM t"));
         }
         wal.sync().unwrap();
         // Segments: [1..=4], [5..=8], [9..]. Watermark 6 covers only the
         // first segment wholly.
-        assert_eq!(gc_segments(&dir, 6).unwrap(), 1);
+        assert_eq!(gc_segments_with(&FsStorage, &dir, 6).unwrap(), 1);
         let firsts: Vec<u64> = list_segments(&FsStorage, &dir)
             .unwrap()
             .iter()
@@ -1060,7 +1040,7 @@ mod tests {
             .collect();
         assert_eq!(firsts, vec![5, 9]);
         // Watermark 10 covers [5..=8] too; the active segment survives.
-        assert_eq!(gc_segments(&dir, 10).unwrap(), 1);
+        assert_eq!(gc_segments_with(&FsStorage, &dir, 10).unwrap(), 1);
         let firsts: Vec<u64> = list_segments(&FsStorage, &dir)
             .unwrap()
             .iter()
@@ -1085,7 +1065,7 @@ mod tests {
     #[test]
     fn batched_replay_matches_eager_replay_under_any_budget() {
         let dir = temp_wal_dir("batched-equiv");
-        let mut wal = WalWriter::create(&dir, 1, fast_config()).unwrap();
+        let mut wal = WalWriter::create_with(FsStorage::shared(), &dir, 1, fast_config()).unwrap();
         let statements: Vec<String> = (0..17)
             .map(|i| format!("SELECT col{i} FROM t{} WHERE x > {i}", i % 3))
             .collect();
@@ -1097,7 +1077,7 @@ mod tests {
         for budget in [1usize, 64, 200, 1 << 20, usize::MAX] {
             let mut collected = Vec::new();
             let mut sink_calls = 0u64;
-            let stats = replay_batched(&dir, 3, budget, &mut |batch| {
+            let stats = replay_batched_with(&FsStorage, &dir, 3, budget, &mut |batch| {
                 assert!(!batch.is_empty(), "sink never sees an empty batch");
                 sink_calls += 1;
                 collected.extend_from_slice(batch);
@@ -1115,7 +1095,7 @@ mod tests {
     #[test]
     fn batch_budget_bounds_the_peak_and_oversized_entries_ride_alone() {
         let dir = temp_wal_dir("batched-budget");
-        let mut wal = WalWriter::create(&dir, 1, fast_config()).unwrap();
+        let mut wal = WalWriter::create_with(FsStorage::shared(), &dir, 1, fast_config()).unwrap();
         let small = "SELECT a FROM t";
         let huge = format!("SELECT {} FROM t", "x, ".repeat(400));
         for _ in 0..6 {
@@ -1127,7 +1107,7 @@ mod tests {
 
         let budget = 2 * (small.len() + ENTRY_OVERHEAD) + 1;
         let mut batch_sizes = Vec::new();
-        let stats = replay_batched(&dir, 0, budget, &mut |batch| {
+        let stats = replay_batched_with(&FsStorage, &dir, 0, budget, &mut |batch| {
             batch_sizes.push(batch.len());
         })
         .unwrap();
@@ -1147,7 +1127,8 @@ mod tests {
         // A generous budget folds everything into one batch whose size is
         // the exact sum of accounted entry costs.
         let mut batches = 0u64;
-        let stats = replay_batched(&dir, 0, 1 << 20, &mut |_| batches += 1).unwrap();
+        let stats =
+            replay_batched_with(&FsStorage, &dir, 0, 1 << 20, &mut |_| batches += 1).unwrap();
         assert_eq!(batches, 1);
         let total_cost = 7 * (small.len() + ENTRY_OVERHEAD) as u64 + huge_cost;
         assert_eq!(stats.peak_batch_bytes, total_cost);
@@ -1157,7 +1138,7 @@ mod tests {
     #[test]
     fn batched_replay_still_truncates_a_torn_tail() {
         let dir = temp_wal_dir("batched-torn");
-        let mut wal = WalWriter::create(&dir, 1, fast_config()).unwrap();
+        let mut wal = WalWriter::create_with(FsStorage::shared(), &dir, 1, fast_config()).unwrap();
         wal.append("SELECT a FROM t");
         wal.append("SELECT b FROM t");
         wal.sync().unwrap();
@@ -1169,7 +1150,7 @@ mod tests {
         file.sync_all().unwrap();
 
         let mut collected = Vec::new();
-        let stats = replay_batched(&dir, 0, 64, &mut |batch| {
+        let stats = replay_batched_with(&FsStorage, &dir, 0, 64, &mut |batch| {
             collected.extend_from_slice(batch);
         })
         .unwrap();

@@ -3,8 +3,6 @@
 //! Everything here runs on deterministically scaled MAS workloads
 //! ([`datasets::scale_log`]) so the numbers are the same on every machine:
 //!
-//! * tiered delta compaction keeps the run stack logarithmic and the
-//!   publish cost proportional to recent churn, not total history,
 //! * crash recovery of a scaled log replays the journal in bounded-memory
 //!   batches — the peak decoded batch stays within the configured budget —
 //!   and the recovered service answers byte-identically,
@@ -22,7 +20,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
-use templar_core::{Obscurity, QueryFragmentGraph, QueryLog, TemplarConfig};
+use templar_core::{QueryLog, TemplarConfig};
 use templar_service::{ServiceConfig, TemplarService};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -168,56 +166,6 @@ fn mas_100x_recovers_within_a_64kib_batch_budget_byte_identically() {
 #[ignore = "full-scale acceptance run; executed explicitly by CI in release mode"]
 fn mas_1000x_recovers_within_a_256kib_batch_budget_byte_identically() {
     scaled_mas_recovery_roundtrip(1000, 256 * 1024);
-}
-
-/// Tiered compaction at scale: the run stack stays logarithmic in total
-/// pending work while ingesting a 100× log, and after a publish the next
-/// publish's pending work reflects only the churn since — not the total
-/// history.
-#[test]
-fn tiered_publish_cost_tracks_recent_churn_not_total_pending() {
-    let mas = Dataset::mas();
-    let scaled = scale_log(&mas.full_log(), 100, 7);
-    let mut graph = QueryFragmentGraph::empty(Obscurity::NoConstOp);
-    // The delta map holds *distinct* pending pairs, and MAS at NoConstOp
-    // saturates at a few hundred of those no matter how many entries the
-    // log has — the threshold must sit below that plateau for folds to
-    // exercise at all.
-    graph.set_run_fold_threshold(64);
-    for query in scaled.queries() {
-        graph.ingest(query);
-    }
-    let pending = graph.pending_delta_len();
-    assert!(pending > 64, "a 100x log must overflow the fold threshold");
-    let log2_bound = (usize::BITS - pending.leading_zeros()) as usize + 1;
-    assert!(
-        graph.delta_run_len() <= log2_bound,
-        "geometric merging must keep the run stack logarithmic: {} runs for {} pending",
-        graph.delta_run_len(),
-        pending
-    );
-    assert!(graph.run_folds() > 0, "folds must have happened at scale");
-
-    // Publish, then churn a little: the pending work the *next* publish
-    // folds is bounded by that churn, three orders of magnitude below the
-    // total history it would be without tiering.
-    graph.compact();
-    assert_eq!(graph.pending_delta_len(), 0);
-    let churn: Vec<_> = scaled.queries().iter().take(50).cloned().collect();
-    for query in &churn {
-        graph.ingest(query);
-    }
-    let recent = graph.pending_delta_len();
-    assert!(
-        recent <= 50 * 64,
-        "post-publish pending work must be O(recent churn), got {recent} pairs"
-    );
-    assert!(
-        recent < scaled.len(),
-        "pending work after publish must not scale with total history"
-    );
-    graph.compact();
-    assert!(graph.is_compacted());
 }
 
 /// The v4 log sections stream each `Query` through the typed codec.  For
