@@ -6,13 +6,13 @@
 //! default unit weights (baseline behaviour: minimum-length join paths) or
 //! the log-driven weights `w_L(r1, r2) = 1 − Dice(r1, r2)` computed from the
 //! Query Fragment Graph.  Duplicate attribute references trigger the
-//! schema-graph fork of Algorithm 4 so that self-joins are produced.
+//! join-graph fork of Algorithm 4 so that self-joins are produced.
 
 use crate::config::TemplarConfig;
 use crate::error::JoinInferenceError;
 use crate::qfg::{FragmentId, QueryFragmentGraph};
-use relational::AttributeRef;
-use schemagraph::{steiner::k_best_join_paths, JoinGraph, JoinPath, SchemaGraph};
+use relational::{AttributeRef, Schema};
+use schemagraph::{steiner::k_best_join_paths, JoinGraph, JoinPath};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
@@ -108,7 +108,7 @@ pub fn relation_instance_counts(bag: &[BagItem]) -> BTreeMap<String, usize> {
 /// unknown relation, or its relations cannot be connected in the schema
 /// graph.
 pub fn infer_joins(
-    schema_graph: &SchemaGraph,
+    schema: &Schema,
     qfg: Option<&QueryFragmentGraph>,
     config: &TemplarConfig,
     bag: &[BagItem],
@@ -116,13 +116,11 @@ pub fn infer_joins(
     if bag.is_empty() {
         return Err(JoinInferenceError::EmptyBag);
     }
-    // 1. Build the join graph (unit weights; custom weights on the schema
-    //    graph are deliberately ignored, as the old clone-and-clear did) and
-    //    weight its edges directly.  Relation fragments are resolved to
-    //    interned ids once per request, so each edge weight costs two map
-    //    lookups and one columnar Dice read — no fragment construction, no
-    //    schema-graph clone.
-    let mut graph = JoinGraph::unweighted(schema_graph);
+    // 1. Build the join graph at unit weights and, with log joins on,
+    //    re-weight its edges.  Relation fragments are resolved to interned
+    //    ids once per request, so each edge weight costs two map lookups and
+    //    one columnar Dice read — no fragment construction.
+    let mut graph = JoinGraph::from_schema(schema);
     let used_log_weights = config.use_log_joins && qfg.is_some();
     if let (true, Some(qfg)) = (config.use_log_joins, qfg) {
         let relation_ids =
@@ -184,9 +182,8 @@ fn resolve_relation_ids<'a>(
         .collect()
 }
 
-/// The log-driven weight `w_L(a, b) = 1 − Dice(a, b)` of one relation pair,
-/// over pre-resolved ids.  The single source of the weighting rule: both
-/// [`infer_joins`] and [`apply_log_weights`] go through here.
+/// The log-driven weight `w_L(a, b) = 1 − Dice(a, b)` of one relation pair
+/// (Section VI-A.2), over pre-resolved ids.
 fn log_weight(
     qfg: &QueryFragmentGraph,
     relation_ids: &HashMap<String, Option<FragmentId>>,
@@ -202,28 +199,6 @@ fn log_weight(
         return 1.0;
     };
     (1.0 - qfg.dice_by_id(*x, *y)).clamp(0.0, 1.0)
-}
-
-/// Apply the log-driven weight function `w_L = 1 − Dice` to every pair of
-/// relations connected by a FK-PK edge (Section VI-A.2).  [`infer_joins`]
-/// weights its join graph directly (no schema-graph clone); this remains for
-/// callers that keep a weighted [`SchemaGraph`] around, and applies the same
-/// `log_weight` rule.
-pub fn apply_log_weights(schema_graph: &mut SchemaGraph, qfg: &QueryFragmentGraph) {
-    let pairs: Vec<(String, String)> = schema_graph
-        .schema()
-        .foreign_keys
-        .iter()
-        .map(|fk| (fk.from_relation.clone(), fk.to_relation.clone()))
-        .collect();
-    let relation_ids = resolve_relation_ids(
-        qfg,
-        pairs.iter().flat_map(|(a, b)| [a.as_str(), b.as_str()]),
-    );
-    for (a, b) in pairs {
-        let weight = log_weight(qfg, &relation_ids, &a, &b);
-        schema_graph.set_relation_weight(&a, &b, weight);
-    }
 }
 
 #[cfg(test)]
@@ -327,9 +302,9 @@ mod tests {
     fn default_weights_yield_shortest_path_through_conference() {
         // Example 2: without log information the minimum-length path through
         // conference is chosen, which is not the user's intent.
-        let sg = SchemaGraph::from_schema(&mas_mini_schema());
+        let schema = mas_mini_schema();
         let config = TemplarConfig::default().with_log_joins(false);
-        let inference = infer_joins(&sg, None, &config, &bag_pub_domain()).unwrap();
+        let inference = infer_joins(&schema, None, &config, &bag_pub_domain()).unwrap();
         let best = inference.best().unwrap();
         let names = best.path.relation_names(&inference.graph);
         assert!(
@@ -340,10 +315,10 @@ mod tests {
 
     #[test]
     fn log_weights_yield_the_keyword_path_of_example_3() {
-        let sg = SchemaGraph::from_schema(&mas_mini_schema());
+        let schema = mas_mini_schema();
         let qfg = QueryFragmentGraph::build(&keyword_heavy_log(), Obscurity::NoConstOp);
         let config = TemplarConfig::default();
-        let inference = infer_joins(&sg, Some(&qfg), &config, &bag_pub_domain()).unwrap();
+        let inference = infer_joins(&schema, Some(&qfg), &config, &bag_pub_domain()).unwrap();
         let best = inference.best().unwrap();
         let names = best.path.relation_names(&inference.graph);
         assert!(names.contains(&"keyword".to_string()), "path was {names:?}");
@@ -356,14 +331,14 @@ mod tests {
     #[test]
     fn duplicate_attribute_references_create_a_self_join() {
         // Example 7: author.name twice plus publication.title.
-        let sg = SchemaGraph::from_schema(&mas_mini_schema());
+        let schema = mas_mini_schema();
         let config = TemplarConfig::default().with_log_joins(false);
         let bag = vec![
             BagItem::Attribute(AttributeRef::new("author", "name")),
             BagItem::Attribute(AttributeRef::new("author", "name")),
             BagItem::Attribute(AttributeRef::new("publication", "title")),
         ];
-        let inference = infer_joins(&sg, None, &config, &bag).unwrap();
+        let inference = infer_joins(&schema, None, &config, &bag).unwrap();
         let best = inference.best().unwrap();
         let names = best.path.relation_names(&inference.graph);
         assert_eq!(
@@ -397,37 +372,37 @@ mod tests {
 
     #[test]
     fn single_relation_bag_yields_trivial_path() {
-        let sg = SchemaGraph::from_schema(&mas_mini_schema());
+        let schema = mas_mini_schema();
         let config = TemplarConfig::default();
         let bag = vec![BagItem::Attribute(AttributeRef::new(
             "publication",
             "title",
         ))];
-        let inference = infer_joins(&sg, None, &config, &bag).unwrap();
+        let inference = infer_joins(&schema, None, &config, &bag).unwrap();
         assert!(inference.best().unwrap().path.is_empty());
         assert_eq!(inference.best().unwrap().score, 1.0);
     }
 
     #[test]
     fn empty_bag_or_unknown_relation_yields_typed_errors() {
-        let sg = SchemaGraph::from_schema(&mas_mini_schema());
+        let schema = mas_mini_schema();
         let config = TemplarConfig::default();
         assert_eq!(
-            infer_joins(&sg, None, &config, &[]).unwrap_err(),
+            infer_joins(&schema, None, &config, &[]).unwrap_err(),
             JoinInferenceError::EmptyBag
         );
         let bag = vec![BagItem::Relation("not_a_table".into())];
         assert_eq!(
-            infer_joins(&sg, None, &config, &bag).unwrap_err(),
+            infer_joins(&schema, None, &config, &bag).unwrap_err(),
             JoinInferenceError::UnknownRelation("not_a_table".into())
         );
     }
 
     #[test]
     fn ranked_paths_are_sorted_by_score() {
-        let sg = SchemaGraph::from_schema(&mas_mini_schema());
+        let schema = mas_mini_schema();
         let config = TemplarConfig::default().with_log_joins(false);
-        let inference = infer_joins(&sg, None, &config, &bag_pub_domain()).unwrap();
+        let inference = infer_joins(&schema, None, &config, &bag_pub_domain()).unwrap();
         assert!(inference.paths.len() >= 2);
         for w in inference.paths.windows(2) {
             assert!(w[0].score >= w[1].score);
@@ -436,14 +411,28 @@ mod tests {
 
     #[test]
     fn log_weights_are_one_minus_dice() {
-        let mut sg = SchemaGraph::from_schema(&mas_mini_schema());
         let qfg = QueryFragmentGraph::build(&keyword_heavy_log(), Obscurity::NoConstOp);
-        apply_log_weights(&mut sg, &qfg);
+        let config = TemplarConfig::default();
+        let inference =
+            infer_joins(&mas_mini_schema(), Some(&qfg), &config, &bag_pub_domain()).unwrap();
+        assert!(inference.used_log_weights);
+        let graph = &inference.graph;
+        let weight = |fk_side: &str, pk_side: &str| {
+            graph
+                .edges()
+                .iter()
+                .find(|e| {
+                    graph.node(e.fk_node).relation == fk_side
+                        && graph.node(e.pk_node).relation == pk_side
+                })
+                .unwrap()
+                .weight
+        };
         let dice = qfg.relation_dice("publication", "publication_keyword");
         assert!(dice > 0.0);
-        let w = sg.relation_weight("publication", "publication_keyword");
+        let w = weight("publication_keyword", "publication");
         assert!((w - (1.0 - dice)).abs() < 1e-12);
         // A pair never co-occurring in the log keeps weight 1.
-        assert_eq!(sg.relation_weight("writes", "author"), 1.0);
+        assert_eq!(weight("writes", "author"), 1.0);
     }
 }

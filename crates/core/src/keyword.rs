@@ -155,19 +155,6 @@ impl MappedElement {
     pub fn is_relation(&self) -> bool {
         matches!(self, MappedElement::Relation(_))
     }
-
-    /// The SQL predicate for a predicate element (used by the NLIDB when
-    /// constructing the final query).
-    pub fn to_predicate(&self, qualifier: &str) -> Option<Predicate> {
-        match self {
-            MappedElement::Predicate { attr, op, value } => Some(Predicate::Compare {
-                left: Expr::Column(ColumnRef::qualified(qualifier, attr.attribute.clone())),
-                op: *op,
-                right: Expr::Literal(value.clone()),
-            }),
-            _ => None,
-        }
-    }
 }
 
 /// A scored keyword-to-element mapping (Definition 4).
@@ -609,37 +596,6 @@ impl<'a> KeywordMapper<'a> {
         assign_popularity(self.qfg, &mut resolved);
         assign_pair_factor_caps(self.qfg, &mut resolved);
         resolved
-    }
-
-    /// Compute `Score_σ`, `Score_QFG` and the λ-combination for one
-    /// configuration, retaining each component for explanations.  Runs the
-    /// same id-based arithmetic as the batched scoring path, so a
-    /// configuration scored here can never diverge from the ranking.
-    pub fn score_configuration(&self, mappings: Vec<MappingCandidate>) -> Configuration {
-        let sigma_score = geometric_mean(mappings.iter().map(|m| m.score));
-        let slots: Vec<FragmentSlot> = mappings
-            .iter()
-            .filter(|m| !m.element.is_relation())
-            .map(|m| self.resolve_slot(&m.element))
-            .collect();
-        let qfg = qfg_breakdown(self.qfg, &slots, mappings.len());
-        let qfg_score = if qfg.pairs == 0 {
-            qfg.log_popularity
-        } else {
-            qfg.dice
-        };
-        let lambda = self.config.lambda;
-        let score = lambda * sigma_score + (1.0 - lambda) * qfg_score;
-        Configuration {
-            mappings,
-            sigma_score,
-            qfg_score,
-            log_popularity: qfg.log_popularity,
-            dice_cooccurrence: qfg.dice,
-            qfg_pairs: qfg.pairs,
-            lambda,
-            score,
-        }
     }
 
     /// Resolve one pruned candidate to the columnar scoring domain: its σ,

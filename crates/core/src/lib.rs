@@ -37,7 +37,7 @@ pub mod trace;
 pub use config::{Obscurity, TemplarConfig};
 pub use error::{JoinInferenceError, TemplarError};
 pub use fragment::{fragments_of_query, QueryContext, QueryFragment};
-pub use join::{apply_log_weights, infer_joins, BagItem, JoinInference, ScoredJoinPath};
+pub use join::{infer_joins, BagItem, JoinInference, ScoredJoinPath};
 pub use keyword::{
     Configuration, Keyword, KeywordMapper, KeywordMetadata, MappedElement, MappingCandidate,
     SearchStats,

@@ -1,9 +1,9 @@
 //! The Templar facade (Figure 2).
 //!
-//! A [`Templar`] instance wraps a database, its schema graph, the Query
-//! Fragment Graph built from the SQL query log, a word-similarity model and
-//! the configuration parameters.  It exposes exactly the two interface calls
-//! the paper defines for host NLIDBs:
+//! A [`Templar`] instance wraps a database, the Query Fragment Graph built
+//! from the SQL query log, a word-similarity model and the configuration
+//! parameters.  It exposes exactly the two interface calls the paper defines
+//! for host NLIDBs:
 //!
 //! * [`Templar::map_keywords`] — `MAPKEYWORDS(D, S, M)`, and
 //! * [`Templar::infer_joins`] — `INFERJOINS(G_s, B_D)`.
@@ -22,7 +22,6 @@ use crate::trace::{Stage, TraceCtx};
 use nlp::TextSimilarity;
 use parking_lot::Mutex;
 use relational::Database;
-use schemagraph::SchemaGraph;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -141,7 +140,6 @@ pub struct JoinCacheStats {
 /// The Templar system.
 pub struct Templar {
     db: Arc<Database>,
-    schema_graph: SchemaGraph,
     qfg: QueryFragmentGraph,
     similarity: TextSimilarity,
     config: TemplarConfig,
@@ -205,11 +203,9 @@ impl Templar {
         // CSR now so every lookup on the serving path takes the compacted
         // fast path (binary search + precomputed Dice denominator).
         qfg.compact();
-        let schema_graph = SchemaGraph::from_schema(db.schema());
         let capacity = config.join_cache_capacity;
         Ok(Templar {
             db,
-            schema_graph,
             qfg,
             similarity,
             config,
@@ -238,11 +234,6 @@ impl Templar {
     /// The Query Fragment Graph.
     pub fn qfg(&self) -> &QueryFragmentGraph {
         &self.qfg
-    }
-
-    /// The schema graph.
-    pub fn schema_graph(&self) -> &SchemaGraph {
-        &self.schema_graph
     }
 
     /// The word similarity model.
@@ -363,7 +354,7 @@ impl Templar {
         } else {
             None
         };
-        let result = Arc::new(infer_joins(&self.schema_graph, qfg, config, bag)?);
+        let result = Arc::new(infer_joins(self.db.schema(), qfg, config, bag)?);
         let evicted = self.join_cache.lock().insert(key, Arc::clone(&result));
         if evicted > 0 {
             self.cache_evictions.fetch_add(evicted, Ordering::Relaxed);

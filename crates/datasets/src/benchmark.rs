@@ -4,7 +4,7 @@ use nlidb::Nlq;
 use relational::{AttributeRef, Database, DatasetStats};
 use sqlparse::{parse_query, Aggregate, BinOp, Literal, Query};
 use std::sync::Arc;
-use templar_core::{Keyword, KeywordMetadata, MappedElement, QueryContext, QueryLog};
+use templar_core::{Keyword, KeywordMetadata, MappedElement, QueryLog};
 
 /// A rough classification of a benchmark case, used for reporting and for
 /// sanity checks on the benchmark composition (not visible to the systems).
@@ -237,22 +237,6 @@ pub(crate) fn filter_num(text: &str, rel: &str, attr: &str, op: BinOp, value: f6
             value: Literal::Number(value),
         },
     )
-}
-
-/// A keyword explicitly referring to a relation (FROM context).
-#[allow(dead_code)]
-pub(crate) fn from_relation(text: &str, rel: &str) -> GoldKeyword {
-    (
-        Keyword::new(text),
-        KeywordMetadata::from_clause(),
-        MappedElement::Relation(rel.to_string()),
-    )
-}
-
-/// Keyword metadata context helper re-exported for dataset modules.
-#[allow(dead_code)]
-pub(crate) fn where_context() -> QueryContext {
-    QueryContext::Where
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Run every experiment (Tables II-IV, Figures 5-6, obscurity ablation) and
-//! print the results in the order they appear in the paper.  The output of
-//! this binary is the source of EXPERIMENTS.md.
+//! print the results in the order they appear in the paper.  CI diffs this
+//! output against `tests/data/all_experiments.txt`; after an intended change,
+//! regenerate it with
+//! `cargo run --release -p eval --bin all_experiments > tests/data/all_experiments.txt`.
 
 use datasets::Dataset;
 use eval::experiments::{fig5, fig6, obscurity, table2, table3, table4};

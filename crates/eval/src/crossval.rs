@@ -1,8 +1,8 @@
 //! Cross-validation driver and system construction.
 
 use crate::metrics::{fq_correct, kw_correct, Accuracy};
-use datasets::Dataset;
-use nlidb::{NaLirSystem, NlidbSystem, PipelineSystem};
+use datasets::{BenchmarkCase, Dataset};
+use nlidb::{NaLirSystem, NlidbSystem, PipelineSystem, RankedSql};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use templar_core::{Keyword, QueryLog, TemplarConfig, TemplarError};
@@ -109,6 +109,32 @@ pub fn evaluate_system_with_folds(
     config: &TemplarConfig,
     folds: usize,
 ) -> DatasetAccuracy {
+    evaluate_cases(dataset, system, config, folds, |_| {})
+}
+
+/// One evaluated benchmark case, as the fold loop hands it to its caller.
+pub struct CaseOutcome<'a> {
+    /// The benchmark case.
+    pub case: &'a BenchmarkCase,
+    /// The system's ranked translations, best first (empty when it
+    /// produced none).
+    pub results: &'a [RankedSql],
+    /// Keyword-mapping correctness of the top result ([`kw_correct`]).
+    pub kw: bool,
+    /// Full-query correctness of the top result ([`fq_correct`]).
+    pub fq: bool,
+}
+
+/// The fold loop behind [`evaluate_system`]: builds the system once per
+/// fold, translates every held-out case and hands each case's outcome to
+/// `visit` before adding it to the aggregated accuracy it returns.
+pub fn evaluate_cases(
+    dataset: &Dataset,
+    system: SystemKind,
+    config: &TemplarConfig,
+    folds: usize,
+    mut visit: impl FnMut(CaseOutcome<'_>),
+) -> DatasetAccuracy {
     let mut kw = Accuracy::default();
     let mut fq = Accuracy::default();
     for fold in dataset.folds(folds) {
@@ -123,8 +149,15 @@ pub fn evaluate_system_with_folds(
             // accuracy metrics, exactly as the paper scores a miss.
             let results = instance.translate(&case.nlq).unwrap_or_default();
             let keywords: Vec<Keyword> = case.nlq.keywords.iter().map(|(k, _)| k.clone()).collect();
-            kw.record(kw_correct(&results, &keywords, &case.nlq.gold_mappings));
-            fq.record(fq_correct(&results, &case.gold_sql));
+            let outcome = CaseOutcome {
+                case,
+                results: &results,
+                kw: kw_correct(&results, &keywords, &case.nlq.gold_mappings),
+                fq: fq_correct(&results, &case.gold_sql),
+            };
+            kw.record(outcome.kw);
+            fq.record(outcome.fq);
+            visit(outcome);
         }
     }
     DatasetAccuracy { kw, fq }

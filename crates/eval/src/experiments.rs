@@ -1,9 +1,10 @@
 //! Experiment drivers: one per table / figure of the paper's evaluation.
 
-use crate::crossval::{evaluate_system, DatasetAccuracy, SystemKind};
+use crate::crossval::{evaluate_cases, evaluate_system, DatasetAccuracy, SystemKind, FOLDS};
 use datasets::Dataset;
 use relational::DatasetStats;
 use serde::{Deserialize, Serialize};
+use sqlparse::canonicalize;
 use templar_core::{Obscurity, QueryFragmentGraph, TemplarConfig};
 
 /// Table II — dataset statistics.
@@ -336,10 +337,42 @@ impl ObscurityAblation {
     }
 }
 
-/// Convenience wrapper: accuracy of one system on one dataset with the paper
-/// defaults (used by examples and integration tests).
-pub fn quick_accuracy(dataset: &Dataset, system: SystemKind) -> DatasetAccuracy {
-    evaluate_system(dataset, system, &TemplarConfig::default())
+/// The header line of the top-1 fixture `tests/data/top1.tsv`.
+pub const TOP1_HEADER: &str = "dataset\tsystem\tcase\tkw\tfq\tscore\tsql";
+
+/// The top-1 fixture rows of one system on one dataset under the 4-fold
+/// protocol, one per case in case-id order, plus the accuracy of the same
+/// pass.  Each row holds the columns of [`TOP1_HEADER`], tab-separated: the
+/// KW and FQ flags as `0`/`1`, the top result's score to 12 decimals and its
+/// canonical SQL (`-` for both when the system produced no translation).
+/// `tests/paper_numbers.rs` checks the rows against `tests/data/top1.tsv`;
+/// the `top1` binary regenerates that file.
+pub fn top1(
+    dataset: &Dataset,
+    system: SystemKind,
+    config: &TemplarConfig,
+) -> (DatasetAccuracy, Vec<String>) {
+    let mut rows = Vec::new();
+    let accuracy = evaluate_cases(dataset, system, config, FOLDS, |outcome| {
+        let (score, sql) = match outcome.results.first() {
+            Some(top) => (
+                format!("{:.12}", top.score),
+                canonicalize(&top.query).to_string(),
+            ),
+            None => ("-".to_string(), "-".to_string()),
+        };
+        let id = outcome.case.id;
+        let row = format!(
+            "{}\t{}\t{id}\t{}\t{}\t{score}\t{sql}",
+            dataset.name,
+            system.name(),
+            u8::from(outcome.kw),
+            u8::from(outcome.fq)
+        );
+        rows.push((id, row));
+    });
+    rows.sort_by_key(|(id, _)| *id);
+    (accuracy, rows.into_iter().map(|(_, row)| row).collect())
 }
 
 #[cfg(test)]

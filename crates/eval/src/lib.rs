@@ -13,8 +13,8 @@
 //!   (λ sweep) and the obscurity-level ablation discussed in Section VII-B.
 //!
 //! Each driver returns a serde-serializable result and renders an aligned
-//! text table, so the binaries in `src/bin/` can both print to stdout and
-//! archive JSON for `EXPERIMENTS.md`.
+//! text table, so the binaries in `src/bin/` can print both.  The `top1`
+//! binary prints the per-case fixture `tests/data/top1.tsv`.
 
 pub mod crossval;
 pub mod experiments;

@@ -134,7 +134,6 @@ pub fn string_literal(s: &str) -> Literal {
 mod tests {
     use super::*;
     use relational::{AttributeRef, DataType, Schema};
-    use schemagraph::SchemaGraph;
     use sqlparse::{canon, parse_query, Aggregate, BinOp};
     use templar_core::{
         infer_joins, BagItem, Keyword, MappedElement, MappingCandidate, TemplarConfig,
@@ -208,9 +207,9 @@ mod tests {
     }
 
     fn build(config: &Configuration) -> Query {
-        let sg = SchemaGraph::from_schema(&academic_schema());
+        let schema = academic_schema();
         let tconfig = TemplarConfig::default().with_log_joins(false);
-        let inference = infer_joins(&sg, None, &tconfig, &bag_of(config)).unwrap();
+        let inference = infer_joins(&schema, None, &tconfig, &bag_of(config)).unwrap();
         let best = inference.best().unwrap().path.clone();
         construct_query(config, &inference, &best).unwrap()
     }
@@ -323,14 +322,14 @@ mod tests {
 
     #[test]
     fn element_outside_the_join_path_fails_construction() {
-        let sg = SchemaGraph::from_schema(&academic_schema());
+        let schema = academic_schema();
         let tconfig = TemplarConfig::default().with_log_joins(false);
         // Join path over publication only...
         let pub_bag = vec![BagItem::Attribute(AttributeRef::new(
             "publication",
             "title",
         ))];
-        let inference = infer_joins(&sg, None, &tconfig, &pub_bag).unwrap();
+        let inference = infer_joins(&schema, None, &tconfig, &pub_bag).unwrap();
         let best = inference.best().unwrap().path.clone();
         // ...but the configuration references journal.name.
         let config = config_of(vec![MappedElement::Attribute {

@@ -62,15 +62,6 @@ impl PipelineSystem {
         })
     }
 
-    /// Build from an existing Templar instance under a custom display name
-    /// (used by parameter-sweep experiments).
-    pub fn with_templar(name: impl Into<String>, templar: Arc<Templar>) -> Self {
-        PipelineSystem {
-            name: name.into(),
-            source: TemplarSource::Fixed(templar),
-        }
-    }
-
     /// Pipeline+ over a live serving handle (`TemplarService::handle()`):
     /// every translation runs against the service's newest published
     /// snapshot, so ingested log entries sharpen subsequent translations

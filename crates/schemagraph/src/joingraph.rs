@@ -1,4 +1,4 @@
-//! The join graph: a relation-instance-level view of the schema graph.
+//! The join graph: the FK-PK graph of Definition 1 over relation instances.
 //!
 //! Join path inference works over *instances* of relations rather than
 //! relations themselves, because a query may reference the same relation
@@ -7,8 +7,7 @@
 //! sub-graph reachable against the FK direction, stopping (and connecting
 //! back to the original graph) when a forward FK-PK edge is reached.
 
-use crate::graph::SchemaGraph;
-use relational::ForeignKey;
+use relational::{ForeignKey, Schema};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Identifier of a node (relation instance) in the join graph.
@@ -19,20 +18,9 @@ pub type NodeId = usize;
 pub struct JoinNode {
     /// The relation name.
     pub relation: String,
-    /// Instance number: 0 for the original schema-graph vertex, 1.. for
-    /// clones created by forking.
+    /// Instance number: 0 for the relation's own node, 1.. for clones
+    /// created by forking.
     pub instance: usize,
-}
-
-impl JoinNode {
-    /// A display label such as `author` or `author#2`.
-    pub fn label(&self) -> String {
-        if self.instance == 0 {
-            self.relation.clone()
-        } else {
-            format!("{}#{}", self.relation, self.instance + 1)
-        }
-    }
 }
 
 /// An edge between two relation instances, annotated with the FK that
@@ -77,26 +65,11 @@ pub struct JoinGraph {
 }
 
 impl JoinGraph {
-    /// Build the join graph from a schema graph: one node per relation, one
-    /// edge per FK-PK relationship, with weights taken from the schema
-    /// graph's weight function.
-    pub fn from_schema_graph(graph: &SchemaGraph) -> Self {
-        Self::build(graph, |fk| {
-            graph.relation_weight(&fk.from_relation, &fk.to_relation)
-        })
-    }
-
-    /// Build the join graph with unit edge weights, ignoring any custom
-    /// weights on the schema graph.  This is the starting point for join
-    /// inference, which then either keeps the paper's default weight
-    /// function or applies log-driven weights via
-    /// [`JoinGraph::set_weights`] — without cloning the schema graph.
-    pub fn unweighted(graph: &SchemaGraph) -> Self {
-        Self::build(graph, |_| 1.0)
-    }
-
-    fn build(graph: &SchemaGraph, weight: impl Fn(&ForeignKey) -> f64) -> Self {
-        let schema = graph.schema();
+    /// Build the join graph of a schema: one node per relation, one edge per
+    /// FK-PK relationship, every edge at the paper's default weight of 1.
+    /// Join inference either keeps those weights or replaces them with
+    /// log-driven ones via [`JoinGraph::set_weights`].
+    pub fn from_schema(schema: &Schema) -> Self {
         let mut nodes = Vec::new();
         let mut index: BTreeMap<String, NodeId> = BTreeMap::new();
         for rel in &schema.relations {
@@ -122,7 +95,7 @@ impl JoinGraph {
                 fk_node: from,
                 pk_node: to,
                 fk: fk.clone(),
-                weight: weight(fk),
+                weight: 1.0,
             });
         }
         result
@@ -197,10 +170,17 @@ impl JoinGraph {
         }
     }
 
-    /// Dijkstra shortest path between two nodes.  Returns the edge indices of
-    /// the path, or `None` when the nodes are disconnected.  Ties are broken
+    /// Dijkstra shortest path between two nodes, skipping the edges whose
+    /// indices appear in `excluded` (the Steiner search excludes edges to
+    /// enumerate alternative join paths).  Returns the edge indices of the
+    /// path, or `None` when the nodes are disconnected.  Ties are broken
     /// deterministically by node id.
-    pub fn shortest_path(&self, from: NodeId, to: NodeId) -> Option<(f64, Vec<usize>)> {
+    pub fn shortest_path(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        excluded: &BTreeSet<usize>,
+    ) -> Option<(f64, Vec<usize>)> {
         if from == to {
             return Some((0.0, Vec::new()));
         }
@@ -225,6 +205,9 @@ impl JoinGraph {
             }
             visited[u] = true;
             for &ei in self.incident_edges(u) {
+                if excluded.contains(&ei) {
+                    continue;
+                }
                 let e = &self.edges[ei];
                 let v = e.other(u);
                 // Use a small per-hop epsilon so that among equal-weight
@@ -319,7 +302,7 @@ impl JoinGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relational::{DataType, Schema};
+    use relational::DataType;
 
     fn academic_schema() -> Schema {
         Schema::builder("academic")
@@ -354,7 +337,7 @@ mod tests {
     }
 
     fn graph() -> JoinGraph {
-        JoinGraph::from_schema_graph(&SchemaGraph::from_schema(&academic_schema()))
+        JoinGraph::from_schema(&academic_schema())
     }
 
     #[test]
@@ -362,6 +345,7 @@ mod tests {
         let g = graph();
         assert_eq!(g.nodes().len(), 4);
         assert_eq!(g.edges().len(), 3);
+        assert!(g.edges().iter().all(|e| e.weight == 1.0), "unit weights");
     }
 
     #[test]
@@ -369,7 +353,7 @@ mod tests {
         let g = graph();
         let author = g.node_of("author").unwrap();
         let journal = g.node_of("journal").unwrap();
-        let (cost, path) = g.shortest_path(author, journal).unwrap();
+        let (cost, path) = g.shortest_path(author, journal, &BTreeSet::new()).unwrap();
         assert_eq!(path.len(), 3); // author - writes - publication - journal
         assert!((cost - 3.0).abs() < 1e-3);
     }
@@ -378,11 +362,11 @@ mod tests {
     fn shortest_path_to_self_is_empty() {
         let g = graph();
         let a = g.node_of("author").unwrap();
-        assert_eq!(g.shortest_path(a, a).unwrap().1.len(), 0);
+        assert_eq!(g.shortest_path(a, a, &BTreeSet::new()).unwrap().1.len(), 0);
     }
 
-    #[test]
-    fn shortest_path_prefers_lower_weights() {
+    /// A triangle: `a` reaches `c` directly or through `b`.
+    fn triangle() -> JoinGraph {
         let schema = Schema::builder("tri")
             .relation(
                 "a",
@@ -403,16 +387,33 @@ mod tests {
             .foreign_key("a", "cid", "c", "id")
             .foreign_key("b", "cid", "c", "id")
             .build();
-        let mut sg = SchemaGraph::from_schema(&schema);
+        let mut g = JoinGraph::from_schema(&schema);
         // direct edge a-c is expensive; a-b and b-c are cheap
-        sg.set_relation_weight("a", "c", 0.9);
-        sg.set_relation_weight("a", "b", 0.1);
-        sg.set_relation_weight("b", "c", 0.1);
-        let g = JoinGraph::from_schema_graph(&sg);
+        g.set_weights(|x, y| if (x, y) == ("a", "c") { 0.9 } else { 0.1 });
+        g
+    }
+
+    #[test]
+    fn shortest_path_prefers_lower_weights() {
+        let g = triangle();
         let a = g.node_of("a").unwrap();
         let c = g.node_of("c").unwrap();
-        let (_, path) = g.shortest_path(a, c).unwrap();
+        let (_, path) = g.shortest_path(a, c, &BTreeSet::new()).unwrap();
         assert_eq!(path.len(), 2, "should detour through b");
+    }
+
+    #[test]
+    fn shortest_path_skips_excluded_edges() {
+        let g = triangle();
+        let a = g.node_of("a").unwrap();
+        let c = g.node_of("c").unwrap();
+        let (_, detour) = g.shortest_path(a, c, &BTreeSet::new()).unwrap();
+        let excluded: BTreeSet<usize> = detour[..1].iter().copied().collect();
+        let (cost, path) = g.shortest_path(a, c, &excluded).unwrap();
+        assert_eq!(path.len(), 1, "only the direct edge is left");
+        assert!((cost - 0.9).abs() < 1e-9);
+        let all: BTreeSet<usize> = (0..g.edges().len()).collect();
+        assert!(g.shortest_path(a, c, &all).is_none());
     }
 
     #[test]
@@ -472,21 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn unweighted_ignores_custom_schema_weights() {
-        let mut sg = SchemaGraph::from_schema(&academic_schema());
-        sg.set_relation_weight("publication", "journal", 0.05);
-        let weighted = JoinGraph::from_schema_graph(&sg);
-        assert!(weighted
-            .edges()
-            .iter()
-            .any(|e| (e.weight - 0.05).abs() < 1e-12));
-        let unit = JoinGraph::unweighted(&sg);
-        assert!(unit.edges().iter().all(|e| (e.weight - 1.0).abs() < 1e-12));
-        assert_eq!(unit.nodes().len(), weighted.nodes().len());
-        assert_eq!(unit.edges().len(), weighted.edges().len());
-    }
-
-    #[test]
     fn adjacency_index_stays_consistent_across_forks() {
         let mut g = graph();
         g.fork("author").unwrap();
@@ -513,9 +499,9 @@ mod tests {
             .relation("a", &[("id", DataType::Integer)], Some("id"))
             .relation("b", &[("id", DataType::Integer)], Some("id"))
             .build();
-        let g = JoinGraph::from_schema_graph(&SchemaGraph::from_schema(&schema));
+        let g = JoinGraph::from_schema(&schema);
         let a = g.node_of("a").unwrap();
         let b = g.node_of("b").unwrap();
-        assert!(g.shortest_path(a, b).is_none());
+        assert!(g.shortest_path(a, b, &BTreeSet::new()).is_none());
     }
 }

@@ -69,16 +69,6 @@ impl JoinPath {
         join_path_score(self.total_weight, self.edges.len())
     }
 
-    /// The literal `Σ w / |E_j|²` value from the paper (kept for analysis and
-    /// tests; not used directly for ranking because all other scores in the
-    /// pipeline are similarity-oriented).
-    pub fn raw_cost(&self) -> f64 {
-        if self.edges.is_empty() {
-            return 0.0;
-        }
-        self.total_weight / (self.edges.len() as f64).powi(2)
-    }
-
     /// Number of join edges.
     pub fn len(&self) -> usize {
         self.edges.len()
@@ -102,15 +92,6 @@ impl JoinPath {
                     pk_attr: e.fk.to_attribute.clone(),
                 }
             })
-            .collect()
-    }
-
-    /// The relation instances of the path with their display labels, in node
-    /// order.
-    pub fn relation_labels(&self, graph: &JoinGraph) -> Vec<(NodeId, String)> {
-        self.nodes
-            .iter()
-            .map(|&n| (n, graph.node(n).label()))
             .collect()
     }
 
@@ -168,7 +149,6 @@ impl JoinPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::SchemaGraph;
     use relational::{DataType, Schema};
 
     fn chain_graph() -> JoinGraph {
@@ -187,7 +167,7 @@ mod tests {
             .foreign_key("b", "aid", "a", "id")
             .foreign_key("c", "bid", "b", "id")
             .build();
-        JoinGraph::from_schema_graph(&SchemaGraph::from_schema(&schema))
+        JoinGraph::from_schema(&schema)
     }
 
     fn chain_path(_g: &JoinGraph) -> JoinPath {
@@ -203,7 +183,6 @@ mod tests {
     fn single_relation_path_scores_one() {
         let p = JoinPath::single(3);
         assert_eq!(p.score(), 1.0);
-        assert_eq!(p.raw_cost(), 0.0);
         assert!(p.is_empty());
     }
 
@@ -219,9 +198,11 @@ mod tests {
 
     #[test]
     fn raw_cost_matches_paper_formula() {
+        // The paper's cost Σw / |E|² is ranked larger-is-better as
+        // 1 / (1 + Σw/√|E| + 0.1·|E|): 2 unit edges score 1 / (1.2 + √2).
         let g = chain_graph();
         let p = chain_path(&g);
-        assert!((p.raw_cost() - 2.0 / 4.0).abs() < 1e-9);
+        assert!((p.score() - 1.0 / (1.2 + 2f64.sqrt())).abs() < 1e-12);
     }
 
     #[test]

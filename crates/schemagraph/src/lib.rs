@@ -1,26 +1,21 @@
-//! Schema graph and join-path inference substrate.
+//! The join graph and join-path inference substrate.
 //!
 //! This crate implements the graph machinery behind Section VI of the paper:
 //!
-//! * the **schema graph** of Definition 1 (relation and attribute vertices,
-//!   projection and FK-PK join edges, a weight function on edges),
-//! * the **join graph**, a relation-instance-level view of the schema graph
-//!   on which join paths are computed,
+//! * the **join graph**: the FK-PK graph of Definition 1 at the level of
+//!   relation instances, one node per relation and one edge per foreign
+//!   key, with unit weights until a caller re-weights it (Templar's
+//!   log-driven `w_L = 1 − Dice`),
 //! * the **Kou–Markowsky–Berman Steiner tree approximation** \[21\] used to
 //!   find minimum-weight join paths spanning a set of terminal relations,
-//! * **schema-graph forking** for self-joins (Algorithm 4 / Figure 4), and
-//! * **join path scoring** (`Score_j = Σ w / |E_j|²`).
-//!
-//! Weight assignment is a pluggable function so that Templar's log-driven
-//! weights (`w_L = 1 − Dice`) and the default unit weights of the baselines
-//! both run on the same machinery.
+//! * **forking** for self-joins (Algorithm 4 / Figure 4), and
+//! * **join path scoring** ([`join_path_score`]: the paper's
+//!   `Score_j = Σ w / |E_j|²`, turned larger-is-better).
 
-pub mod graph;
 pub mod joingraph;
 pub mod joinpath;
 pub mod steiner;
 
-pub use graph::{SchemaGraph, VertexKind};
 pub use joingraph::{JoinEdge, JoinGraph, NodeId};
 pub use joinpath::{join_path_score, JoinCondition, JoinPath};
 pub use steiner::steiner_tree;

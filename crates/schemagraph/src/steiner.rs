@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Compute an (approximately) minimum-weight join path spanning `terminals`.
 ///
 /// Returns `None` when the terminals cannot all be connected (disconnected
-/// schema graph) or when `terminals` is empty.
+/// join graph) or when `terminals` is empty.
 pub fn steiner_tree(graph: &JoinGraph, terminals: &[NodeId]) -> Option<JoinPath> {
     steiner_tree_excluding(graph, terminals, &BTreeSet::new())
 }
@@ -48,7 +48,7 @@ pub fn steiner_tree_excluding(
     let mut pair_paths: BTreeMap<(NodeId, NodeId), (f64, Vec<usize>)> = BTreeMap::new();
     for (i, &a) in terms.iter().enumerate() {
         for &b in terms.iter().skip(i + 1) {
-            let (cost, path) = shortest_path_excluding(graph, a, b, excluded)?;
+            let (cost, path) = graph.shortest_path(a, b, excluded)?;
             pair_paths.insert((a, b), (cost, path));
         }
     }
@@ -217,66 +217,9 @@ pub fn k_best_join_paths(graph: &JoinGraph, terminals: &[NodeId], k: usize) -> V
     results
 }
 
-/// Dijkstra shortest path that skips excluded edges.
-fn shortest_path_excluding(
-    graph: &JoinGraph,
-    from: NodeId,
-    to: NodeId,
-    excluded: &BTreeSet<usize>,
-) -> Option<(f64, Vec<usize>)> {
-    if excluded.is_empty() {
-        return graph.shortest_path(from, to);
-    }
-    if from == to {
-        return Some((0.0, Vec::new()));
-    }
-    let n = graph.nodes().len();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev_edge: Vec<Option<usize>> = vec![None; n];
-    let mut visited = vec![false; n];
-    dist[from] = 0.0;
-    for _ in 0..n {
-        let mut current = None;
-        let mut best = f64::INFINITY;
-        for (i, &d) in dist.iter().enumerate() {
-            if !visited[i] && d < best {
-                best = d;
-                current = Some(i);
-            }
-        }
-        let Some(u) = current else { break };
-        visited[u] = true;
-        for &ei in graph.incident_edges(u) {
-            if excluded.contains(&ei) {
-                continue;
-            }
-            let e = &graph.edges()[ei];
-            let v = e.other(u);
-            let cand = dist[u] + e.weight.max(1e-6);
-            if cand + 1e-12 < dist[v] {
-                dist[v] = cand;
-                prev_edge[v] = Some(ei);
-            }
-        }
-    }
-    if dist[to].is_infinite() {
-        return None;
-    }
-    let mut path = Vec::new();
-    let mut cur = to;
-    while cur != from {
-        let ei = prev_edge[cur]?;
-        path.push(ei);
-        cur = graph.edges()[ei].other(cur);
-    }
-    path.reverse();
-    Some((dist[to], path))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::SchemaGraph;
     use relational::{DataType, Schema};
 
     /// A miniature version of the MAS schema from Figure 1: publication can
@@ -334,7 +277,7 @@ mod tests {
     }
 
     fn graph() -> JoinGraph {
-        JoinGraph::from_schema_graph(&SchemaGraph::from_schema(&mas_like_schema()))
+        JoinGraph::from_schema(&mas_like_schema())
     }
 
     #[test]
@@ -376,15 +319,15 @@ mod tests {
     fn log_weights_can_prefer_the_longer_keyword_path() {
         // Lowering the weights along the keyword path (as the query log does
         // in Example 3) makes the 4-edge path cheaper than the 3-edge one.
-        let sg = {
-            let mut sg = SchemaGraph::from_schema(&mas_like_schema());
-            sg.set_relation_weight("publication", "publication_keyword", 0.1);
-            sg.set_relation_weight("publication_keyword", "keyword", 0.1);
-            sg.set_relation_weight("keyword", "domain_keyword", 0.1);
-            sg.set_relation_weight("domain_keyword", "domain", 0.1);
-            sg
-        };
-        let g = JoinGraph::from_schema_graph(&sg);
+        let mut g = graph();
+        g.set_weights(|a, b| {
+            let keyword_path = ["publication_keyword", "domain_keyword"];
+            if keyword_path.contains(&a) || keyword_path.contains(&b) {
+                0.1
+            } else {
+                1.0
+            }
+        });
         let terminals = [
             g.node_of("publication").unwrap(),
             g.node_of("domain").unwrap(),
@@ -437,7 +380,7 @@ mod tests {
             .relation("a", &[("id", DataType::Integer)], Some("id"))
             .relation("b", &[("id", DataType::Integer)], Some("id"))
             .build();
-        let g = JoinGraph::from_schema_graph(&SchemaGraph::from_schema(&schema));
+        let g = JoinGraph::from_schema(&schema);
         let t = [g.node_of("a").unwrap(), g.node_of("b").unwrap()];
         assert!(steiner_tree(&g, &t).is_none());
         assert!(k_best_join_paths(&g, &t, 3).is_empty());
@@ -465,7 +408,7 @@ mod tests {
             .foreign_key("writes", "aid", "author", "aid")
             .foreign_key("writes", "pid", "publication", "pid")
             .build();
-        let mut g = JoinGraph::from_schema_graph(&SchemaGraph::from_schema(&schema));
+        let mut g = JoinGraph::from_schema(&schema);
         let author2 = g.fork("author").unwrap();
         let terminals = [
             g.node_of("author").unwrap(),

@@ -13,53 +13,11 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
 use templar_api::binary::{self, CodecError, WireCodec, HANDSHAKE_LEN};
 use templar_api::{
     decode_response, encode_request, ApiError, HealthReport, MetricsReport, RequestBody,
     RequestEnvelope, ResponseBody, SlowQueryReport, TranslateRequest, TranslateResponse,
 };
-
-/// Is this a transient serving condition worth retrying?  True for the
-/// typed flow-control refusals — [`ApiError::Backpressure`] (queue or
-/// admission pressure) and [`ApiError::Degraded`] (journal failing,
-/// writes refused while reads keep serving).  Transport and codec errors
-/// are *not* retryable on the same connection: the stream position is
-/// gone.
-pub fn is_retryable(error: &ClientError) -> bool {
-    matches!(
-        error,
-        ClientError::Api(ApiError::Backpressure) | ClientError::Api(ApiError::Degraded)
-    )
-}
-
-/// Run `op` until it succeeds, fails non-transiently, or `deadline`
-/// elapses.  Sleeps with exponential backoff from `base` between attempts
-/// (doubling, capped at one second, clipped to the remaining deadline);
-/// the terminal error is the last observed one, so an expired deadline
-/// still explains what the server kept answering.
-pub fn retry_with_deadline<T>(
-    deadline: Duration,
-    base: Duration,
-    mut op: impl FnMut() -> Result<T, ClientError>,
-) -> Result<T, ClientError> {
-    let started = Instant::now();
-    let mut backoff = base.max(Duration::from_micros(100));
-    loop {
-        match op() {
-            Ok(value) => return Ok(value),
-            Err(error) if !is_retryable(&error) => return Err(error),
-            Err(error) => {
-                let elapsed = started.elapsed();
-                if elapsed >= deadline {
-                    return Err(error);
-                }
-                std::thread::sleep(backoff.min(deadline - elapsed));
-                backoff = (backoff * 2).min(Duration::from_secs(1));
-            }
-        }
-    }
-}
 
 /// Everything that can go wrong between a typed call and its typed answer.
 #[derive(Debug)]
@@ -288,18 +246,6 @@ impl TcpClient {
             ResponseBody::FeedbackAccepted => Ok(()),
             other => Err(unexpected("Feedback", &other)),
         }
-    }
-
-    /// Submit answered SQL, retrying Backpressure/Degraded refusals with
-    /// exponential backoff until `deadline` elapses.
-    pub fn submit_sql_with_deadline(
-        &mut self,
-        tenant: &str,
-        sql: &str,
-        deadline: Duration,
-        base_backoff: Duration,
-    ) -> Result<(), ClientError> {
-        retry_with_deadline(deadline, base_backoff, || self.submit_sql(tenant, sql))
     }
 
     /// Fetch a tenant's health report — answered even when the server is

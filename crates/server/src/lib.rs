@@ -39,5 +39,5 @@ mod conn;
 mod poller;
 pub mod server;
 
-pub use client::{is_retryable, retry_with_deadline, ClientError, TcpClient};
+pub use client::{ClientError, TcpClient};
 pub use server::{ServerConfig, ServerStatsSnapshot, TemplarServer};

@@ -8,49 +8,10 @@
 
 use crate::registry::TenantRegistry;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 use templar_api::{
     decode_response, encode_request, ApiError, HealthReport, MetricsReport, RequestBody,
     RequestEnvelope, ResponseBody, SlowQueryReport, TranslateRequest, TranslateResponse,
 };
-
-/// Is `error` a transient serving condition worth retrying — the queue is
-/// momentarily full ([`ApiError::Backpressure`]) or the tenant is riding out
-/// a journal failure in read-only mode ([`ApiError::Degraded`])?  Everything
-/// else (bad requests, unknown tenants, durability faults) is final.
-pub fn is_retryable(error: &ApiError) -> bool {
-    matches!(error, ApiError::Backpressure | ApiError::Degraded)
-}
-
-/// Run `op` until it succeeds, returns a non-retryable error, or `deadline`
-/// elapses — whichever comes first.  Between attempts the helper sleeps with
-/// exponential backoff from `base` (doubling, capped at one second), clipped
-/// to the time remaining, so a caller-supplied deadline is honoured even
-/// when the service stays degraded for its whole span.  The terminal error
-/// is the last one observed (so a deadline expiry still reports *why* the
-/// service was refusing writes).
-pub fn retry_with_deadline<T>(
-    deadline: Duration,
-    base: Duration,
-    mut op: impl FnMut() -> Result<T, ApiError>,
-) -> Result<T, ApiError> {
-    let started = Instant::now();
-    let mut backoff = base.max(Duration::from_micros(100));
-    loop {
-        match op() {
-            Ok(value) => return Ok(value),
-            Err(error) if !is_retryable(&error) => return Err(error),
-            Err(error) => {
-                let elapsed = started.elapsed();
-                if elapsed >= deadline {
-                    return Err(error);
-                }
-                std::thread::sleep(backoff.min(deadline - elapsed));
-                backoff = (backoff * 2).min(Duration::from_secs(1));
-            }
-        }
-    }
-}
 
 /// A typed client over the line protocol, bound to one registry.
 pub struct RegistryClient<'a> {
@@ -116,31 +77,6 @@ impl<'a> RegistryClient<'a> {
                 detail: format!("unexpected response body for Feedback: {other:?}"),
             }),
         }
-    }
-
-    /// Submit answered SQL, retrying [`ApiError::Backpressure`] and
-    /// [`ApiError::Degraded`] with exponential backoff until `deadline`
-    /// elapses.  See [`retry_with_deadline`].
-    pub fn submit_sql_with_deadline(
-        &self,
-        tenant: &str,
-        sql: &str,
-        deadline: Duration,
-        base_backoff: Duration,
-    ) -> Result<(), ApiError> {
-        retry_with_deadline(deadline, base_backoff, || self.submit_sql(tenant, sql))
-    }
-
-    /// Report accepted SQL, retrying transient refusals until `deadline`
-    /// elapses.  See [`retry_with_deadline`].
-    pub fn feedback_with_deadline(
-        &self,
-        tenant: &str,
-        sql: &str,
-        deadline: Duration,
-        base_backoff: Duration,
-    ) -> Result<(), ApiError> {
-        retry_with_deadline(deadline, base_backoff, || self.feedback(tenant, sql))
     }
 
     /// Fetch a tenant's health report.  Health is exempt from admission

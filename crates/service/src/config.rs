@@ -68,8 +68,6 @@ pub struct ServiceConfig {
     /// much time has passed since the last publication, so a trickle of
     /// ingests still becomes visible promptly.
     pub refresh_interval: Duration,
-    /// Maximum number of entries drained from the queue per worker wake-up.
-    pub ingest_batch: usize,
     /// Retain at most this many queries in the live log; the oldest entries
     /// are evicted (and removed from the QFG incrementally) beyond it.
     /// `None` keeps the log unbounded.
@@ -88,11 +86,6 @@ pub struct ServiceConfig {
     /// [`ApiError::Backpressure`](templar_api::ApiError::Backpressure) and
     /// counted under `admission_tenant_shed`.
     pub max_inflight: usize,
-    /// Capacity of each snapshot's translation cache (whole
-    /// `TranslateResponse`s keyed by normalized question + override
-    /// signature; every publish starts an empty one).  `0` disables
-    /// caching entirely — every request computes.
-    pub translation_cache_capacity: usize,
     /// Memory budget for one decoded batch of WAL-tail entries during
     /// recovery ([`TemplarService::recover`](crate::TemplarService::recover)).
     /// The journal tail is replayed in batches no larger than this (a single
@@ -109,12 +102,10 @@ impl Default for ServiceConfig {
             queue_capacity: 1024,
             refresh_every: 64,
             refresh_interval: Duration::from_millis(250),
-            ingest_batch: 128,
             max_log_entries: None,
             wal: WalConfig::default(),
             slow_query_capacity: 16,
             max_inflight: 256,
-            translation_cache_capacity: 4096,
             recovery_batch_bytes: 4 * 1024 * 1024,
         }
     }
@@ -196,12 +187,6 @@ impl ServiceConfig {
     /// Set the tenant's in-flight concurrency quota (clamped to ≥ 1).
     pub fn with_max_inflight(mut self, quota: usize) -> Self {
         self.max_inflight = quota.max(1);
-        self
-    }
-
-    /// Bound the translation cache (0 disables caching).
-    pub fn with_translation_cache_capacity(mut self, capacity: usize) -> Self {
-        self.translation_cache_capacity = capacity;
         self
     }
 

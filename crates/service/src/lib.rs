@@ -60,7 +60,7 @@ pub mod storage;
 pub(crate) mod transcache;
 pub mod wal;
 
-pub use client::{is_retryable, retry_with_deadline, RegistryClient};
+pub use client::RegistryClient;
 pub use config::{ServiceConfig, WalConfig};
 pub use error::{ServiceError, SnapshotError, WalError};
 pub use ingest::IngestQueue;

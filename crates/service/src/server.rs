@@ -66,6 +66,13 @@ pub const WAL_DIR: &str = "wal";
 /// Advisory lock file claiming exclusive ownership of a durable directory.
 pub const LOCK_FILE: &str = "LOCK";
 
+/// Capacity of each snapshot's translation cache (whole
+/// `TranslateResponse`s keyed by normalized question + override signature;
+/// every publish starts an empty one).
+const TRANSLATION_CACHE_CAPACITY: usize = 4096;
+/// Maximum number of entries the ingestion worker drains per wake-up.
+const INGEST_BATCH: usize = 128;
+
 /// Master mutable serving state, owned by the ingestion worker (and briefly
 /// borrowed by `save_snapshot` / `force_refresh`).
 struct MasterState {
@@ -448,7 +455,7 @@ impl TemplarService {
         let inner = Arc::new(ServiceInner {
             published: RwLock::new(Arc::new(Published {
                 templar: Arc::clone(&initial),
-                cache: TranslationCache::new(service_config.translation_cache_capacity),
+                cache: TranslationCache::new(TRANSLATION_CACHE_CAPACITY),
             })),
             handle: SharedTemplar::from_arc(initial),
             queue: IngestQueue::new(service_config.queue_capacity),
@@ -983,7 +990,7 @@ fn publish(inner: &ServiceInner, qfg: QueryFragmentGraph) {
         Err(_) => return,
     };
     let templar = Arc::new(templar);
-    let cache = TranslationCache::new(inner.service_config.translation_cache_capacity);
+    let cache = TranslationCache::new(TRANSLATION_CACHE_CAPACITY);
     // Both cells are stored under the `published` write lock, so racing
     // publishes leave them holding the same snapshot.  The previous pair is
     // dropped after the lock is released, and is freed here unless a
@@ -1080,7 +1087,7 @@ fn ingest_worker(inner: Arc<ServiceInner>) {
         } else {
             config.refresh_interval
         };
-        let batch = inner.queue.drain(config.ingest_batch, timeout);
+        let batch = inner.queue.drain(INGEST_BATCH, timeout);
         let closed = inner.queue.is_closed();
         if batch.is_empty() && closed && inner.queue.is_empty() {
             // Drained after close: force the journal tail down, publish

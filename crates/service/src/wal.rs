@@ -408,11 +408,6 @@ impl WalWriter {
     pub fn take_last_errno(&mut self) -> Option<i32> {
         self.last_errno.take()
     }
-
-    /// Whether the writer is inside an unresolved failure episode.
-    pub fn is_failing(&self) -> bool {
-        self.sync_failing
-    }
 }
 
 /// One decoded journal record: its sequence number and raw SQL payload.

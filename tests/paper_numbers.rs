@@ -5,11 +5,23 @@
 //! themselves, so any change to scoring, join inference or the Query
 //! Fragment Graph that moves a single benchmark case fails here.  The
 //! figures are the ones `cargo run --release -p eval --bin table3` and
-//! `--bin obscurity` print, as case counts rather than percentages.
+//! `--bin obscurity` print, as case counts rather than percentages.  The
+//! Table III pass also checks every case's top-1 against
+//! `tests/data/top1.tsv`; after an intended ranking change, regenerate it
+//! with `cargo run --release -p eval --bin top1 > tests/data/top1.tsv` and
+//! review the diff.
 
 use datasets::Dataset;
 use eval::crossval::{evaluate_system, SystemKind};
+use eval::experiments::{top1, TOP1_HEADER};
 use templar_core::{Obscurity, QueryFragmentGraph, TemplarConfig};
+
+/// The checked-in top-1 fixture (see `cargo run -p eval --bin top1`).
+const TOP1_FIXTURE: &str = include_str!("data/top1.tsv");
+
+/// Column of the score in a fixture line; it is compared to 1e-9, every
+/// other column exactly.
+const SCORE_COLUMN: usize = 5;
 
 /// MAS (194 cases), Yelp (127) and IMDB (128), in that order.
 fn benchmarks() -> [(Dataset, usize); 3] {
@@ -21,7 +33,8 @@ fn benchmarks() -> [(Dataset, usize); 3] {
 }
 
 /// Table III: `(KW correct, FQ correct)` per system, in
-/// [`SystemKind::ALL`] order.
+/// [`SystemKind::ALL`] order; the same pass checks every case's top-1 SQL,
+/// score and KW/FQ flags against the fixture.
 #[test]
 fn table3_case_counts_are_pinned() {
     let rows = [
@@ -30,15 +43,36 @@ fn table3_case_counts_are_pinned() {
         [(62, 60), (84, 84), (68, 66), (112, 112)],
     ];
     let config = TemplarConfig::paper_defaults();
+    let mut lines = vec![TOP1_HEADER.to_string()];
     for ((dataset, cases), systems) in benchmarks().iter().zip(rows) {
         for (system, (kw, fq)) in SystemKind::ALL.into_iter().zip(systems) {
-            let accuracy = evaluate_system(dataset, system, &config);
+            let (accuracy, top1_lines) = top1(dataset, system, &config);
+            lines.extend(top1_lines);
             let label = format!("{} {}", dataset.name, system.name());
             assert_eq!(accuracy.kw.total, *cases, "{label}: KW cases");
             assert_eq!(accuracy.fq.total, *cases, "{label}: FQ cases");
             assert_eq!(accuracy.kw.correct, kw, "{label}: KW correct");
             assert_eq!(accuracy.fq.correct, fq, "{label}: FQ correct");
         }
+    }
+    let fixture: Vec<&str> = TOP1_FIXTURE.lines().collect();
+    assert_eq!(lines.len(), fixture.len(), "top-1 fixture line count");
+    for (number, (got, want)) in lines.iter().zip(fixture).enumerate() {
+        let got_columns: Vec<&str> = got.split('\t').collect();
+        let want_columns: Vec<&str> = want.split('\t').collect();
+        let same =
+            got_columns.len() == want_columns.len()
+                && got_columns.iter().zip(&want_columns).enumerate().all(
+                    |(column, (g, w))| match (column, g.parse::<f64>(), w.parse::<f64>()) {
+                        (SCORE_COLUMN, Ok(g), Ok(w)) => (g - w).abs() <= 1e-9,
+                        _ => g == w,
+                    },
+                );
+        assert!(
+            same,
+            "tests/data/top1.tsv line {}:\n  fixture: {want}\n  now:     {got}",
+            number + 1
+        );
     }
 }
 
