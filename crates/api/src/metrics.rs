@@ -134,8 +134,9 @@ pub struct MetricsReport {
     pub log_skipped_statements: u64,
     /// Entries accepted but not yet applied (queue + in-flight batch).
     pub ingest_lag: u64,
-    /// Log entries evicted under the retention bound
-    /// (`ServiceConfig::max_log_entries`).
+    /// Always 0: the query log only grows, so no entry is evicted.  Kept
+    /// so the wire layout of protocol v5 does not change; to be removed at
+    /// the next protocol version.
     pub log_evictions: u64,
     /// Snapshots published since start.
     pub snapshot_swaps: u64,
@@ -200,10 +201,10 @@ pub struct MetricsReport {
     pub qfg_edges: u64,
     pub qfg_queries: u64,
     /// Columnar data-plane gauges: the current snapshot's interner table
-    /// size (live + recyclable id slots) and edges resident in its
-    /// compacted CSR, then the master graph's pending delta pairs (deltas
-    /// accumulate there between publishes) and the compactions its lineage
-    /// has undergone.
+    /// size (always `qfg_fragments`, kept so the wire layout of protocol v5
+    /// does not change) and edges resident in its compacted CSR, then the
+    /// master graph's pending delta pairs (deltas accumulate there between
+    /// publishes) and the compactions its lineage has undergone.
     pub qfg_interned_fragments: u64,
     pub qfg_csr_edges: u64,
     pub qfg_pending_deltas: u64,

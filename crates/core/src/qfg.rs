@@ -21,18 +21,18 @@
 //! fragment to a dense [`FragmentId`] and stores the counts columnar:
 //!
 //! ```text
-//! FragmentInterner   fragment ⇄ FragmentId(u32), ids stable across
-//!                    ingest/remove (freed ids are recycled, never remapped)
+//! FragmentInterner   fragment ⇄ FragmentId(u32), assigned densely in
+//!                    first-seen order and never remapped
 //! occurrences        Vec<u64> indexed by FragmentId          (n_v)
 //! CSR adjacency      offsets / neighbors / counts, one row per fragment,
 //!                    each unordered pair stored once under its smaller id,
 //!                    with precomputed Dice denominators n_v(a) + n_v(b)
-//! delta log          BTreeMap<(id, id), i64> of co-occurrence changes not
-//!                    yet folded into the CSR
+//! delta log          BTreeMap<(id, id), u64> of co-occurrences not yet
+//!                    folded into the CSR
 //! ```
 //!
 //! Reads are always exact: `n_e` is the CSR count plus the pending delta.
-//! Mutations (`ingest` / `remove`) only touch the columnar occurrence
+//! [`QueryFragmentGraph::ingest`] only touches the columnar occurrence
 //! vector and the delta log.  [`QueryFragmentGraph::compact`] folds the
 //! delta into a fresh CSR; the serving layer calls it when a snapshot is
 //! published, so the scoring hot path always runs on the compacted arrays.
@@ -40,31 +40,28 @@
 //! compaction, so its size is bounded by the pairs the log can form, not by
 //! how many queries arrive between publishes.
 //!
-//! The graph supports two mutation models:
+//! The graph only grows, like the log of Definition 6: every count only
+//! rises, and every interned fragment stays live.  It is built either
 //!
-//! * **batch** — [`QueryFragmentGraph::build`] over a whole [`QueryLog`], and
-//! * **incremental** — [`QueryFragmentGraph::ingest`] /
-//!   [`QueryFragmentGraph::remove`] for one query at a time, in
+//! * in one batch — [`QueryFragmentGraph::build`] over a whole [`QueryLog`], or
+//! * incrementally — [`QueryFragmentGraph::ingest`] one query at a time, in
 //!   `O(fragments²·log)` per query, which lets a long-running service absorb
-//!   newly-logged queries (and evict old ones) without rebuilding the whole
-//!   graph.  Ingesting every query of a log into an empty graph is
-//!   equivalent to a batch build, and the columnar graph is observationally
-//!   equivalent to the reference map-based model (both proved by property
-//!   tests in `tests/qfg_properties.rs`).
+//!   newly-logged queries without rebuilding the whole graph.  Ingesting
+//!   every query of a log into an empty graph is equivalent to a batch
+//!   build, and the columnar graph is observationally equivalent to the
+//!   reference map-based model (both proved by property tests in
+//!   `tests/qfg_properties.rs`).
 
 use crate::config::Obscurity;
 use crate::fragment::{fragments_of_query, QueryFragment};
 use serde::{Deserialize, Serialize};
 use sqlparse::{parse_query, Query};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A SQL query log: the raw material of the QFG.
-///
-/// Stored as a ring buffer so a serving deployment with a bounded log can
-/// evict the oldest entry ([`QueryLog::pop_oldest`]) in O(1).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QueryLog {
-    queries: VecDeque<Query>,
+    queries: Vec<Query>,
 }
 
 impl QueryLog {
@@ -75,9 +72,7 @@ impl QueryLog {
 
     /// Build a log from already-parsed queries.
     pub fn from_queries(queries: Vec<Query>) -> Self {
-        QueryLog {
-            queries: queries.into(),
-        }
+        QueryLog { queries }
     }
 
     /// Build a log from SQL strings, skipping (and reporting) unparsable
@@ -86,11 +81,11 @@ impl QueryLog {
     /// layer exports it as the `log_skipped_statements` metric) rather than
     /// dropped.
     pub fn from_sql<'a>(statements: impl IntoIterator<Item = &'a str>) -> (Self, usize) {
-        let mut queries = VecDeque::new();
+        let mut queries = Vec::new();
         let mut skipped = 0;
         for sql in statements {
             match parse_query(sql) {
-                Ok(q) => queries.push_back(q),
+                Ok(q) => queries.push(q),
                 Err(_) => skipped += 1,
             }
         }
@@ -99,17 +94,11 @@ impl QueryLog {
 
     /// Append a query to the log.
     pub fn push(&mut self, query: Query) {
-        self.queries.push_back(query);
-    }
-
-    /// Remove and return the oldest logged query (O(1); used for log
-    /// eviction when a long-running service bounds its log size).
-    pub fn pop_oldest(&mut self) -> Option<Query> {
-        self.queries.pop_front()
+        self.queries.push(query);
     }
 
     /// The logged queries, oldest first.
-    pub fn queries(&self) -> &VecDeque<Query> {
+    pub fn queries(&self) -> &[Query] {
         &self.queries
     }
 
@@ -126,10 +115,8 @@ impl QueryLog {
 
 /// A dense identifier for an interned [`QueryFragment`].
 ///
-/// Ids are stable for as long as the fragment is live (its occurrence count
-/// is positive): `ingest` / `remove` never remap a live id.  Ids of
-/// fragments whose count drops to zero are recycled for fragments interned
-/// later.
+/// Ids are assigned in first-seen order and never change: the graph only
+/// grows, so an interned fragment keeps its id for the graph's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FragmentId(u32);
 
@@ -154,26 +141,21 @@ pub struct DiceGatherScratch {
     denominators: Vec<f64>,
 }
 
-/// The fragment ⇄ id table.
-///
-/// `intern` assigns the next free id (recycling released slots);
-/// `get` resolves only *live* fragments — a fragment whose occurrence count
-/// dropped to zero is released and no longer resolvable, exactly like the
-/// old map-based graph pruned zero-count keys.
+/// The fragment ⇄ id table: `intern` assigns the next dense id, `get`
+/// resolves a fragment the log has seen.
 #[derive(Debug, Clone, Default)]
 pub struct FragmentInterner {
     ids: HashMap<QueryFragment, FragmentId>,
     fragments: Vec<QueryFragment>,
-    free: Vec<u32>,
 }
 
 impl FragmentInterner {
-    /// The id of a live fragment.
+    /// The id of an interned fragment.
     pub fn get(&self, fragment: &QueryFragment) -> Option<FragmentId> {
         self.ids.get(fragment).copied()
     }
 
-    /// The fragment behind an id.  Meaningful only for live ids.
+    /// The fragment behind an id.
     pub fn resolve(&self, id: FragmentId) -> &QueryFragment {
         &self.fragments[id.index()]
     }
@@ -183,67 +165,15 @@ impl FragmentInterner {
         if let Some(id) = self.ids.get(fragment) {
             return *id;
         }
-        let id = match self.free.pop() {
-            Some(slot) => {
-                self.fragments[slot as usize] = fragment.clone();
-                FragmentId(slot)
-            }
-            None => {
-                self.fragments.push(fragment.clone());
-                FragmentId((self.fragments.len() - 1) as u32)
-            }
-        };
+        let id = FragmentId(self.fragments.len() as u32);
+        self.fragments.push(fragment.clone());
         self.ids.insert(fragment.clone(), id);
         id
     }
 
-    /// Release a dead fragment's id back to the free list.
-    ///
-    /// # Why recycling cannot leak stale state (audit)
-    ///
-    /// A slot is only released when its occurrence count reaches 0, and
-    /// `n_e(c, x) ≤ n_v(c)` holds for every pair (maintained by `ingest` /
-    /// `remove`), so at release time every pair touching the slot has **net
-    /// count 0**.  That net 0 may be represented as "no entry anywhere" *or*
-    /// as a positive CSR baseline exactly cancelled by pending negative
-    /// deltas — both read as 0 and both compact to the edge's removal.  A
-    /// fragment later interned into the recycled slot therefore starts from
-    /// occurrence 0 (`remove` zeroed the column) and net-0 pairs, no matter
-    /// how many compactions happen between the release and the re-intern;
-    /// its first co-occurrence bump lands *on top of* any leftover
-    /// cancelled baseline and nets to exactly 1.  The
-    /// `recycled_ids_never_inherit_stale_state` property test in
-    /// `tests/qfg_properties.rs` pins this under arbitrary
-    /// remove → compact-interleaved → re-intern schedules.
-    fn release(&mut self, id: FragmentId) {
-        let removed = self.ids.remove(&self.fragments[id.index()]);
-        debug_assert_eq!(
-            removed,
-            Some(id),
-            "released a slot whose fragment was not live under that id"
-        );
-        debug_assert!(
-            !self.free.contains(&id.0),
-            "double-release of fragment id {}",
-            id.0
-        );
-        self.free.push(id.0);
-    }
-
-    /// Size of the id space (live + recyclable slots) — the length of the
-    /// columnar arrays.
-    pub fn table_len(&self) -> usize {
+    /// Number of interned fragments — the length of the columnar arrays.
+    fn len(&self) -> usize {
         self.fragments.len()
-    }
-
-    /// Number of live fragments.
-    pub fn live_len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Iterate over the live fragments and their ids.
-    pub fn live(&self) -> impl Iterator<Item = (&QueryFragment, FragmentId)> {
-        self.ids.iter().map(|(f, id)| (f, *id))
     }
 }
 
@@ -270,6 +200,43 @@ impl CsrAdjacency {
         }
     }
 
+    /// A CSR over well-formed columns, with its Dice denominators derived
+    /// from `occurrences`, plus the per-fragment max-Dice column.  Every
+    /// pair is visited once, and its Dice value is computed with the same
+    /// expression the compacted fast path of
+    /// [`QueryFragmentGraph::dice_by_id`] uses, so the column is exact
+    /// (bit-for-bit) for every pair lookup that follows.
+    fn with_max_dice(
+        offsets: Vec<u32>,
+        neighbors: Vec<u32>,
+        counts: Vec<u64>,
+        occurrences: &[u64],
+    ) -> (Self, Vec<f64>) {
+        let mut denominators = Vec::with_capacity(counts.len());
+        let mut max_dice = vec![0.0f64; occurrences.len()];
+        for lo in 0..offsets.len().saturating_sub(1) {
+            for e in offsets[lo] as usize..offsets[lo + 1] as usize {
+                let hi = neighbors[e] as usize;
+                let denominator = occurrences[lo] + occurrences[hi];
+                denominators.push(denominator);
+                let dice = (2.0 * counts[e] as f64) / (denominator as f64);
+                if dice > max_dice[lo] {
+                    max_dice[lo] = dice;
+                }
+                if dice > max_dice[hi] {
+                    max_dice[hi] = dice;
+                }
+            }
+        }
+        let csr = CsrAdjacency {
+            offsets,
+            neighbors,
+            counts,
+            denominators,
+        };
+        (csr, max_dice)
+    }
+
     /// The flat index of edge `(lo, hi)` (`lo < hi`), if present.
     fn edge_index(&self, lo: u32, hi: u32) -> Option<usize> {
         let row = lo as usize;
@@ -293,21 +260,14 @@ impl CsrAdjacency {
 pub struct QueryFragmentGraph {
     obscurity: Obscurity,
     interner: FragmentInterner,
-    /// `n_v`, indexed by [`FragmentId`]; 0 for released slots.
+    /// `n_v`, indexed by [`FragmentId`]; positive for every interned
+    /// fragment.
     occurrences: Vec<u64>,
-    /// Number of distinct pairs with a positive net count incident to each
-    /// slot, maintained by [`QueryFragmentGraph::bump_pair`].  Guards slot
-    /// release: a slot whose occurrence count reaches zero while pairs still
-    /// reference it (possible only through over-removal, which `remove`
-    /// tolerates) has those pairs purged before the slot is recycled, so
-    /// `n_e(c, x) ≤ n_v(c)` holds unconditionally and a recycled slot can
-    /// never alias another fragment's leftover counts.
-    pair_degree: Vec<u32>,
     /// Compacted `n_e` baseline.
     csr: CsrAdjacency,
-    /// Pending `n_e` changes since the last compaction, keyed `(lo, hi)`;
-    /// a change that cancels to zero is dropped, so every entry is nonzero.
-    delta: BTreeMap<(u32, u32), i64>,
+    /// Co-occurrences counted since the last compaction, keyed `(lo, hi)`;
+    /// every entry is positive.
+    delta: BTreeMap<(u32, u32), u64>,
     /// Per-fragment maximum Dice coefficient over all *other* fragments,
     /// recomputed by [`QueryFragmentGraph::compact`] (exact on a compacted
     /// graph, unused otherwise — see [`QueryFragmentGraph::max_dice_by_id`]).
@@ -317,7 +277,7 @@ pub struct QueryFragmentGraph {
     /// True when any occurrence count changed since the last compaction
     /// (the CSR's precomputed denominators are then stale).
     occurrences_dirty: bool,
-    /// Number of distinct pairs with a positive net count.
+    /// Number of distinct pairs with a positive count.
     live_edges: usize,
     /// Number of queries the graph was built from.
     query_count: usize,
@@ -334,7 +294,6 @@ impl QueryFragmentGraph {
             obscurity,
             interner: FragmentInterner::default(),
             occurrences: Vec::new(),
-            pair_degree: Vec::new(),
             csr: CsrAdjacency::empty(),
             delta: BTreeMap::new(),
             max_dice: Vec::new(),
@@ -366,27 +325,9 @@ impl QueryFragmentGraph {
         let fragments = Self::distinct_fragments(query, self.obscurity);
         let mut ids: Vec<u32> = Vec::with_capacity(fragments.len());
         for f in &fragments {
-            #[cfg(debug_assertions)]
-            let was_live = self.interner.get(f).is_some();
             let id = self.interner.intern(f);
             if id.index() >= self.occurrences.len() {
                 self.occurrences.resize(id.index() + 1, 0);
-            }
-            if id.index() >= self.pair_degree.len() {
-                self.pair_degree.resize(id.index() + 1, 0);
-            }
-            // A freshly interned fragment — whether its slot is brand new or
-            // recycled — must start from a zeroed occurrence column; a
-            // recycled slot inheriting the old tenant's count would inflate
-            // n_v (and every Dice denominator) silently.
-            #[cfg(debug_assertions)]
-            if !was_live {
-                debug_assert_eq!(
-                    self.occurrences[id.index()],
-                    0,
-                    "recycled slot {} inherited a stale occurrence count",
-                    id.index()
-                );
             }
             self.occurrences[id.index()] += 1;
             ids.push(id.0);
@@ -394,124 +335,29 @@ impl QueryFragmentGraph {
         self.occurrences_dirty = true;
         for i in 0..ids.len() {
             for j in (i + 1)..ids.len() {
-                self.bump_pair(ids[i], ids[j], 1);
+                self.bump_pair(ids[i], ids[j]);
             }
         }
     }
 
-    /// Remove one previously-ingested query from the graph (log eviction),
-    /// decrementing `n_v` / `n_e` and releasing ids whose counts reach zero
-    /// so the graph's live footprint tracks the live log.
-    ///
-    /// Returns `false` (leaving the graph untouched) if the query's
-    /// fragments are not fully present — i.e. it was never ingested at this
-    /// obscurity level.
-    pub fn remove(&mut self, query: &Query) -> bool {
-        if self.query_count == 0 {
-            return false;
-        }
-        let fragments = Self::distinct_fragments(query, self.obscurity);
-        // Validate first so a bad call cannot corrupt the counts.
-        let mut ids: Vec<u32> = Vec::with_capacity(fragments.len());
-        for f in &fragments {
-            match self.interner.get(f) {
-                Some(id) if self.occurrences[id.index()] > 0 => ids.push(id.0),
-                _ => return false,
-            }
-        }
-        for i in 0..ids.len() {
-            for j in (i + 1)..ids.len() {
-                if self.pair_count(ids[i], ids[j]) == 0 {
-                    return false;
-                }
-            }
-        }
-        self.query_count -= 1;
-        for i in 0..ids.len() {
-            for j in (i + 1)..ids.len() {
-                self.bump_pair(ids[i], ids[j], -1);
-            }
-        }
-        for &id in &ids {
-            let slot = id as usize;
-            self.occurrences[slot] -= 1;
-            if self.occurrences[slot] == 0 {
-                if self.pair_degree[slot] > 0 {
-                    // Over-removal left pairs pointing at a dying fragment;
-                    // zero them so the released slot carries no state.
-                    self.purge_incident_pairs(id);
-                }
-                self.interner.release(FragmentId(id));
-            }
-        }
-        self.occurrences_dirty = true;
-        true
-    }
-
-    /// Current net count of an unordered id pair.
+    /// Current count of an unordered id pair.
     fn pair_count(&self, a: u32, b: u32) -> u64 {
         if a == b {
             return self.occurrences[a as usize];
         }
         let key = if a < b { (a, b) } else { (b, a) };
-        let base = self.csr.count(key.0, key.1) as i64;
-        let net = base + self.delta.get(&key).copied().unwrap_or(0);
-        debug_assert!(net >= 0, "pair count must never go negative");
-        net.max(0) as u64
+        self.csr.count(key.0, key.1) + self.delta.get(&key).copied().unwrap_or(0)
     }
 
-    /// Apply a +1/−1 co-occurrence change to a pair, maintaining the live
-    /// edge counter.
-    fn bump_pair(&mut self, a: u32, b: u32, change: i64) {
+    /// Count one more co-occurrence of a pair, maintaining the live edge
+    /// counter.
+    fn bump_pair(&mut self, a: u32, b: u32) {
         let key = if a < b { (a, b) } else { (b, a) };
-        let base = self.csr.count(key.0, key.1) as i64;
-        let entry = self.delta.entry(key).or_insert(0);
-        let before = base + *entry;
-        *entry += change;
-        let after = before + change;
-        if *entry == 0 {
-            // The delta cancelled out; drop the entry so compaction only
-            // sees real pending work.
-            self.delta.remove(&key);
-        }
-        if before == 0 && after > 0 {
+        let pending = self.delta.entry(key).or_insert(0);
+        if *pending == 0 && self.csr.count(key.0, key.1) == 0 {
             self.live_edges += 1;
-            self.pair_degree[key.0 as usize] += 1;
-            self.pair_degree[key.1 as usize] += 1;
-        } else if before > 0 && after == 0 {
-            self.live_edges -= 1;
-            self.pair_degree[key.0 as usize] -= 1;
-            self.pair_degree[key.1 as usize] -= 1;
         }
-    }
-
-    /// Drive every pair incident to a slot down to net zero.
-    ///
-    /// Called only when a slot's occurrence count reaches zero while its
-    /// pair degree is still positive — a state reachable exclusively through
-    /// over-removal (removing a query more times than it was ingested, which
-    /// `remove` tolerates because it validates fragment presence, not
-    /// multiset membership).  A legal removal always arrives here with
-    /// degree 0: `n_v(c) = 1` means exactly one live query contains `c`, so
-    /// that query's own pair decrements zeroed every incident pair already.
-    /// Purging before release keeps the recycling audit honest — a released
-    /// slot leaves no positive pair behind, so a later tenant of the slot
-    /// (or the same fragment re-interned elsewhere) can never split or
-    /// inherit counts.  The scan is O(edges) but sits on this abuse-only
-    /// path, never on legal eviction.
-    fn purge_incident_pairs(&mut self, slot: u32) {
-        let stale: Vec<(u32, u32, u64)> = self
-            .net_edges()
-            .into_iter()
-            .filter(|&(lo, hi, _)| lo == slot || hi == slot)
-            .collect();
-        for (lo, hi, count) in stale {
-            self.bump_pair(lo, hi, -(count as i64));
-        }
-        debug_assert_eq!(
-            self.pair_degree[slot as usize], 0,
-            "slot {slot} still entangled after an incident-pair purge"
-        );
+        *pending += 1;
     }
 
     /// Fold the delta log into a fresh CSR and recompute the precomputed
@@ -523,56 +369,20 @@ impl QueryFragmentGraph {
         if self.is_compacted() {
             return;
         }
-        let n = self.interner.table_len();
         let merged = self.net_edges();
-        let mut offsets = vec![0u32; n + 1];
+        let mut offsets = vec![0u32; self.interner.len() + 1];
         for &(lo, _, _) in &merged {
             offsets[lo as usize + 1] += 1;
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
-        let mut neighbors = Vec::with_capacity(merged.len());
-        let mut counts = Vec::with_capacity(merged.len());
-        let mut denominators = Vec::with_capacity(merged.len());
-        // Rebuild the per-fragment max-Dice column in the same pass: every
-        // positive pair is visited exactly once, and the Dice value is
-        // computed with the same expression the compacted fast path of
-        // [`QueryFragmentGraph::dice_by_id`] uses, so the column is exact
-        // (bit-for-bit) for every pair lookup that follows.
-        let mut max_dice = vec![0.0f64; n];
-        let mut pair_degree = vec![0u32; n];
-        for &(lo, hi, count) in &merged {
-            neighbors.push(hi);
-            counts.push(count);
-            pair_degree[lo as usize] += 1;
-            pair_degree[hi as usize] += 1;
-            let denominator = self.occurrences[lo as usize] + self.occurrences[hi as usize];
-            denominators.push(denominator);
-            // Only pairs of *live* fragments enter the column: removing a
-            // query more times than it was ingested (tolerated — `remove`
-            // validates fragment presence, not multiset membership) can
-            // leave a positive pair count on a released slot, and such a
-            // pair is unreachable through any live-id lookup.
-            if self.occurrences[lo as usize] > 0 && self.occurrences[hi as usize] > 0 {
-                let dice = (2.0 * count as f64) / (denominator as f64);
-                if dice > max_dice[lo as usize] {
-                    max_dice[lo as usize] = dice;
-                }
-                if dice > max_dice[hi as usize] {
-                    max_dice[hi as usize] = dice;
-                }
-            }
-        }
+        let (neighbors, counts) = merged.iter().map(|&(_, hi, count)| (hi, count)).unzip();
+        let (csr, max_dice) =
+            CsrAdjacency::with_max_dice(offsets, neighbors, counts, &self.occurrences);
+        self.csr = csr;
         self.max_dice = max_dice;
-        self.pair_degree = pair_degree;
         self.live_edges = merged.len();
-        self.csr = CsrAdjacency {
-            offsets,
-            neighbors,
-            counts,
-            denominators,
-        };
         self.delta.clear();
         self.occurrences_dirty = false;
         self.compactions += 1;
@@ -581,7 +391,7 @@ impl QueryFragmentGraph {
     /// True when no pending delta exists and the CSR (including its
     /// precomputed denominators) reflects the current counts.
     pub fn is_compacted(&self) -> bool {
-        self.fast_path() && self.csr.offsets.len() == self.interner.table_len() + 1
+        self.fast_path() && self.csr.offsets.len() == self.interner.len() + 1
     }
 
     /// True when reads may take the precomputed CSR fast paths: no pending
@@ -590,7 +400,7 @@ impl QueryFragmentGraph {
         self.delta.is_empty() && !self.occurrences_dirty
     }
 
-    /// All pairs with a positive net count, sorted by `(lo, hi)`: the CSR
+    /// All pairs with a positive count, sorted by `(lo, hi)`: the CSR
     /// baseline merged with the pending delta (a `BTreeMap`, so its
     /// iteration is already key-sorted).
     fn net_edges(&self) -> Vec<(u32, u32, u64)> {
@@ -605,33 +415,16 @@ impl QueryFragmentGraph {
             for e in start..end {
                 let hi = self.csr.neighbors[e];
                 // Pending-only pairs that sort before this CSR edge are new.
-                while let Some(&(&key, &change)) = pending.peek() {
-                    if key < (lo, hi) {
-                        if change > 0 {
-                            merged.push((key.0, key.1, change as u64));
-                        }
-                        pending.next();
-                    } else {
-                        break;
-                    }
+                while let Some((&key, &count)) = pending.next_if(|(&key, _)| key < (lo, hi)) {
+                    merged.push((key.0, key.1, count));
                 }
-                let mut net = self.csr.counts[e] as i64;
-                if let Some(&(&key, &change)) = pending.peek() {
-                    if key == (lo, hi) {
-                        net += change;
-                        pending.next();
-                    }
-                }
-                if net > 0 {
-                    merged.push((lo, hi, net as u64));
-                }
+                let extra = pending
+                    .next_if(|(&key, _)| key == (lo, hi))
+                    .map_or(0, |(_, &count)| count);
+                merged.push((lo, hi, self.csr.counts[e] + extra));
             }
         }
-        for (&key, &change) in pending {
-            if change > 0 {
-                merged.push((key.0, key.1, change as u64));
-            }
-        }
+        merged.extend(pending.map(|(&(lo, hi), &count)| (lo, hi, count)));
         merged
     }
 
@@ -645,9 +438,9 @@ impl QueryFragmentGraph {
         self.obscurity
     }
 
-    /// Number of distinct live fragments (vertices).
+    /// Number of distinct fragments (vertices).
     pub fn fragment_count(&self) -> usize {
-        self.interner.live_len()
+        self.interner.len()
     }
 
     /// Number of distinct co-occurring pairs with a positive count (edges).
@@ -666,7 +459,7 @@ impl QueryFragmentGraph {
         &self.interner
     }
 
-    /// The id of a live fragment, for id-based scoring.
+    /// The id of a fragment the log has seen, for id-based scoring.
     pub fn lookup(&self, fragment: &QueryFragment) -> Option<FragmentId> {
         self.interner.get(fragment)
     }
@@ -674,12 +467,6 @@ impl QueryFragmentGraph {
     /// The id of a relation's `FROM` fragment.
     pub fn lookup_relation(&self, relation: &str) -> Option<FragmentId> {
         self.lookup(&QueryFragment::relation(relation))
-    }
-
-    /// Size of the interner table (live + recyclable slots) — the length of
-    /// the columnar arrays, exported by serving metrics.
-    pub fn interned_len(&self) -> usize {
-        self.interner.table_len()
     }
 
     /// Number of edges resident in the compacted CSR baseline.
@@ -742,12 +529,9 @@ impl QueryFragmentGraph {
     /// occurrence counts are not touched at all.
     pub fn dice_by_id(&self, a: FragmentId, b: FragmentId) -> f64 {
         if a == b {
-            // Dice(c, c) = 2·n_v / (n_v + n_v) = 1 for any live fragment.
-            return if self.occurrences[a.index()] > 0 {
-                1.0
-            } else {
-                0.0
-            };
+            // Dice(c, c) = 2·n_v / (n_v + n_v) = 1, since every interned
+            // fragment has n_v > 0.
+            return 1.0;
         }
         let (lo, hi) = if a.0 < b.0 { (a.0, b.0) } else { (b.0, a.0) };
         if self.fast_path() {
@@ -756,20 +540,15 @@ impl QueryFragmentGraph {
                 None => 0.0,
             };
         }
-        let na = self.occurrences[lo as usize];
-        let nb = self.occurrences[hi as usize];
-        if na + nb == 0 {
-            return 0.0;
-        }
-        let ne = self.pair_count(lo, hi);
-        (2.0 * ne as f64) / ((na + nb) as f64)
+        let denominator = self.occurrences[lo as usize] + self.occurrences[hi as usize];
+        (2.0 * self.pair_count(lo, hi) as f64) / (denominator as f64)
     }
 
     /// An upper bound on `max over all other fragments x of Dice(id, x)`.
     ///
     /// On a compacted graph this is **exact**: the column is rebuilt by
     /// [`QueryFragmentGraph::compact`] from the same arithmetic the pair
-    /// lookup uses, so for every live partner `x ≠ id`,
+    /// lookup uses, so for every partner `x ≠ id`,
     /// `dice_by_id(id, x) ≤ max_dice_by_id(id)` holds bit-for-bit.  On a
     /// graph with pending deltas the column may be stale in either
     /// direction, so the trivially admissible bound `1.0` is returned
@@ -777,14 +556,7 @@ impl QueryFragmentGraph {
     /// graph (`Templar::from_parts` compacts on snapshot construction).
     ///
     /// A fragment with no co-occurring partner has `max_dice = 0.0` (Dice
-    /// with every other fragment is 0), and a released slot reads `0.0`
-    /// until it is re-interned and recompacted.
-    ///
-    /// Like [`QueryFragmentGraph::dice_by_id`], the value can exceed `1.0`
-    /// in the degenerate states produced by removing a query more times
-    /// than it was ingested; consumers that need a probability-like bound
-    /// should clamp (the configuration search's smoothed pair factor caps
-    /// at 1, so both the exact column and the fallback stay admissible).
+    /// with every other fragment is 0).
     pub fn max_dice_by_id(&self, id: FragmentId) -> f64 {
         if self.fast_path() && id.index() < self.max_dice.len() {
             self.max_dice[id.index()]
@@ -802,7 +574,7 @@ impl QueryFragmentGraph {
     /// and the arithmetic then runs as one flat multiply/divide sweep over
     /// contiguous slices that LLVM can autovectorize.  Each lane evaluates
     /// the same expression the scalar lookup does (`2·n_e / (n_v(a) +
-    /// n_v(b))`; missing pairs read `(0, 1)`, live self-pairs `(1, 2)`), so
+    /// n_v(b))`; missing pairs read `(0, 1)`, self-pairs `(1, 2)`), so
     /// every gathered value is bit-for-bit the `dice_by_id` result.  With
     /// pending deltas the per-pair slow path is used instead — same values,
     /// no sweep.
@@ -839,11 +611,7 @@ impl QueryFragmentGraph {
             let (numerator, denominator) = if p == ABSENT_FRAGMENT {
                 (0.0, 1.0)
             } else if p == c {
-                if self.occurrences[c as usize] > 0 {
-                    (1.0, 2.0)
-                } else {
-                    (0.0, 1.0)
-                }
+                (1.0, 2.0)
             } else {
                 let (lo, hi) = if c < p { (c, p) } else { (p, c) };
                 match self.csr.edge_index(lo, hi) {
@@ -895,11 +663,12 @@ impl QueryFragmentGraph {
         all
     }
 
-    /// Iterate over all live fragments and their occurrence counts.
+    /// Iterate over all fragments and their occurrence counts, in id order.
     pub fn fragments(&self) -> impl Iterator<Item = (&QueryFragment, u64)> {
         self.interner
-            .live()
-            .map(|(f, id)| (f, self.occurrences[id.index()]))
+            .fragments
+            .iter()
+            .zip(self.occurrences.iter().copied())
     }
 
     /// Iterate over all co-occurring fragment pairs and their counts
@@ -921,10 +690,9 @@ impl QueryFragmentGraph {
 
 /// Equality is *observational*: two graphs are equal when they were built at
 /// the same obscurity from the same number of queries and agree on every
-/// occurrence and co-occurrence count — regardless of id assignment order,
-/// free-list state or compaction progress.  (A shuffled incremental build
-/// interns fragments in a different order than a batch build; both must
-/// compare equal.)
+/// occurrence and co-occurrence count — regardless of id assignment order or
+/// compaction progress.  (A shuffled incremental build interns fragments in
+/// a different order than a batch build; both must compare equal.)
 impl PartialEq for QueryFragmentGraph {
     fn eq(&self, other: &Self) -> bool {
         self.obscurity == other.obscurity
@@ -946,21 +714,20 @@ impl PartialEq for QueryFragmentGraph {
 // A snapshot serializes the graph **as-is**, one independent section at a
 // time (interner table, occurrence column, CSR adjacency, pending delta),
 // so a streaming writer holds at most one section and no clone, and
-// pending work survives a snapshot without a forced compaction.  Dead
-// (recyclable) interner slots are written as `null` so raw slot ids in the
-// CSR and the delta stay valid verbatim.
+// pending work survives a snapshot without a forced compaction.  Raw ids
+// in the CSR and the delta index the interner table verbatim.
 
-/// One run of the `qfg/runs` section: `[lo, hi, net change]` per entry, in
-/// the order given.
+/// One run of the `qfg/runs` section: `[lo, hi, count]` per entry, in the
+/// order given, with each count a binary `I64` as snapshot v4 lays it out.
 fn run_value(entries: impl IntoIterator<Item = ((u32, u32), i64)>) -> serde::Value {
     serde::Value::Seq(
         entries
             .into_iter()
-            .map(|((lo, hi), change)| {
+            .map(|((lo, hi), count)| {
                 serde::Value::Seq(vec![
                     serde::Value::U64(lo as u64),
                     serde::Value::U64(hi as u64),
-                    serde::Value::I64(change),
+                    serde::Value::I64(count),
                 ])
             })
             .collect(),
@@ -968,38 +735,29 @@ fn run_value(entries: impl IntoIterator<Item = ((u32, u32), i64)>) -> serde::Val
 }
 
 impl QueryFragmentGraph {
-    fn slot_live(&self, slot: usize) -> bool {
-        self.occurrences.get(slot).copied().unwrap_or(0) > 0
-    }
-
-    /// Section `qfg/fragments`: the full interner table in slot order, dead
-    /// slots as `null`.
+    /// Section `qfg/fragments`: the interner table in id order.
     pub fn fragments_section(&self) -> serde::Value {
         serde::Value::Seq(
-            (0..self.interner.table_len())
-                .map(|slot| {
-                    if self.slot_live(slot) {
-                        self.interner.fragments[slot].to_value()
-                    } else {
-                        serde::Value::Null
-                    }
-                })
+            self.interner
+                .fragments
+                .iter()
+                .map(Serialize::to_value)
                 .collect(),
         )
     }
 
-    /// Section `qfg/occurrences`: the raw `n_v` column in slot order
-    /// (0 for dead slots).
+    /// Section `qfg/occurrences`: the `n_v` column in id order.
     pub fn occurrences_section(&self) -> serde::Value {
         serde::Value::Seq(
-            (0..self.interner.table_len())
-                .map(|slot| serde::Value::U64(self.occurrences.get(slot).copied().unwrap_or(0)))
+            self.occurrences
+                .iter()
+                .map(|&count| serde::Value::U64(count))
                 .collect(),
         )
     }
 
-    /// Section `qfg/adjacency`: the compacted CSR baseline over raw slot
-    /// ids.  Denominators and the max-Dice column are derived at load time.
+    /// Section `qfg/adjacency`: the compacted CSR baseline over raw ids.
+    /// Denominators and the max-Dice column are derived at load time.
     pub fn adjacency_section(&self) -> serde::Value {
         let seq_u32 = |xs: &[u32]| {
             serde::Value::Seq(xs.iter().map(|&x| serde::Value::U64(x as u64)).collect())
@@ -1013,17 +771,17 @@ impl QueryFragmentGraph {
         ])
     }
 
-    /// Section `qfg/runs`: a sequence of sorted runs of pending changes,
-    /// each entry `[lo, hi, net change]`.  The writer emits the delta log as
-    /// one run, or no run when it is empty, so a snapshot needs no
-    /// compaction before it is written; [`QueryFragmentGraph::from_sections`]
-    /// accepts any number of runs.
+    /// Section `qfg/runs`: a sequence of sorted runs of pending counts,
+    /// each entry `[lo, hi, count]`.  The writer emits the delta log as one
+    /// run, or no run when it is empty, so a snapshot needs no compaction
+    /// before it is written; [`QueryFragmentGraph::from_sections`] accepts
+    /// any number of runs.
     pub fn runs_section(&self) -> serde::Value {
         serde::Value::Seq(if self.delta.is_empty() {
             Vec::new()
         } else {
             vec![run_value(
-                self.delta.iter().map(|(&key, &change)| (key, change)),
+                self.delta.iter().map(|(&key, &count)| (key, count as i64)),
             )]
         })
     }
@@ -1031,8 +789,8 @@ impl QueryFragmentGraph {
     /// Rebuild a graph from its snapshot sections, validating every structural
     /// invariant so a corrupted section surfaces as a typed error.  The
     /// result is observationally identical to the graph that was written:
-    /// raw slot ids, dead slots and the pending delta are restored verbatim
-    /// (the runs of `qfg/runs` are summed into one delta).
+    /// raw ids and the pending delta are restored verbatim (the runs of
+    /// `qfg/runs` are summed into one delta).
     pub fn from_sections(
         obscurity: Obscurity,
         query_count: u64,
@@ -1046,30 +804,17 @@ impl QueryFragmentGraph {
             .ok_or("fragments section is not a sequence")?;
         let n = fragment_slots.len();
         let mut table: Vec<QueryFragment> = Vec::with_capacity(n);
-        let mut ids: HashMap<QueryFragment, FragmentId> = HashMap::new();
-        let mut free: Vec<u32> = Vec::new();
+        let mut ids: HashMap<QueryFragment, FragmentId> = HashMap::with_capacity(n);
         for (slot, value) in fragment_slots.iter().enumerate() {
-            if matches!(value, serde::Value::Null) {
-                // Dead slot: keep a placeholder fragment that can never be
-                // interned (contexts are never empty-expr), mirroring the
-                // in-memory state where a released slot's fragment is
-                // unreachable through the id map.
-                table.push(QueryFragment {
-                    expr: String::new(),
-                    context: crate::fragment::QueryContext::Select,
-                });
-                free.push(slot as u32);
-            } else {
-                let fragment = QueryFragment::from_value(value)
-                    .map_err(|e| format!("fragment slot {slot}: {e}"))?;
-                if ids
-                    .insert(fragment.clone(), FragmentId(slot as u32))
-                    .is_some()
-                {
-                    return Err(format!("duplicate interned fragment {fragment}"));
-                }
-                table.push(fragment);
+            let fragment = QueryFragment::from_value(value)
+                .map_err(|e| format!("fragment slot {slot}: {e}"))?;
+            if ids
+                .insert(fragment.clone(), FragmentId(slot as u32))
+                .is_some()
+            {
+                return Err(format!("duplicate interned fragment {fragment}"));
             }
+            table.push(fragment);
         }
         let occurrence_values = occurrences
             .as_seq()
@@ -1086,12 +831,8 @@ impl QueryFragmentGraph {
             let count = value
                 .as_u64()
                 .ok_or_else(|| format!("occurrence {slot} is not an unsigned integer"))?;
-            let live = !matches!(fragment_slots[slot], serde::Value::Null);
-            if live && count == 0 {
-                return Err(format!("live fragment slot {slot} has zero occurrences"));
-            }
-            if !live && count != 0 {
-                return Err(format!("dead fragment slot {slot} has nonzero occurrences"));
+            if count == 0 {
+                return Err(format!("fragment slot {slot} has zero occurrences"));
             }
             occ.push(count);
         }
@@ -1150,8 +891,6 @@ impl QueryFragmentGraph {
                 counts.len()
             ));
         }
-        let mut denominators = Vec::with_capacity(edges);
-        let mut max_dice = vec![0.0f64; n];
         for lo in 0..offsets.len().saturating_sub(1) {
             let (start, end) = (offsets[lo] as usize, offsets[lo + 1] as usize);
             let mut prev: Option<u32> = None;
@@ -1167,21 +906,11 @@ impl QueryFragmentGraph {
                 if counts[e] == 0 {
                     return Err(format!("CSR pair ({lo}, {hi}) has a zero baseline count"));
                 }
-                let denominator = occ[lo] + occ[hi as usize];
-                denominators.push(denominator);
-                if occ[lo] > 0 && occ[hi as usize] > 0 {
-                    let dice = (2.0 * counts[e] as f64) / (denominator as f64);
-                    if dice > max_dice[lo] {
-                        max_dice[lo] = dice;
-                    }
-                    if dice > max_dice[hi as usize] {
-                        max_dice[hi as usize] = dice;
-                    }
-                }
             }
         }
+        let (csr, max_dice) = CsrAdjacency::with_max_dice(offsets, neighbors, counts, &occ);
         let run_values = runs.as_seq().ok_or("runs section is not a sequence")?;
-        let mut delta: BTreeMap<(u32, u32), i64> = BTreeMap::new();
+        let mut delta: BTreeMap<(u32, u32), u64> = BTreeMap::new();
         for (r, run) in run_values.iter().enumerate() {
             let entries = run
                 .as_seq()
@@ -1199,72 +928,39 @@ impl QueryFragmentGraph {
                     .filter(|t| t.len() == 3)
                     .ok_or_else(|| format!("delta run {r} holds a malformed entry"))?;
                 let (lo, hi) = (id(&triple[0])?, id(&triple[1])?);
-                let change = triple[2]
+                let count = triple[2]
                     .as_i64()
-                    .ok_or_else(|| format!("delta run {r} holds a non-integer change"))?;
+                    .ok_or_else(|| format!("delta run {r} holds a non-integer count"))?;
                 if (hi as usize) >= n || hi <= lo {
                     return Err(format!("delta run {r} pair ({lo}, {hi}) is out of range"));
                 }
-                if change == 0 {
-                    return Err(format!("delta run {r} holds a zero-net entry"));
+                if count <= 0 {
+                    return Err(format!("delta run {r} holds a non-positive count"));
                 }
                 if prev.is_some_and(|p| p >= (lo, hi)) {
                     return Err(format!("delta run {r} keys are not strictly sorted"));
                 }
                 prev = Some((lo, hi));
-                let net = delta.entry((lo, hi)).or_insert(0);
-                *net = net
-                    .checked_add(change)
+                // The sum stays writable as one signed run entry.
+                let pending = delta.entry((lo, hi)).or_insert(0);
+                *pending = pending
+                    .checked_add(count as u64)
+                    .filter(|&sum| sum <= i64::MAX as u64)
                     .ok_or_else(|| format!("delta run {r} overflows pair ({lo}, {hi})"))?;
-                if *net == 0 {
-                    delta.remove(&(lo, hi));
-                }
             }
         }
-        // Negative-net audit + live-edge count: check every pending pair
-        // against its CSR baseline.
-        let csr = CsrAdjacency {
-            offsets,
-            neighbors,
-            counts,
-            denominators,
-        };
-        let mut live_edges = edges;
-        let mut pair_degree = vec![0u32; n];
-        for lo in 0..csr.offsets.len().saturating_sub(1) {
-            let (start, end) = (csr.offsets[lo] as usize, csr.offsets[lo + 1] as usize);
-            for e in start..end {
-                pair_degree[lo] += 1;
-                pair_degree[csr.neighbors[e] as usize] += 1;
-            }
-        }
-        for (&(lo, hi), &change) in &delta {
-            let base = csr.count(lo, hi) as i64;
-            let net = base + change;
-            if net < 0 {
-                return Err(format!(
-                    "pending delta drives pair ({lo}, {hi}) negative ({base} {change:+})"
-                ));
-            }
-            if base == 0 && net > 0 {
-                live_edges += 1;
-                pair_degree[lo as usize] += 1;
-                pair_degree[hi as usize] += 1;
-            } else if base > 0 && net == 0 {
-                live_edges -= 1;
-                pair_degree[lo as usize] -= 1;
-                pair_degree[hi as usize] -= 1;
-            }
-        }
-        let graph = QueryFragmentGraph {
+        let live_edges = edges
+            + delta
+                .keys()
+                .filter(|&&(lo, hi)| csr.count(lo, hi) == 0)
+                .count();
+        Ok(QueryFragmentGraph {
             obscurity,
             interner: FragmentInterner {
                 ids,
                 fragments: table,
-                free,
             },
             occurrences: occ,
-            pair_degree,
             csr,
             delta,
             max_dice,
@@ -1272,8 +968,7 @@ impl QueryFragmentGraph {
             live_edges,
             query_count: query_count as usize,
             compactions: 0,
-        };
-        Ok(graph)
+        })
     }
 }
 
@@ -1461,28 +1156,6 @@ mod tests {
     }
 
     #[test]
-    fn released_ids_are_recycled_for_new_fragments() {
-        let (log, _) = QueryLog::from_sql(["SELECT p.title FROM publication p"]);
-        let mut qfg = QueryFragmentGraph::build(&log, Obscurity::NoConstOp);
-        let table_before = qfg.interned_len();
-        assert!(qfg.remove(&log.queries()[0]));
-        assert_eq!(qfg.fragment_count(), 0);
-        // Re-ingesting reuses the freed slots instead of growing the table.
-        let (log2, _) = QueryLog::from_sql(["SELECT j.name FROM journal j"]);
-        qfg.ingest(&log2.queries()[0]);
-        assert_eq!(qfg.interned_len(), table_before);
-        assert_eq!(
-            qfg.occurrences(&frag("journal.name", QueryContext::Select)),
-            1
-        );
-        // The dead publication fragments are gone.
-        assert_eq!(
-            qfg.occurrences(&frag("publication.title", QueryContext::Select)),
-            0
-        );
-    }
-
-    #[test]
     fn max_dice_column_is_exact_on_a_compacted_graph() {
         let qfg = QueryFragmentGraph::build(&figure3_log(), Obscurity::NoConstOp);
         let live: Vec<QueryFragment> = qfg.fragments().map(|(f, _)| f.clone()).collect();
@@ -1582,9 +1255,9 @@ mod tests {
         }
     }
 
-    // -- delta-log churn -------------------------------------------------
+    // -- sectioned serialization ---------------------------------------
 
-    /// A varied pool of parsable queries for churn tests.
+    /// A varied pool of parsable queries.
     fn churn_queries(n: usize) -> Vec<Query> {
         let tables = ["publication", "journal", "author", "conference"];
         let mut sql = Vec::new();
@@ -1603,51 +1276,18 @@ mod tests {
         }
         let (log, skipped) = QueryLog::from_sql(sql.iter().map(String::as_str));
         assert_eq!(skipped, 0);
-        log.queries().iter().cloned().collect()
+        log.queries().to_vec()
     }
 
-    #[test]
-    fn removals_and_recycled_ids_match_a_periodically_compacted_graph() {
-        let queries = churn_queries(120);
-        let mut qfg = QueryFragmentGraph::empty(Obscurity::NoConstOp);
-        let mut reference = QueryFragmentGraph::empty(Obscurity::NoConstOp);
-        for (i, query) in queries.iter().enumerate() {
-            qfg.ingest(query);
-            reference.ingest(query);
-            if i % 5 == 4 {
-                assert!(qfg.remove(&queries[i - 2]));
-                assert!(reference.remove(&queries[i - 2]));
-            }
-            if i % 37 == 36 {
-                reference.compact();
-            }
-        }
-        assert_eq!(qfg, reference);
-        qfg.compact();
-        reference.compact();
-        assert_eq!(qfg, reference);
-    }
-
-    // -- sectioned serialization ---------------------------------------
-
-    /// A graph with dead interner slots, a compacted baseline *and* a
-    /// pending delta — the richest sectioned shape.
-    fn dead_slots_and_pending_delta_fixture() -> QueryFragmentGraph {
+    /// A graph with a compacted baseline *and* a pending delta — the
+    /// richest sectioned shape.
+    fn pending_delta_fixture() -> QueryFragmentGraph {
         let queries = churn_queries(60);
         let mut qfg = QueryFragmentGraph::empty(Obscurity::NoConstOp);
         for query in &queries[..40] {
             qfg.ingest(query);
         }
         qfg.compact();
-        // Kill some fragments entirely to create dead slots.
-        for query in &queries[..6] {
-            let mut seen = 0;
-            while qfg.remove(query) {
-                seen += 1;
-                assert!(seen < 100);
-            }
-        }
-        // Leave fresh churn pending in the delta.
         for query in &queries[40..] {
             qfg.ingest(query);
         }
@@ -1657,7 +1297,7 @@ mod tests {
 
     #[test]
     fn sections_round_trip_uncompacted_graphs_verbatim() {
-        let qfg = dead_slots_and_pending_delta_fixture();
+        let qfg = pending_delta_fixture();
         let back = QueryFragmentGraph::from_sections(
             qfg.obscurity(),
             qfg.query_count() as u64,
@@ -1670,8 +1310,7 @@ mod tests {
         assert_eq!(back, qfg);
         assert_eq!(back.query_count(), qfg.query_count());
         assert_eq!(back.pending_delta_len(), qfg.pending_delta_len());
-        // Raw slot ids line up verbatim, so recycled-slot bookkeeping
-        // survives: interning a new fragment reuses the same free slots.
+        // Raw ids line up verbatim.
         for (fragment, count) in qfg.fragments() {
             let a = qfg.lookup(fragment).unwrap();
             let b = back.lookup(fragment).unwrap();
@@ -1689,28 +1328,28 @@ mod tests {
     #[test]
     fn runs_splitting_a_pending_delta_load_into_an_equal_graph() {
         // The writer emits at most one run, but `qfg/runs` is a sequence:
-        // a section that splits the pending delta across two runs — one
-        // pair's change divided between them, and a spare pair that
-        // cancels out — must load into the same graph.
-        let qfg = dead_slots_and_pending_delta_fixture();
-        let n = qfg.interned_len() as u32;
-        let spare = (0..n)
-            .flat_map(|lo| (lo + 1..n).map(move |hi| (lo, hi)))
-            .find(|key| !qfg.delta.contains_key(key))
-            .expect("the fixture leaves some pair untouched");
-        let (mut older, mut newer) = (vec![(spare, 1)], vec![(spare, -1)]);
-        for (i, (&key, &change)) in qfg.delta.iter().enumerate() {
-            match i % 3 {
-                0 => {
-                    older.push((key, 2 * change));
-                    newer.push((key, -change));
-                }
-                1 => older.push((key, change)),
-                _ => newer.push((key, change)),
+        // a section that splits the pending delta across two runs — some
+        // pairs' counts divided between them — must load into the same
+        // graph.
+        let qfg = pending_delta_fixture();
+        let (mut older, mut newer) = (Vec::new(), Vec::new());
+        for (i, (&key, &count)) in qfg.delta.iter().enumerate() {
+            let count = count as i64;
+            if count > 1 {
+                older.push((key, count / 2));
+                newer.push((key, count - count / 2));
+            } else if i % 2 == 0 {
+                older.push((key, count));
+            } else {
+                newer.push((key, count));
             }
         }
-        older.sort_unstable_by_key(|&(key, _)| key);
-        newer.sort_unstable_by_key(|&(key, _)| key);
+        assert!(
+            older
+                .iter()
+                .any(|(key, _)| newer.iter().any(|(k, _)| k == key)),
+            "the fixture has a pending count to split"
+        );
         let runs = [older, newer].map(run_value);
         let back = QueryFragmentGraph::from_sections(
             qfg.obscurity(),
@@ -1727,7 +1366,7 @@ mod tests {
 
     #[test]
     fn sections_reject_structural_corruption() {
-        let qfg = dead_slots_and_pending_delta_fixture();
+        let qfg = pending_delta_fixture();
         let fragments = qfg.fragments_section();
         let occurrences = qfg.occurrences_section();
         let adjacency = qfg.adjacency_section();
@@ -1742,17 +1381,20 @@ mod tests {
         occ.pop();
         let err = rebuild(&fragments, &serde::Value::Seq(occ), &adjacency, &runs).unwrap_err();
         assert!(err.contains("occurrence column length"), "{err}");
-        // A live slot with zero occurrences.
+        // A slot with zero occurrences.
         let serde::Value::Seq(mut occ) = occurrences.clone() else {
             panic!()
         };
-        let live = occ
-            .iter()
-            .position(|v| v.as_u64().unwrap() > 0)
-            .expect("fixture has live slots");
-        occ[live] = serde::Value::U64(0);
+        occ[0] = serde::Value::U64(0);
         let err = rebuild(&fragments, &serde::Value::Seq(occ), &adjacency, &runs).unwrap_err();
         assert!(err.contains("zero occurrences"), "{err}");
+        // A `null` fragment slot.
+        let serde::Value::Seq(mut table) = fragments.clone() else {
+            panic!()
+        };
+        table[0] = serde::Value::Null;
+        let err = rebuild(&serde::Value::Seq(table), &occurrences, &adjacency, &runs).unwrap_err();
+        assert!(err.contains("fragment slot 0"), "{err}");
         // Truncated CSR neighbor column.
         let serde::Value::Map(mut adj) = adjacency.clone() else {
             panic!()
@@ -1767,7 +1409,7 @@ mod tests {
         }
         let err = rebuild(&fragments, &occurrences, &serde::Value::Map(adj), &runs).unwrap_err();
         assert!(err.contains("truncated CSR"), "{err}");
-        // A run entry that drives a pair negative.
+        // A negative run entry.
         let serde::Value::Seq(mut run_list) = runs.clone() else {
             panic!()
         };
@@ -1779,15 +1421,15 @@ mod tests {
             &serde::Value::Seq(run_list),
         )
         .unwrap_err();
-        assert!(err.contains("negative"), "{err}");
+        assert!(err.contains("non-positive"), "{err}");
         // Unsorted run keys.
         let bad_run = serde::Value::Seq(vec![run_value([((1, 2), 1), ((0, 2), 1)])]);
         let err = rebuild(&fragments, &occurrences, &adjacency, &bad_run).unwrap_err();
         assert!(err.contains("not strictly sorted"), "{err}");
-        // Two runs whose changes to one pair overflow when summed.
+        // Two runs whose counts of one pair overflow when summed.
         let overflowing = serde::Value::Seq(
             [i64::MAX, 1]
-                .map(|change| run_value([((0, 1), change)]))
+                .map(|count| run_value([((0, 1), count)]))
                 .to_vec(),
         );
         let err = rebuild(&fragments, &occurrences, &adjacency, &overflowing).unwrap_err();

@@ -2,10 +2,9 @@
 //! (following the pattern of `crates/nlp/tests/properties.rs`):
 //!
 //! * incremental `ingest` over a shuffled log ≡ batch `build`,
-//! * `remove` is the exact inverse of `ingest`,
 //! * the interned/columnar graph is observationally equivalent to the
 //!   reference map-based model it replaced (same occurrence, co-occurrence
-//!   and Dice values within 1e-12) under arbitrary ingest/remove/compact
+//!   and Dice values within 1e-12) under arbitrary ingest/compact
 //!   sequences,
 //! * Dice-coefficient edge cases (self-co-occurrence, zero-count fragments).
 
@@ -71,8 +70,8 @@ fn parse_log(sqls: &[String]) -> QueryLog {
 
 /// The old representation, verbatim in behaviour: owned fragments as map
 /// keys, unordered pairs keyed with the lexicographically smaller fragment
-/// first, zero counts pruned.  Kept as the executable specification the
-/// interned/columnar production graph is checked against.
+/// first.  Kept as the executable specification the interned/columnar
+/// production graph is checked against.
 #[derive(Default)]
 struct ModelQfg {
     occurrences: HashMap<QueryFragment, u64>,
@@ -111,59 +110,6 @@ impl ModelQfg {
         }
     }
 
-    fn remove(&mut self, query: &sqlparse::Query, obscurity: Obscurity) -> bool {
-        if self.query_count == 0 {
-            return false;
-        }
-        let fragments = Self::distinct_fragments(query, obscurity);
-        for f in &fragments {
-            if self.occurrences.get(f).copied().unwrap_or(0) == 0 {
-                return false;
-            }
-        }
-        let list: Vec<&QueryFragment> = fragments.iter().collect();
-        for i in 0..list.len() {
-            for j in (i + 1)..list.len() {
-                let key = Self::pair_key(list[i], list[j]);
-                if self.co_occurrences.get(&key).copied().unwrap_or(0) == 0 {
-                    return false;
-                }
-            }
-        }
-        self.query_count -= 1;
-        let mut died: Vec<QueryFragment> = Vec::new();
-        for f in &fragments {
-            if let Some(count) = self.occurrences.get_mut(f) {
-                *count -= 1;
-                if *count == 0 {
-                    self.occurrences.remove(f);
-                    died.push(f.clone());
-                }
-            }
-        }
-        for i in 0..list.len() {
-            for j in (i + 1)..list.len() {
-                let key = Self::pair_key(list[i], list[j]);
-                if let Some(count) = self.co_occurrences.get_mut(&key) {
-                    *count -= 1;
-                    if *count == 0 {
-                        self.co_occurrences.remove(&key);
-                    }
-                }
-            }
-        }
-        // A fragment with zero occurrences co-occurs with nothing:
-        // `n_e(c, x) ≤ n_v(c)` is part of the spec, so pairs stranded by an
-        // over-removal (the fragment died while a pair from some *other*
-        // query still referenced it) are dropped with the fragment — exactly
-        // what the production graph's pre-release purge does.
-        if !died.is_empty() {
-            self.co_occurrences
-                .retain(|(a, b), _| !died.contains(a) && !died.contains(b));
-        }
-        true
-    }
-
     fn occurrences(&self, fragment: &QueryFragment) -> u64 {
         self.occurrences.get(fragment).copied().unwrap_or(0)
     }
@@ -189,7 +135,7 @@ impl ModelQfg {
     }
 
     /// The reference for the columnar graph's `max_dice` column: the maximum
-    /// Dice coefficient between `a` and every *other* live fragment.
+    /// Dice coefficient between `a` and every *other* fragment.
     fn max_dice(&self, a: &QueryFragment) -> f64 {
         self.occurrences
             .keys()
@@ -200,10 +146,8 @@ impl ModelQfg {
 }
 
 /// Assert the columnar graph's per-fragment `max_dice` column against the
-/// model: the clamped bound the search consumes is always admissible, and
-/// after a compaction the column is exact.  (Both sides can exceed 1.0 in
-/// the degenerate phantom-removal states `remove` tolerates, which is why
-/// admissibility is stated on the clamped value the search actually uses.)
+/// model: the bound is always admissible, and after a compaction the column
+/// is exact.
 fn assert_max_dice_consistent(model: &ModelQfg, graph: &QueryFragmentGraph) {
     let mut compacted = graph.clone();
     compacted.compact();
@@ -211,9 +155,9 @@ fn assert_max_dice_consistent(model: &ModelQfg, graph: &QueryFragmentGraph) {
         let expected = model.max_dice(fragment);
         let id = graph
             .lookup(fragment)
-            .expect("live model fragment must be interned");
+            .expect("model fragment must be interned");
         assert!(
-            graph.max_dice_by_id(id).min(1.0) >= expected.min(1.0) - 1e-12,
+            graph.max_dice_by_id(id) >= expected - 1e-12,
             "max_dice must stay an admissible upper bound for {fragment}: \
              column {} < true max {expected}",
             graph.max_dice_by_id(id)
@@ -236,7 +180,7 @@ proptest! {
         for obscurity in Obscurity::ALL {
             let batch = QueryFragmentGraph::build(&log, obscurity);
 
-            let mut shuffled: Vec<_> = log.queries().iter().cloned().collect();
+            let mut shuffled: Vec<_> = log.queries().to_vec();
             StdRng::seed_from_u64(seed).shuffle(&mut shuffled);
 
             let mut incremental = QueryFragmentGraph::empty(obscurity);
@@ -250,44 +194,11 @@ proptest! {
         }
     }
 
-    /// `remove` exactly inverts `ingest`: adding a batch of extra queries
-    /// and removing them again restores the original graph, including the
-    /// pruning of zero-count vertices and edges.
-    #[test]
-    fn remove_inverts_ingest(base in log_strategy(), extra in log_strategy()) {
-        let base_log = parse_log(&base);
-        let extra_log = parse_log(&extra);
-        let original = QueryFragmentGraph::build(&base_log, Obscurity::NoConstOp);
-
-        let mut graph = original.clone();
-        for query in extra_log.queries() {
-            graph.ingest(query);
-        }
-        for query in extra_log.queries() {
-            prop_assert!(graph.remove(query), "removing an ingested query must succeed");
-        }
-        prop_assert_eq!(&graph, &original);
-    }
-
-    /// Removing every query leaves a completely empty graph — no stale
-    /// zero-count entries keep memory alive.
-    #[test]
-    fn removing_all_queries_empties_the_graph(sqls in log_strategy()) {
-        let log = parse_log(&sqls);
-        let mut graph = QueryFragmentGraph::build(&log, Obscurity::NoConst);
-        for query in log.queries() {
-            prop_assert!(graph.remove(query));
-        }
-        prop_assert_eq!(graph.fragment_count(), 0);
-        prop_assert_eq!(graph.edge_count(), 0);
-        prop_assert_eq!(graph.query_count(), 0);
-    }
-
     /// The interned/columnar graph is observationally equivalent to the
-    /// reference map-based model under an arbitrary interleaving of ingests,
-    /// removes and compactions: every occurrence count, co-occurrence count
-    /// and Dice coefficient agrees (counts exactly, Dice within 1e-12) at
-    /// every step, at every obscurity level.
+    /// reference map-based model under an arbitrary interleaving of ingests
+    /// and compactions: every occurrence count, co-occurrence count and Dice
+    /// coefficient agrees (counts exactly, Dice within 1e-12) at every step,
+    /// at every obscurity level.
     #[test]
     fn columnar_graph_is_observationally_equivalent_to_the_map_model(
         base in log_strategy(),
@@ -300,29 +211,19 @@ proptest! {
             let mut model = ModelQfg::default();
             let mut graph = QueryFragmentGraph::empty(obscurity);
             // Deterministic op schedule: ingest the base, then interleave
-            // ingest/remove/compact decisions drawn from the seed.
+            // ingest/compact decisions drawn from the seed.
             let mut rng = StdRng::seed_from_u64(op_seed);
             for query in base_log.queries() {
                 model.ingest(query, obscurity);
                 graph.ingest(query);
             }
             for query in extra_log.queries() {
-                match rng.next_u64() % 4 {
-                    // Removing a base query exercises id release/recycling;
-                    // both sides must agree on whether the removal applies.
-                    0 => {
-                        let victims: Vec<_> = base_log.queries().iter().cloned().collect();
-                        let victim = &victims[(rng.next_u64() as usize) % victims.len()];
-                        let model_removed = model.remove(victim, obscurity);
-                        let graph_removed = graph.remove(victim);
-                        prop_assert_eq!(model_removed, graph_removed);
-                    }
-                    // Compaction must be observation-neutral.
-                    1 => graph.compact(),
-                    _ => {
-                        model.ingest(query, obscurity);
-                        graph.ingest(query);
-                    }
+                // Compaction must be observation-neutral.
+                if rng.next_u64() % 4 == 0 {
+                    graph.compact();
+                } else {
+                    model.ingest(query, obscurity);
+                    graph.ingest(query);
                 }
                 prop_assert_eq!(model.query_count, graph.query_count());
                 prop_assert_eq!(model.occurrences.len(), graph.fragment_count());
@@ -331,8 +232,8 @@ proptest! {
                 // every intermediate state and become exact on compaction.
                 assert_max_dice_consistent(&model, &graph);
             }
-            // Full observational sweep over the union of live fragments plus
-            // a fragment neither side has seen.
+            // Full observational sweep over every fragment plus one neither
+            // side has seen.
             let mut fragments: Vec<QueryFragment> =
                 model.occurrences.keys().cloned().collect();
             fragments.push(QueryFragment {
@@ -359,90 +260,8 @@ proptest! {
         }
     }
 
-    /// Id-recycling audit (remove → compact-interleaved → re-intern): after
-    /// removing *every* base query — releasing every fragment slot, with
-    /// compactions interleaved at seed-chosen points so the cancelled
-    /// baselines are folded away at different stages — re-ingesting a fresh
-    /// log must intern new fragments into the recycled slots without
-    /// inheriting stale occurrence counts or pending delta-log entries
-    /// addressed to the slots' previous tenants.  The recycled graph is
-    /// checked observation-for-observation against the map-based reference
-    /// model (which has no ids to recycle) and against a from-scratch build
-    /// of the second log.
-    #[test]
-    fn recycled_ids_never_inherit_stale_state(
-        base in log_strategy(),
-        extra in log_strategy(),
-        compact_seed in any::<u64>(),
-    ) {
-        for obscurity in Obscurity::ALL {
-            let base_log = parse_log(&base);
-            let extra_log = parse_log(&extra);
-            let mut graph = QueryFragmentGraph::build(&base_log, obscurity);
-            let slots_before = graph.interned_len();
-
-            // Remove everything, compacting at seed-chosen interleavings so
-            // the release → compact → re-intern orderings all get exercised
-            // across cases (including "no compaction at all" and
-            // "compaction between every removal").
-            let mut rng = StdRng::seed_from_u64(compact_seed);
-            for query in base_log.queries() {
-                prop_assert!(graph.remove(query));
-                if rng.next_u64() % 3 == 0 {
-                    graph.compact();
-                }
-            }
-            prop_assert_eq!(graph.fragment_count(), 0);
-            prop_assert_eq!(graph.edge_count(), 0);
-
-            // Re-ingest a different log into the recycled slots, against the
-            // reference model built fresh (the model never recycles —
-            // fragments are its keys — so any inherited state diverges).
-            let mut model = ModelQfg::default();
-            for query in extra_log.queries() {
-                model.ingest(query, obscurity);
-                graph.ingest(query);
-                if rng.next_u64() % 3 == 0 {
-                    graph.compact();
-                }
-            }
-            prop_assert!(
-                graph.interned_len() >= slots_before.min(graph.fragment_count()),
-                "the id table never shrinks"
-            );
-            prop_assert_eq!(model.query_count, graph.query_count());
-            prop_assert_eq!(model.occurrences.len(), graph.fragment_count());
-            prop_assert_eq!(model.co_occurrences.len(), graph.edge_count());
-            let fragments: Vec<QueryFragment> = model.occurrences.keys().cloned().collect();
-            for a in &fragments {
-                prop_assert_eq!(
-                    model.occurrences(a), graph.occurrences(a),
-                    "recycled slot inherited a stale occurrence for {}", a
-                );
-                for b in &fragments {
-                    prop_assert_eq!(
-                        model.co_occurrences(a, b), graph.co_occurrences(a, b),
-                        "recycled slot inherited a stale pair count for {} / {}", a, b
-                    );
-                    let (dm, dg) = (model.dice(a, b), graph.dice(a, b));
-                    prop_assert!(
-                        (dm - dg).abs() < 1e-12,
-                        "dice diverged on recycled ids for {} / {}: {} vs {}", a, b, dm, dg
-                    );
-                }
-            }
-            // Recycled slots must not inherit the previous tenant's
-            // max-Dice either.
-            assert_max_dice_consistent(&model, &graph);
-            // And the recycled graph is observationally the graph a clean
-            // build of the second log produces.
-            let rebuilt = QueryFragmentGraph::build(&extra_log, obscurity);
-            prop_assert_eq!(&graph, &rebuilt);
-        }
-    }
-
     /// Compaction is observation-neutral at *every* pending state: an
-    /// arbitrary interleaving of ingests, removes and compactions stays
+    /// arbitrary interleaving of ingests and compactions stays
     /// observationally identical to the map-based model.
     #[test]
     fn compaction_interleavings_match_the_model_at_any_pending_state(
@@ -461,17 +280,11 @@ proptest! {
             graph.ingest(query);
         }
         for query in extra_log.queries() {
-            match rng.next_u64() % 5 {
-                0 => {
-                    let victims: Vec<_> = base_log.queries().iter().cloned().collect();
-                    let victim = &victims[(rng.next_u64() as usize) % victims.len()];
-                    prop_assert_eq!(model.remove(victim, obscurity), graph.remove(victim));
-                }
-                1 => graph.compact(),
-                _ => {
-                    model.ingest(query, obscurity);
-                    graph.ingest(query);
-                }
+            if rng.next_u64() % 5 == 0 {
+                graph.compact();
+            } else {
+                model.ingest(query, obscurity);
+                graph.ingest(query);
             }
             prop_assert_eq!(model.query_count, graph.query_count());
             prop_assert_eq!(model.occurrences.len(), graph.fragment_count());
@@ -499,7 +312,7 @@ proptest! {
 
     /// A sectioned export of the graph — at an arbitrary uncompacted
     /// state — reconstructs the *identical* graph, section for section:
-    /// same interner slots, same occurrence column, same CSR, same pending
+    /// same interner table, same occurrence column, same CSR, same pending
     /// delta, without forcing a compaction on either side.
     #[test]
     fn sections_round_trip_any_pending_state_verbatim(
@@ -514,12 +327,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(op_seed);
         for query in extra_log.queries() {
             if rng.next_u64() % 4 == 0 {
-                let victims: Vec<_> = base_log.queries().iter().cloned().collect();
-                let victim = &victims[(rng.next_u64() as usize) % victims.len()];
-                graph.remove(victim);
-            } else {
-                graph.ingest(query);
+                graph.compact();
             }
+            graph.ingest(query);
         }
         let back = QueryFragmentGraph::from_sections(
             obscurity,
@@ -599,37 +409,4 @@ fn zero_count_fragments_have_zero_dice_everywhere() {
     assert_eq!(graph.dice(&unknown, &title), 0.0);
     // Dice of two unknown fragments must not divide by zero.
     assert_eq!(graph.dice(&unknown, &unknown), 0.0);
-}
-
-#[test]
-fn removal_updates_dice_evidence() {
-    let (log, _) = QueryLog::from_sql([
-        "SELECT p.title FROM publication p WHERE p.year > 2000",
-        "SELECT p.title FROM publication p WHERE p.year > 1995",
-    ]);
-    let mut graph = QueryFragmentGraph::build(&log, Obscurity::NoConstOp);
-    let title = QueryFragment {
-        expr: "publication.title".to_string(),
-        context: templar_core::QueryContext::Select,
-    };
-    let pred = QueryFragment {
-        expr: "publication.year ?op ?val".to_string(),
-        context: templar_core::QueryContext::Where,
-    };
-    assert!((graph.dice(&title, &pred) - 1.0).abs() < 1e-12);
-    assert!(graph.remove(&log.queries()[0]));
-    // Still perfectly correlated, with halved counts.
-    assert_eq!(graph.occurrences(&title), 1);
-    assert!((graph.dice(&title, &pred) - 1.0).abs() < 1e-12);
-    assert!(graph.remove(&log.queries()[1]));
-    assert_eq!(graph.dice(&title, &pred), 0.0);
-}
-
-#[test]
-fn remove_of_never_ingested_query_is_refused() {
-    let mut graph = sample_graph();
-    let stranger = sqlparse::parse_query("SELECT a.name FROM author a").unwrap();
-    let before = graph.clone();
-    assert!(!graph.remove(&stranger));
-    assert_eq!(graph, before, "a refused remove must not corrupt counts");
 }

@@ -54,7 +54,7 @@ impl Default for WalConfig {
 ///
 /// The Templar-level parameters (κ, λ, obscurity, …) stay in
 /// [`templar_core::TemplarConfig`]; this struct only shapes the *operational*
-/// behaviour: queue bounds, snapshot refresh cadence and log retention.
+/// behaviour: queue bounds, snapshot refresh cadence and durability.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Capacity of the bounded ingestion queue.  `submit_sql` fails fast
@@ -68,10 +68,6 @@ pub struct ServiceConfig {
     /// much time has passed since the last publication, so a trickle of
     /// ingests still becomes visible promptly.
     pub refresh_interval: Duration,
-    /// Retain at most this many queries in the live log; the oldest entries
-    /// are evicted (and removed from the QFG incrementally) beyond it.
-    /// `None` keeps the log unbounded.
-    pub max_log_entries: Option<usize>,
     /// Write-ahead journal tunables (durable services only).
     pub wal: WalConfig,
     /// How many of the slowest translations to retain with their per-stage
@@ -102,7 +98,6 @@ impl Default for ServiceConfig {
             queue_capacity: 1024,
             refresh_every: 64,
             refresh_interval: Duration::from_millis(250),
-            max_log_entries: None,
             wal: WalConfig::default(),
             slow_query_capacity: 16,
             max_inflight: 256,
@@ -127,12 +122,6 @@ impl ServiceConfig {
     /// Set the time-based refresh interval.
     pub fn with_refresh_interval(mut self, interval: Duration) -> Self {
         self.refresh_interval = interval;
-        self
-    }
-
-    /// Bound the live log to `n` entries (eviction beyond it).
-    pub fn with_max_log_entries(mut self, n: usize) -> Self {
-        self.max_log_entries = Some(n.max(1));
         self
     }
 
@@ -206,7 +195,6 @@ mod tests {
         let c = ServiceConfig::default()
             .with_queue_capacity(0)
             .with_refresh_every(0)
-            .with_max_log_entries(0)
             .with_wal_fsync_every(0)
             .with_wal_segment_max_records(0)
             .with_max_inflight(0)
@@ -214,7 +202,6 @@ mod tests {
             .with_recovery_batch_bytes(0);
         assert_eq!(c.queue_capacity, 1);
         assert_eq!(c.refresh_every, 1);
-        assert_eq!(c.max_log_entries, Some(1));
         assert_eq!(c.wal.fsync_every, 1);
         assert_eq!(c.wal.segment_max_records, 1);
         assert_eq!(c.max_inflight, 1);

@@ -73,7 +73,6 @@ pub struct ServiceMetrics {
     ingest_applied: AtomicU64,
     ingest_parse_errors: AtomicU64,
     log_skipped_statements: AtomicU64,
-    evictions: AtomicU64,
     snapshot_swaps: AtomicU64,
     feedback_accepted: AtomicU64,
     wal_appended: AtomicU64,
@@ -263,10 +262,6 @@ impl ServiceMetrics {
         self.log_skipped_statements.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_evictions(&self, n: u64) {
-        self.evictions.fetch_add(n, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_swap(&self) {
         self.snapshot_swaps.fetch_add(1, Ordering::Relaxed);
     }
@@ -454,7 +449,7 @@ impl ServiceMetrics {
             ingest_lag: self
                 .ingest_accepted_total()
                 .saturating_sub(self.ingest_applied_total()),
-            log_evictions: self.evictions.load(Ordering::Relaxed),
+            log_evictions: 0,
             snapshot_swaps: self.snapshot_swaps.load(Ordering::Relaxed),
             feedback_accepted: self.feedback_accepted.load(Ordering::Relaxed),
             wal_appended: self.wal_appended.load(Ordering::Relaxed),
@@ -575,7 +570,7 @@ const PROM_FAMILIES: &[Family] = &[
     ),
     counter(
         "templar_log_evictions_total",
-        "Log entries evicted under the retention bound.",
+        "Always 0: the query log only grows, so no entry is evicted.",
         |s| s.log_evictions,
     ),
     counter(

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use templar_api::{
     decode_request, encode_response, ApiError, HealthReport, MetricsReport, RequestBody,
-    ResponseBody, ResponseEnvelope, SlowQueryReport, TranslateRequest, TranslateResponse,
+    ResponseBody, ResponseEnvelope,
 };
 
 /// Routes requests to one [`TemplarService`] per tenant (database).
@@ -80,40 +80,6 @@ impl TenantRegistry {
         self.tenants.read().is_empty()
     }
 
-    /// Route one typed translation request.
-    pub fn translate(&self, request: &TranslateRequest) -> Result<TranslateResponse, ApiError> {
-        self.get(&request.tenant)?.translate_request(request)
-    }
-
-    /// Route one SQL ingestion.  A full tenant queue surfaces as
-    /// [`ApiError::Backpressure`].
-    pub fn submit_sql(&self, tenant: &str, sql: &str) -> Result<(), ApiError> {
-        self.get(tenant)?.submit_sql(sql).map_err(ApiError::from)
-    }
-
-    /// Route one accepted-SQL feedback entry: same durable ingest path as
-    /// [`TenantRegistry::submit_sql`], counted under `feedback_accepted`.
-    pub fn feedback(&self, tenant: &str, sql: &str) -> Result<(), ApiError> {
-        self.get(tenant)?
-            .submit_feedback(sql)
-            .map_err(ApiError::from)
-    }
-
-    /// Fetch one tenant's serving metrics.
-    pub fn metrics(&self, tenant: &str) -> Result<MetricsReport, ApiError> {
-        Ok(self.get(tenant)?.metrics())
-    }
-
-    /// Fetch one tenant's write-availability state in wire form.
-    pub fn health(&self, tenant: &str) -> Result<HealthReport, ApiError> {
-        Ok(health_report(&self.get(tenant)?.metrics()))
-    }
-
-    /// Fetch one tenant's captured slow queries, slowest first.
-    pub fn slow_queries(&self, tenant: &str) -> Result<Vec<SlowQueryReport>, ApiError> {
-        Ok(self.get(tenant)?.slow_queries())
-    }
-
     /// A Prometheus text-format exposition: one tenant, or every registered
     /// tenant assembled into a single exposition (each metric family's
     /// `# HELP`/`# TYPE` header appears exactly once, with one sample per
@@ -161,25 +127,30 @@ impl TenantRegistry {
     /// drift in behaviour.
     pub fn dispatch(&self, body: &RequestBody) -> Result<ResponseBody, ApiError> {
         match body {
-            RequestBody::Translate(request) => {
-                self.translate(request).map(ResponseBody::Translated)
+            RequestBody::Translate(request) => self
+                .get(&request.tenant)?
+                .translate_request(request)
+                .map(ResponseBody::Translated),
+            RequestBody::SubmitSql { tenant, sql } => {
+                self.get(tenant)?.submit_sql(sql)?;
+                Ok(ResponseBody::SqlAccepted)
             }
-            RequestBody::SubmitSql { tenant, sql } => self
-                .submit_sql(tenant, sql)
-                .map(|()| ResponseBody::SqlAccepted),
-            RequestBody::Feedback { tenant, sql } => self
-                .feedback(tenant, sql)
-                .map(|()| ResponseBody::FeedbackAccepted),
-            RequestBody::Metrics { tenant } => self
-                .metrics(tenant)
-                .map(|report| ResponseBody::Metrics(Box::new(report))),
+            RequestBody::Feedback { tenant, sql } => {
+                self.get(tenant)?.submit_feedback(sql)?;
+                Ok(ResponseBody::FeedbackAccepted)
+            }
+            RequestBody::Metrics { tenant } => {
+                Ok(ResponseBody::Metrics(Box::new(self.get(tenant)?.metrics())))
+            }
             RequestBody::SlowQueries { tenant } => {
-                self.slow_queries(tenant).map(ResponseBody::SlowQueries)
+                Ok(ResponseBody::SlowQueries(self.get(tenant)?.slow_queries()))
             }
             RequestBody::Prometheus { tenant } => self
                 .prometheus(tenant.as_deref())
                 .map(ResponseBody::Prometheus),
-            RequestBody::Health { tenant } => self.health(tenant).map(ResponseBody::Health),
+            RequestBody::Health { tenant } => Ok(ResponseBody::Health(health_report(
+                &self.get(tenant)?.metrics(),
+            ))),
         }
     }
 

@@ -11,7 +11,6 @@
 //!       ▼                                           │ epoch refresh:
 //!  translate(nlq) ──► submit_sql(answered) ──►  bounded queue
 //!                                               parse + qfg.ingest()
-//!                                               (+ eviction via remove())
 //! ```
 //!
 //! * **Reads are snapshot-isolated and never blocked by ingestion.**  Every
@@ -259,9 +258,8 @@ impl TemplarService {
     /// 1. load the latest valid snapshot (`dir/snapshot.templar`) if one
     ///    exists, taking its journal **watermark** from the header,
     /// 2. replay the write-ahead journal tail (`dir/wal/`) above the
-    ///    watermark — a torn final record is truncated, not fatal,
-    /// 3. re-apply the log retention bound, and
-    /// 4. resume journaling on a fresh segment.
+    ///    watermark — a torn final record is truncated, not fatal, and
+    /// 3. resume journaling on a fresh segment.
     ///
     /// An empty (or absent) directory bootstraps a fresh durable service, so
     /// `recover` is also the way to *start* one; every subsequent start goes
@@ -343,14 +341,10 @@ impl TemplarService {
         let snapshot_body_bytes = storage.file_len(&snapshot_path).ok();
         let wal_dir = dir.join(WAL_DIR);
         // Replay the journal tail in bounded batches: ingest applies each
-        // batch to the graph's delta log and the retention bound is
-        // enforced per batch, so recovery's decoded-entry footprint stays at
-        // `recovery_batch_bytes` (plus one oversized record) no matter how
-        // long the tail is.  Eviction keeps exactly the newest `cap` entries
-        // and the QFG's counts are order-insensitive nets, so per-batch
-        // eviction recovers the same state an uninterrupted worker held.
+        // batch to the graph's delta log, so recovery's decoded-entry
+        // footprint stays at `recovery_batch_bytes` (plus one oversized
+        // record) no matter how long the tail is.
         let mut replay_parse_errors = 0u64;
-        let cap = service_config.max_log_entries;
         let stats = wal::replay_batched_with(
             storage.as_ref(),
             &wal_dir,
@@ -364,13 +358,6 @@ impl TemplarService {
                             log.push(query);
                         }
                         Err(_) => replay_parse_errors += 1,
-                    }
-                }
-                if let Some(cap) = cap {
-                    while log.len() > cap {
-                        if let Some(old) = log.pop_oldest() {
-                            qfg.remove(&old);
-                        }
                     }
                 }
             },
@@ -774,8 +761,11 @@ impl TemplarService {
     }
 
     /// Block until every accepted entry has been applied and published in a
-    /// snapshot.  Intended for tests, benches and orderly shutdown — the
-    /// serving path never needs it.
+    /// snapshot.  On a durable service the journal tail is also written out
+    /// and fsynced, even when the group-commit policy would wait longer, so
+    /// a copy of the directory taken after `flush` replays every entry.
+    /// Intended for tests, benches and orderly shutdown — the serving path
+    /// never needs it.
     pub fn flush(&self) {
         loop {
             let drained = self.inner.queue.is_empty()
@@ -785,6 +775,14 @@ impl TemplarService {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        if let Some(durable) = &self.inner.durable {
+            let mut wal = durable.wal.lock();
+            let outcome = wal.sync();
+            drain_wal_health(&self.inner.metrics, &mut wal);
+            if let Ok(true) = outcome {
+                self.inner.metrics.record_wal_fsync();
+            }
         }
         self.force_refresh();
     }
@@ -856,7 +854,7 @@ impl TemplarService {
         snap.qfg_fragments = current.qfg().fragment_count() as u64;
         snap.qfg_edges = current.qfg().edge_count() as u64;
         snap.qfg_queries = current.qfg().query_count() as u64;
-        snap.qfg_interned_fragments = current.qfg().interned_len() as u64;
+        snap.qfg_interned_fragments = snap.qfg_fragments;
         snap.qfg_csr_edges = current.qfg().csr_edge_len() as u64;
         snap.translation_cache_entries = published.cache.entries();
         let (word_hits, word_misses) = current.similarity().model().word_cache_stats();
@@ -1164,7 +1162,6 @@ fn ingest_worker(inner: Arc<ServiceInner>) {
 
         let mut applied = 0u64;
         let mut parse_errors = empty_entries;
-        let mut evictions = 0u64;
         let to_publish: Option<QueryFragmentGraph> = {
             let mut master = inner.master.lock();
             for sql in &batch {
@@ -1181,14 +1178,6 @@ fn ingest_worker(inner: Arc<ServiceInner>) {
             if let Some(last_seq) = last_seq {
                 master.applied_seq = last_seq;
             }
-            if let Some(cap) = config.max_log_entries {
-                while master.log.len() > cap {
-                    if let Some(old) = master.log.pop_oldest() {
-                        master.qfg.remove(&old);
-                        evictions += 1;
-                    }
-                }
-            }
             let due_by_count = master.pending_since_swap >= config.refresh_every;
             let due_by_time = master.pending_since_swap > 0
                 && master.last_swap.elapsed() >= config.refresh_interval;
@@ -1199,9 +1188,6 @@ fn ingest_worker(inner: Arc<ServiceInner>) {
         }
         if parse_errors > 0 {
             inner.metrics.record_parse_errors(parse_errors);
-        }
-        if evictions > 0 {
-            inner.metrics.record_evictions(evictions);
         }
         // The rebuild runs after the master lock is released.
         if let Some(qfg) = to_publish {

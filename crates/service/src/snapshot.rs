@@ -25,8 +25,8 @@
 //! |------------------|----------------------------------------------------|
 //! | `meta`           | log length, log chunk count, query count, obscurity|
 //! | `log/0` … `log/c-1` | chunks of ≤ [`LOG_SECTION_CHUNK`] logged queries|
-//! | `qfg/fragments`  | the full interner table, dead slots as `null`      |
-//! | `qfg/occurrences`| the raw `n_v` column, 0 for dead slots             |
+//! | `qfg/fragments`  | the interner table in id order                     |
+//! | `qfg/occurrences`| the `n_v` column in id order                       |
 //! | `qfg/adjacency`  | the compacted CSR baseline (offsets/neighbors/counts)|
 //! | `qfg/runs`       | the pending delta as one sorted run, none if empty |
 //!
@@ -57,9 +57,10 @@
 //!   boundary (fewer sections than promised is corruption, not EOF).
 //!
 //! Structural damage below the framing layer (truncated CSR columns,
-//! occurrence inconsistencies, duplicate interned fragments, negative
-//! pending nets) is caught by [`QueryFragmentGraph::from_sections`]
-//! validation and surfaces as [`SnapshotError::Corrupt`].
+//! `null` fragment slots, zero occurrence counts, duplicate interned
+//! fragments, non-positive pending counts) is caught by
+//! [`QueryFragmentGraph::from_sections`] validation and surfaces as
+//! [`SnapshotError::Corrupt`].
 //!
 //! The header may additionally carry `watermark=N` — the highest write-ahead
 //! journal sequence number the snapshot covers (see [`crate::wal`]).
@@ -188,7 +189,7 @@ pub fn write_snapshot_with(
             let name = format!("log/{chunk}");
             bytes += write_framed(&mut out, &mut body, &name, |payload| {
                 serde::binary::encode_seq_header(hi - lo, payload);
-                for query in queries.range(lo..hi) {
+                for query in &queries[lo..hi] {
                     query.encode(payload);
                 }
             })?;

@@ -5,7 +5,9 @@
 //!
 //! * crash recovery of a scaled log replays the journal in bounded-memory
 //!   batches — the peak decoded batch stays within the configured budget —
-//!   and the recovered service answers byte-identically,
+//!   and the recovered service answers byte-identically, its QFG equal to
+//!   the QFG built from the log, whether recovered from the journal or from
+//!   a snapshot,
 //! * the v4 log sections' streaming codec writes the `Value` path's bytes
 //!   for every logged query.
 //!
@@ -20,13 +22,25 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
-use templar_core::{QueryLog, TemplarConfig};
+use templar_core::{QueryFragmentGraph, QueryLog, TemplarConfig};
 use templar_service::{ServiceConfig, TemplarService};
 
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("templar-scale-{}-{name}", std::process::id()));
-    fs::remove_dir_all(&dir).ok();
-    dir
+/// A durable directory in the system temp dir, removed on drop — also when
+/// a failing assertion unwinds past it.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(name: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("templar-scale-{}-{name}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 /// Copy a durable directory byte-for-byte — the `kill -9` image.
@@ -72,15 +86,16 @@ fn submit_all(service: &TemplarService, log: &QueryLog) {
 fn scaled_mas_recovery_roundtrip(factor: usize, batch_budget: usize) {
     let mas = Dataset::mas();
     let scaled = scale_log(&mas.full_log(), factor, 0xD1CE + factor as u64);
-    let dir = temp_dir(&format!("recovery-{factor}x"));
-    let image = temp_dir(&format!("recovery-{factor}x-image"));
+    let of_log = QueryFragmentGraph::build(&scaled, TemplarConfig::paper_defaults().obscurity);
+    let dir = TempDir::new(&format!("recovery-{factor}x"));
+    let image = TempDir::new(&format!("recovery-{factor}x-image"));
     let config = ServiceConfig::default()
         .with_queue_capacity(scaled.len())
         .with_refresh_every(scaled.len() / 4)
         .with_recovery_batch_bytes(batch_budget);
     let service = TemplarService::recover(
         Arc::clone(&mas.db),
-        &dir,
+        &dir.0,
         TemplarConfig::paper_defaults(),
         config.clone(),
     )
@@ -91,12 +106,12 @@ fn scaled_mas_recovery_roundtrip(factor: usize, batch_budget: usize) {
     assert_eq!(live_metrics.wal_appended, scaled.len() as u64);
     assert_eq!(live_metrics.ingest_applied, scaled.len() as u64);
 
-    copy_dir(&dir, &image); // kill -9 happens "now"
+    copy_dir(&dir.0, &image.0); // kill -9 happens "now"
     drop(service);
 
     let recovered = TemplarService::recover(
         Arc::clone(&mas.db),
-        &image,
+        &image.0,
         TemplarConfig::paper_defaults(),
         config,
     )
@@ -121,17 +136,21 @@ fn scaled_mas_recovery_roundtrip(factor: usize, batch_budget: usize) {
         live,
         "recovery must be byte-identical at {factor}x scale"
     );
+    assert!(
+        recovered.snapshot().qfg() == &of_log,
+        "journal replay must rebuild the QFG of the log at {factor}x scale"
+    );
 
     // A checkpoint of the recovered state lands a v4 snapshot whose size is
     // surfaced as a gauge; a second recovery then replays (almost) nothing.
     recovered.checkpoint().unwrap();
     assert!(recovered.metrics().snapshot_body_bytes > 0);
-    let image2 = temp_dir(&format!("recovery-{factor}x-image2"));
-    copy_dir(&image, &image2);
+    let image2 = TempDir::new(&format!("recovery-{factor}x-image2"));
+    copy_dir(&image.0, &image2.0);
     drop(recovered);
     let from_snapshot = TemplarService::recover(
         Arc::clone(&mas.db),
-        &image2,
+        &image2.0,
         TemplarConfig::paper_defaults(),
         ServiceConfig::default().with_recovery_batch_bytes(batch_budget),
     )
@@ -149,6 +168,10 @@ fn scaled_mas_recovery_roundtrip(factor: usize, batch_budget: usize) {
         translation_bytes(&from_snapshot, &mas),
         live,
         "snapshot-based recovery must be byte-identical at {factor}x scale"
+    );
+    assert!(
+        from_snapshot.snapshot().qfg() == &of_log,
+        "snapshot recovery must restore the QFG of the log at {factor}x scale"
     );
 }
 

@@ -616,3 +616,39 @@ fn orderly_shutdown_leaves_nothing_to_replay() {
     assert_eq!(translation_bytes(&restarted, &papers_after_2000()), live);
     fs::remove_dir_all(&dir).ok();
 }
+
+/// `flush()` writes out the journal tail the group-commit policy would
+/// still hold back: with a policy that never fires during the test, a copy
+/// of the directory taken right after `flush()` replays every entry.
+#[test]
+fn flush_leaves_the_staged_journal_tail_on_disk() {
+    let dir = temp_dir("flush-tail");
+    let image = temp_dir("flush-tail-image");
+    let lazy_journal = durable_config()
+        .with_wal_fsync_every(1000)
+        .with_wal_fsync_interval(Duration::from_secs(3600));
+    let service = TemplarService::recover(
+        academic_db(),
+        &dir,
+        TemplarConfig::paper_defaults(),
+        lazy_journal.clone(),
+    )
+    .unwrap();
+    for sql in &ACADEMIC_LOG[..3] {
+        service.submit_sql(sql).unwrap();
+    }
+    service.flush();
+    copy_dir(&dir, &image); // kill -9 right after the flush
+    drop(service);
+
+    let recovered = TemplarService::recover(
+        academic_db(),
+        &image,
+        TemplarConfig::paper_defaults(),
+        lazy_journal,
+    )
+    .unwrap();
+    assert_eq!(recovered.metrics().wal_replayed, 3);
+    fs::remove_dir_all(&dir).ok();
+    fs::remove_dir_all(&image).ok();
+}

@@ -283,7 +283,7 @@ fn metrics_flow_over_the_wire_per_tenant() {
     // live edge.
     assert_eq!(academic.qfg_pending_deltas, 0);
     assert_eq!(academic.qfg_csr_edges, academic.qfg_edges);
-    assert!(academic.qfg_interned_fragments >= academic.qfg_fragments);
+    assert_eq!(academic.qfg_interned_fragments, academic.qfg_fragments);
     assert!(academic.qfg_compactions >= 1);
 
     // Tenants do not bleed into each other.
