@@ -226,11 +226,13 @@ pub struct MetricsReport {
     pub translation_cache_invalidations: u64,
     pub translation_cache_entries: u64,
     /// Similarity-model memo counters sampled from the current snapshot's
-    /// `WordModel`: single-word and phrase vector cache hits/misses since
-    /// the model instance was built (reset at each publish, like the
-    /// join-cache figures).
+    /// `WordModel`: word-vector cache hits/misses since the model instance
+    /// was built (reset at each publish, like the join-cache figures).
     pub word_memo_hits: u64,
     pub word_memo_misses: u64,
+    /// Always 0: the phrase-vector memo they counted is gone (no request
+    /// reached it).  They stay so that protocol v5's layout does not
+    /// change, and go at the next `PROTOCOL_VERSION` bump.
     pub phrase_memo_hits: u64,
     pub phrase_memo_misses: u64,
 }

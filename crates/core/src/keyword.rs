@@ -10,10 +10,11 @@ use crate::config::TemplarConfig;
 use crate::fragment::{QueryContext, QueryFragment};
 use crate::qfg::{DiceGatherScratch, FragmentId, QueryFragmentGraph, ABSENT_FRAGMENT};
 use crate::trace::{Stage, TraceCtx};
-use nlp::{contains_number, extract_numbers, tokenize_lower, SimilarityModel};
-use relational::{AttributeRef, Database};
+use nlp::{contains_number, extract_numbers, tokenize_lower, PhraseScorer, SimilarityModel};
+use relational::{key_attribute_penalty, AttributeRef, Database, SchemaWords};
 use serde::{Deserialize, Serialize};
 use sqlparse::{Aggregate, BinOp, ColumnRef, Expr, Literal, Predicate};
+use std::borrow::Cow;
 
 /// Additive smoothing applied to each pairwise Dice coefficient of
 /// `Score_QFG` (see [`qfg_breakdown`]).
@@ -392,18 +393,10 @@ impl<'a> KeywordMapper<'a> {
     /// (these are removed from full-text queries so that `movie Saving
     /// Private Ryan` can match a value of the `movie` relation).
     fn schema_word_tokens(&self, keyword: &str) -> Vec<String> {
-        let mut schema_words: Vec<String> = Vec::new();
-        for rel in self.db.relation_names() {
-            schema_words.extend(nlp::split_identifier(rel));
-        }
-        for attr in self.db.attribute_refs() {
-            schema_words.extend(nlp::split_identifier(&attr.attribute));
-        }
-        let schema_stems: std::collections::HashSet<String> =
-            schema_words.iter().map(|w| nlp::porter_stem(w)).collect();
+        let index = self.db.schema_words();
         tokenize_lower(keyword)
             .into_iter()
-            .filter(|t| schema_stems.contains(&nlp::porter_stem(t)))
+            .filter(|t| index.has_stem(&nlp::porter_stem(t)))
             .collect()
     }
 
@@ -414,38 +407,63 @@ impl<'a> KeywordMapper<'a> {
     }
 
     /// `SCOREANDPRUNE` (Algorithm 3).
+    ///
+    /// Relation and attribute names are scored through the database's
+    /// schema-word index: the keyword's words are prepared once, and each
+    /// relation and each distinct attribute name is scored once.  The
+    /// candidates are sorted and pruned on `(σ, rank)`, and only the
+    /// survivors become [`MappingCandidate`]s.
     pub fn score_and_prune(
         &self,
         keyword: &Keyword,
         candidates: Vec<MappedElement>,
     ) -> Vec<MappingCandidate> {
-        // The tie-break key is derived once per candidate, not re-formatted
-        // inside every comparison of the sort.
-        let mut scored: Vec<(MappingCandidate, String)> = candidates
-            .into_iter()
-            .map(|element| {
-                let score = self.score_candidate(keyword, &element);
-                let candidate = MappingCandidate {
-                    keyword: keyword.clone(),
-                    element,
-                    score,
-                };
-                let key = candidate_sort_key(&candidate);
-                (candidate, key)
+        let numeric = contains_number(&keyword.text);
+        // The text compared with schema names: `s_text` for a numeric
+        // keyword, the whole keyword otherwise.
+        let text = if numeric {
+            Cow::Owned(self.non_numeric_text(&keyword.text))
+        } else {
+            Cow::Borrowed(keyword.text.as_str())
+        };
+        let index = self.db.schema_words();
+        let mut names = PhraseScorer::new(&text, index.vocabulary());
+        let mut scored: Vec<(f64, TieKey, usize)> = candidates
+            .iter()
+            .enumerate()
+            .map(|(i, element)| {
+                let score = self.score_candidate(keyword, numeric, element, &mut names);
+                (score, tie_key(index, element), i)
             })
             .collect();
         scored.sort_by(|a, b| {
-            b.0.score
-                .partial_cmp(&a.0.score)
+            b.0.partial_cmp(&a.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.1.cmp(&b.1))
+                .then_with(|| cmp_tie_keys((&a.1, &candidates[a.2]), (&b.1, &candidates[b.2])))
         });
-        self.prune(scored.into_iter().map(|(c, _)| c).collect())
+        let kept = self.prune(scored, |s| s.0);
+        let mut elements: Vec<Option<MappedElement>> = candidates.into_iter().map(Some).collect();
+        kept.into_iter()
+            .filter_map(|(score, _, i)| {
+                Some(MappingCandidate {
+                    keyword: keyword.clone(),
+                    element: elements[i].take()?,
+                    score,
+                })
+            })
+            .collect()
     }
 
-    /// The σ score of a single candidate.
-    fn score_candidate(&self, keyword: &Keyword, element: &MappedElement) -> f64 {
-        if contains_number(&keyword.text) {
+    /// The σ score of a single candidate; `names` scores schema names
+    /// against the keyword's text.
+    fn score_candidate(
+        &self,
+        keyword: &Keyword,
+        numeric: bool,
+        element: &MappedElement,
+        names: &mut PhraseScorer<'_>,
+    ) -> f64 {
+        if numeric {
             // sim_num: keep the candidate only if its predicate selects rows;
             // then compare the textual remainder of the keyword.
             let MappedElement::Predicate { attr, op, value } = element else {
@@ -459,28 +477,28 @@ impl<'a> KeywordMapper<'a> {
             if !self.db.predicate_nonempty(&attr.relation, &pred) {
                 return self.config.epsilon;
             }
-            let text_rest = self.non_numeric_text(&keyword.text);
-            if text_rest.is_empty() {
+            if names.phrase().is_empty() {
                 // Nothing left to compare: all matching numeric attributes
                 // are equally plausible from word similarity alone.
                 return 0.5;
             }
-            key_attribute_penalty(attr) * self.attribute_similarity(&text_rest, attr)
+            let (penalty, sim) = self.attribute_similarity(names, attr);
+            penalty * sim
         } else {
             match element {
-                MappedElement::Relation(r) => self.similarity.similarity(&keyword.text, r),
+                MappedElement::Relation(r) => match self.db.schema_words().relation(r) {
+                    Some(relation) => names.similarity(self.similarity, relation.name),
+                    None => self.similarity.similarity(names.phrase(), r),
+                },
                 MappedElement::Attribute {
                     attr, aggregates, ..
                 } => {
                     // Surrogate keys are essentially never the projection a
                     // user asks for by name; discount them unless they are
                     // being aggregated (COUNT over a key is idiomatic SQL).
-                    let penalty = if aggregates.is_empty() {
-                        key_attribute_penalty(attr)
-                    } else {
-                        1.0
-                    };
-                    penalty * self.attribute_similarity(&keyword.text, attr)
+                    let (penalty, sim) = self.attribute_similarity(names, attr);
+                    let penalty = if aggregates.is_empty() { penalty } else { 1.0 };
+                    penalty * sim
                 }
                 MappedElement::Predicate { attr, value, .. } => {
                     let value_text = match value {
@@ -488,22 +506,38 @@ impl<'a> KeywordMapper<'a> {
                         other => other.to_string(),
                     };
                     let value_sim = self.similarity.similarity(&keyword.text, &value_text);
-                    let attr_sim = self.attribute_similarity(&keyword.text, attr);
+                    let (_, attr_sim) = self.attribute_similarity(names, attr);
                     value_sim.max(0.9 * attr_sim)
                 }
             }
         }
     }
 
-    /// Similarity between a keyword and an attribute: a blend of the
-    /// attribute-name match and the relation-name match, mirroring how the
-    /// Pipeline baseline of the paper scores a column against both its own
-    /// name and its table's name.  The attribute name dominates so that
-    /// different attributes of the same relation remain distinguishable.
-    fn attribute_similarity(&self, keyword: &str, attr: &AttributeRef) -> f64 {
-        let attr_sim = self.similarity.similarity(keyword, &attr.attribute);
-        let rel_sim = self.similarity.similarity(keyword, &attr.relation);
-        (0.6 * attr_sim + 0.4 * rel_sim).clamp(0.0, 1.0)
+    /// The attribute's key penalty, and the similarity between the scorer's
+    /// text and the attribute: a blend of the attribute-name match and the
+    /// relation-name match, mirroring how the Pipeline baseline of the paper
+    /// scores a column against both its own name and its table's name.  The
+    /// attribute name dominates so that different attributes of the same
+    /// relation remain distinguishable.
+    fn attribute_similarity(
+        &self,
+        names: &mut PhraseScorer<'_>,
+        attr: &AttributeRef,
+    ) -> (f64, f64) {
+        let index = self.db.schema_words();
+        let (penalty, attr_sim, rel_sim) = match index.attribute(attr) {
+            Some(a) => (
+                a.penalty,
+                names.similarity(self.similarity, a.name),
+                names.similarity(self.similarity, index.relation_at(a.relation).name),
+            ),
+            None => (
+                key_attribute_penalty(&attr.attribute),
+                self.similarity.similarity(names.phrase(), &attr.attribute),
+                self.similarity.similarity(names.phrase(), &attr.relation),
+            ),
+        };
+        (penalty, (0.6 * attr_sim + 0.4 * rel_sim).clamp(0.0, 1.0))
     }
 
     /// The keyword text with numeric tokens and operator words removed
@@ -516,8 +550,9 @@ impl<'a> KeywordMapper<'a> {
             .join(" ")
     }
 
-    /// The PRUNE procedure of Algorithm 3.
-    fn prune(&self, mut scored: Vec<MappingCandidate>) -> Vec<MappingCandidate> {
+    /// The PRUNE procedure of Algorithm 3 over a list sorted by `score`
+    /// descending.
+    fn prune<T>(&self, mut scored: Vec<T>, score: impl Fn(&T) -> f64) -> Vec<T> {
         if scored.is_empty() {
             return scored;
         }
@@ -526,7 +561,7 @@ impl<'a> KeywordMapper<'a> {
         // prefix — keeping them is a truncation, not a filtered re-clone.
         let exact_len = scored
             .iter()
-            .take_while(|c| c.score >= exact_threshold)
+            .take_while(|c| score(c) >= exact_threshold)
             .count();
         if exact_len > 0 {
             scored.truncate(exact_len);
@@ -536,11 +571,11 @@ impl<'a> KeywordMapper<'a> {
         if scored.len() <= kappa {
             return scored;
         }
-        let cutoff = scored[kappa - 1].score;
+        let cutoff = score(&scored[kappa - 1]);
         scored
             .into_iter()
             .enumerate()
-            .filter(|(i, c)| *i < kappa || (c.score > 0.0 && (c.score - cutoff).abs() < 1e-12))
+            .filter(|(i, c)| *i < kappa || (score(c) > 0.0 && (score(c) - cutoff).abs() < 1e-12))
             .map(|(_, c)| c)
             .collect()
     }
@@ -607,7 +642,7 @@ impl<'a> KeywordMapper<'a> {
         ResolvedCandidate {
             sigma: candidate.score,
             slot: self.resolve_slot(&candidate.element),
-            sort_key: candidate_sort_key(candidate),
+            sort_key: candidate_sort_key(&candidate.element),
             popularity: 0.0,
             pair_factor_cap: 1.0,
         }
@@ -1373,24 +1408,6 @@ struct QfgBreakdown {
     pairs: usize,
 }
 
-/// Similarity discount applied to key-like attributes (`id`, `*_id`, and the
-/// short surrogate keys `pid` / `aid` / ...): users refer to entities by
-/// their names and titles, not by their identifiers, so a key should only win
-/// a mapping when the query log (or an aggregate) supports it.
-fn key_attribute_penalty(attr: &AttributeRef) -> f64 {
-    let name = attr.attribute.to_lowercase();
-    let key_like = name == "id"
-        || name.ends_with("_id")
-        || name == "citing"
-        || name == "cited"
-        || (name.len() <= 4 && name.ends_with("id"));
-    if key_like {
-        0.55
-    } else {
-        1.0
-    }
-}
-
 /// Geometric mean of an iterator of scores (0 when any score is 0).
 pub fn geometric_mean(scores: impl Iterator<Item = f64>) -> f64 {
     let values: Vec<f64> = scores.collect();
@@ -1405,11 +1422,48 @@ pub fn geometric_mean(scores: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-fn candidate_sort_key(c: &MappingCandidate) -> String {
-    match &c.element {
+/// The tie-break key of a candidate among equal scores.
+fn candidate_sort_key(element: &MappedElement) -> String {
+    match element {
         MappedElement::Relation(r) => format!("0:{r}"),
         MappedElement::Attribute { attr, .. } => format!("1:{attr}"),
         MappedElement::Predicate { attr, op, value } => format!("2:{attr}:{}:{value}", op.symbol()),
+    }
+}
+
+/// Where a pruning candidate sorts among equal scores: its rank in the
+/// schema-word index when it is a relation or attribute of the database,
+/// otherwise its rendered [`candidate_sort_key`].
+enum TieKey {
+    Rank(u32),
+    Text(String),
+}
+
+fn tie_key(index: &SchemaWords, element: &MappedElement) -> TieKey {
+    let rank = match element {
+        MappedElement::Relation(r) => index.relation(r).map(|r| r.rank),
+        MappedElement::Attribute { attr, .. } => index.attribute(attr).map(|a| a.rank),
+        MappedElement::Predicate { .. } => None,
+    };
+    match rank {
+        Some(rank) => TieKey::Rank(rank),
+        None => TieKey::Text(candidate_sort_key(element)),
+    }
+}
+
+/// The order of two candidates' [`candidate_sort_key`]s.  Ranks follow that
+/// order, so two ranks compare as numbers; otherwise the rank side is
+/// rendered.
+fn cmp_tie_keys(a: (&TieKey, &MappedElement), b: (&TieKey, &MappedElement)) -> std::cmp::Ordering {
+    fn rendered<'k>((key, element): (&'k TieKey, &MappedElement)) -> Cow<'k, str> {
+        match key {
+            TieKey::Text(text) => Cow::Borrowed(text.as_str()),
+            TieKey::Rank(_) => Cow::Owned(candidate_sort_key(element)),
+        }
+    }
+    match (a.0, b.0) {
+        (TieKey::Rank(x), TieKey::Rank(y)) => x.cmp(y),
+        _ => rendered(a).cmp(&rendered(b)),
     }
 }
 

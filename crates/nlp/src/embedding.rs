@@ -13,6 +13,7 @@
 //! normalises word2vec's `[-1, 1]` cosine into `[0, 1]`, and so do we).
 
 use crate::lexicon::SynonymLexicon;
+use crate::similarity::SimilarityModel;
 use crate::stem::porter_stem;
 use crate::tokenize::split_identifier;
 use std::collections::HashMap;
@@ -42,13 +43,6 @@ impl PhraseVector {
         Self::default()
     }
 
-    /// Component-wise addition.
-    pub fn add_assign(&mut self, other: &PhraseVector) {
-        for (a, b) in self.values.iter_mut().zip(other.values.iter()) {
-            *a += b;
-        }
-    }
-
     /// Scale all components by `s`.
     pub fn scale(&mut self, s: f64) {
         for v in self.values.iter_mut() {
@@ -61,15 +55,16 @@ impl PhraseVector {
         self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Cosine similarity in `[-1, 1]`; zero if either vector is zero.
-    pub fn cosine(&self, other: &PhraseVector) -> f64 {
+    /// Cosine similarity in `[-1, 1]` given both vectors' norms; zero if
+    /// either vector is zero.
+    fn cosine(&self, other: &PhraseVector, norm: f64, other_norm: f64) -> f64 {
         let dot: f64 = self
             .values
             .iter()
             .zip(other.values.iter())
             .map(|(a, b)| a * b)
             .sum();
-        let denom = self.norm() * other.norm();
+        let denom = norm * other_norm;
         if denom <= f64::EPSILON {
             0.0
         } else {
@@ -94,16 +89,106 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Upper bound on memoized word vectors.  Schema vocabularies and common
-/// keyword words fit comfortably; an adversarial stream of unique words
+/// The embedding of [`WordModel::word_vector`], unmemoized; unit norm (or
+/// zero).
+fn embed(word: &str) -> PhraseVector {
+    let stem = porter_stem(&word.to_lowercase());
+    let padded = format!("^{stem}$");
+    let bytes = padded.as_bytes();
+    let mut vec = PhraseVector::zero();
+    let mut push = |gram: &[u8]| {
+        let h = fnv1a(gram);
+        let dim = (h % EMBEDDING_DIM as u64) as usize;
+        let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
+        vec.values[dim] += sign;
+    };
+    for n in 2..=4usize {
+        if bytes.len() < n {
+            continue;
+        }
+        for start in 0..=(bytes.len() - n) {
+            push(&bytes[start..start + n]);
+        }
+    }
+    push(bytes);
+    let norm = vec.norm();
+    if norm > f64::EPSILON {
+        vec.scale(1.0 / norm);
+    }
+    vec
+}
+
+/// A word prepared for [`WordModel::prepared_similarity`]: lower-cased,
+/// Porter-stemmed and embedded, with its vector's norm.  Every field is a
+/// pure function of the word, so a prepared word can be built once (for a
+/// schema word, once per database) and scored against any number of others.
+#[derive(Debug)]
+pub struct PreparedWord {
+    lower: String,
+    stem: String,
+    vector: PhraseVector,
+    norm: f64,
+}
+
+impl PreparedWord {
+    /// Prepare a word.
+    pub fn new(word: &str) -> Self {
+        let lower = word.to_lowercase();
+        let vector = embed(&lower);
+        Self::with_vector(lower, vector)
+    }
+
+    fn with_vector(lower: String, vector: PhraseVector) -> Self {
+        let stem = porter_stem(&lower);
+        let norm = vector.norm();
+        PreparedWord {
+            lower,
+            stem,
+            vector,
+            norm,
+        }
+    }
+
+    /// The lower-cased word.
+    pub fn lower(&self) -> &str {
+        &self.lower
+    }
+
+    /// The Porter stem of the lower-cased word.
+    pub fn stem(&self) -> &str {
+        &self.stem
+    }
+}
+
+/// Greedy best-match alignment of two phrases of `a` and `b` words, given
+/// `sim(i, j)`, the similarity of word `i` of the first and word `j` of the
+/// second: each word of the shorter phrase is matched to its most similar
+/// word in the other and the scores are averaged, with a mild penalty for a
+/// length mismatch.  0 when either phrase has no word.
+fn align(a: usize, b: usize, sim: impl Fn(usize, usize) -> f64) -> f64 {
+    if a == 0 || b == 0 {
+        return 0.0;
+    }
+    let (short, long) = (a.min(b), a.max(b));
+    let mut total = 0.0;
+    for s in 0..short {
+        let best = (0..long)
+            .map(|l| if a <= b { sim(s, l) } else { sim(l, s) })
+            .fold(0.0f64, f64::max);
+        total += best;
+    }
+    let coverage_penalty = short as f64 / long as f64;
+    let mean = total / short as f64;
+    // Penalise length mismatch mildly: "papers" vs "publication" should
+    // not be punished, but a one-word keyword matching a five-word value
+    // should score lower than an exact value match.
+    (mean * (0.75 + 0.25 * coverage_penalty)).clamp(0.0, 1.0)
+}
+
+/// Upper bound on memoized word vectors.  Keyword words and the words of
+/// stored text values fit comfortably; an adversarial stream of unique words
 /// cannot grow the cache past this.
 const VECTOR_CACHE_CAP: usize = 4096;
-
-/// Upper bound on memoized *phrase* vectors.  Phrases (multi-word keywords,
-/// split identifiers) are more varied than single words, but a serving
-/// deployment still re-embeds the same schema-element names and recurring
-/// keyword phrases on every request.
-const PHRASE_CACHE_CAP: usize = 2048;
 
 /// The deterministic word-embedding model.
 ///
@@ -112,8 +197,9 @@ const PHRASE_CACHE_CAP: usize = 2048;
 ///
 /// Word vectors are deterministic functions of the word, so the model
 /// memoizes them (bounded, thread-safe): under serving traffic the same
-/// schema-element words are embedded for every candidate of every request,
-/// and the memo turns those repeats into a map hit plus a 64-float copy.
+/// keyword and value words recur across requests, and the memo turns those
+/// repeats into a map hit plus a 64-float copy.  Schema words do not pass
+/// through it: they are prepared once per database (see [`Vocabulary`]).
 #[derive(Debug)]
 pub struct WordModel {
     lexicon: SynonymLexicon,
@@ -123,15 +209,9 @@ pub struct WordModel {
     /// Bounded word → vector memo.  A lock-poisoning panic elsewhere only
     /// disables the memo (lookups fall through to recomputation).
     vector_cache: RwLock<HashMap<String, PhraseVector>>,
-    /// Bounded phrase → vector memo (same policy as the word memo; a
-    /// phrase vector is a pure function of the phrase text).
-    phrase_cache: RwLock<HashMap<String, PhraseVector>>,
     /// Word-memo hit/miss counters, observable for tuning and tests.
     word_hits: AtomicU64,
     word_misses: AtomicU64,
-    /// Phrase-memo hit/miss counters, observable for tuning and tests.
-    phrase_hits: AtomicU64,
-    phrase_misses: AtomicU64,
 }
 
 impl Default for WordModel {
@@ -170,11 +250,8 @@ impl WordModel {
             lexicon,
             lexicon_weight,
             vector_cache: RwLock::new(HashMap::new()),
-            phrase_cache: RwLock::new(HashMap::new()),
             word_hits: AtomicU64::new(0),
             word_misses: AtomicU64::new(0),
-            phrase_hits: AtomicU64::new(0),
-            phrase_misses: AtomicU64::new(0),
         }
     }
 
@@ -195,77 +272,13 @@ impl WordModel {
             }
         }
         self.word_misses.fetch_add(1, Ordering::Relaxed);
-        let vector = self.compute_word_vector(word);
+        let vector = embed(word);
         if let Ok(mut cache) = self.vector_cache.write() {
             if cache.len() < VECTOR_CACHE_CAP {
                 cache.insert(word.to_string(), vector.clone());
             }
         }
         vector
-    }
-
-    fn compute_word_vector(&self, word: &str) -> PhraseVector {
-        let stem = porter_stem(&word.to_lowercase());
-        let padded = format!("^{stem}$");
-        let bytes = padded.as_bytes();
-        let mut vec = PhraseVector::zero();
-        let mut push = |gram: &[u8]| {
-            let h = fnv1a(gram);
-            let dim = (h % EMBEDDING_DIM as u64) as usize;
-            let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
-            vec.values[dim] += sign;
-        };
-        for n in 2..=4usize {
-            if bytes.len() < n {
-                continue;
-            }
-            for start in 0..=(bytes.len() - n) {
-                push(&bytes[start..start + n]);
-            }
-        }
-        push(bytes);
-        let norm = vec.norm();
-        if norm > f64::EPSILON {
-            vec.scale(1.0 / norm);
-        }
-        vec
-    }
-
-    /// Embed a phrase (or identifier) by averaging its word vectors.  SQL
-    /// identifiers are split on underscores / camel-case first.
-    ///
-    /// Memoized at the phrase level (bounded, thread-safe): the splitting,
-    /// per-word lookups and re-normalisation used to run on every call even
-    /// though every word vector was already cached.  Hit/miss counts are
-    /// observable via [`WordModel::phrase_cache_stats`].
-    pub fn phrase_vector(&self, phrase: &str) -> PhraseVector {
-        if let Ok(cache) = self.phrase_cache.read() {
-            if let Some(hit) = cache.get(phrase) {
-                self.phrase_hits.fetch_add(1, Ordering::Relaxed);
-                return hit.clone();
-            }
-        }
-        self.phrase_misses.fetch_add(1, Ordering::Relaxed);
-        let vector = self.compute_phrase_vector(phrase);
-        if let Ok(mut cache) = self.phrase_cache.write() {
-            if cache.len() < PHRASE_CACHE_CAP {
-                cache.insert(phrase.to_string(), vector.clone());
-            }
-        }
-        vector
-    }
-
-    fn compute_phrase_vector(&self, phrase: &str) -> PhraseVector {
-        let words = split_identifier(phrase);
-        if words.is_empty() {
-            return PhraseVector::zero();
-        }
-        let mut acc = PhraseVector::zero();
-        for w in &words {
-            acc.add_assign(&self.word_vector(w));
-        }
-        acc.scale(1.0 / words.len() as f64);
-        acc
     }
 
     /// Word-memo `(hits, misses)` since this instance was constructed.
@@ -276,33 +289,28 @@ impl WordModel {
         )
     }
 
-    /// Phrase-memo `(hits, misses)` since this instance was constructed.
-    pub fn phrase_cache_stats(&self) -> (u64, u64) {
-        (
-            self.phrase_hits.load(Ordering::Relaxed),
-            self.phrase_misses.load(Ordering::Relaxed),
-        )
+    /// [`PreparedWord::new`] with the vector read through the word memo.
+    fn prepare(&self, word: &str) -> PreparedWord {
+        let lower = word.to_lowercase();
+        let vector = self.word_vector(&lower);
+        PreparedWord::with_vector(lower, vector)
     }
 
-    /// Character-level similarity between two words, normalised to `[0, 1]`.
-    fn char_similarity(&self, a: &str, b: &str) -> f64 {
-        let cos = self.word_vector(a).cosine(&self.word_vector(b));
-        (cos + 1.0) / 2.0
-    }
-
-    /// Similarity between two single words in `[0, 1]`.
+    /// Similarity between two prepared words in `[0, 1]`: the one word-pair
+    /// kernel behind [`WordModel::word_similarity`],
+    /// [`WordModel::phrase_similarity`] and the vocabulary path of
+    /// [`PhraseScorer`].  It is symmetric bit for bit.
     ///
     /// The lexicon dominates when it knows both words; otherwise the hashed
     /// n-gram cosine provides a graceful fallback (so `reviewer` vs `review`
     /// still scores well).
-    pub fn word_similarity(&self, a: &str, b: &str) -> f64 {
-        let a_l = a.to_lowercase();
-        let b_l = b.to_lowercase();
-        if a_l == b_l || porter_stem(&a_l) == porter_stem(&b_l) {
+    pub fn prepared_similarity(&self, a: &PreparedWord, b: &PreparedWord) -> f64 {
+        if a.lower == b.lower || a.stem == b.stem {
             return 1.0;
         }
-        let lex = self.lexicon.word_similarity(&a_l, &b_l);
-        let chars = self.char_similarity(&a_l, &b_l);
+        let lex = self.lexicon.word_similarity(&a.lower, &b.lower);
+        let cos = a.vector.cosine(&b.vector, a.norm, b.norm);
+        let chars = (cos + 1.0) / 2.0;
         if lex > 0.0 {
             (self.lexicon_weight * lex + (1.0 - self.lexicon_weight) * chars).clamp(0.0, 1.0)
         } else {
@@ -310,6 +318,11 @@ impl WordModel {
             // unrelated words do not look spuriously similar.
             (chars * 0.6).clamp(0.0, 1.0)
         }
+    }
+
+    /// Similarity between two single words in `[0, 1]`.
+    pub fn word_similarity(&self, a: &str, b: &str) -> f64 {
+        self.prepared_similarity(&self.prepare(a), &self.prepare(b))
     }
 
     /// Similarity between two phrases in `[0, 1]`.
@@ -324,25 +337,151 @@ impl WordModel {
         if wa.is_empty() || wb.is_empty() {
             return 0.0;
         }
-        let (short, long) = if wa.len() <= wb.len() {
-            (&wa, &wb)
-        } else {
-            (&wb, &wa)
-        };
-        let mut total = 0.0;
-        for s in short.iter() {
-            let best = long
-                .iter()
-                .map(|l| self.word_similarity(s, l))
-                .fold(0.0f64, f64::max);
-            total += best;
+        let pa: Vec<PreparedWord> = wa.iter().map(|w| self.prepare(w)).collect();
+        let pb: Vec<PreparedWord> = wb.iter().map(|w| self.prepare(w)).collect();
+        align(pa.len(), pb.len(), |i, j| {
+            self.prepared_similarity(&pa[i], &pb[j])
+        })
+    }
+}
+
+/// Names (SQL identifiers) split into ids of distinct prepared words.  A
+/// database builds one over its relation and attribute names when it is
+/// created; [`PhraseScorer`] then scores a phrase against its names without
+/// splitting, stemming or embedding them again.
+#[derive(Debug, Default)]
+pub struct Vocabulary {
+    words: Vec<PreparedWord>,
+    names: Vec<(String, Vec<usize>)>,
+    word_ids: HashMap<String, usize>,
+    name_ids: HashMap<String, usize>,
+}
+
+impl Vocabulary {
+    /// An empty vocabulary.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add a name (names are deduplicated by their exact text) and return
+    /// its id.
+    pub fn insert(&mut self, name: &str) -> usize {
+        if let Some(&id) = self.name_ids.get(name) {
+            return id;
         }
-        let coverage_penalty = short.len() as f64 / long.len() as f64;
-        let mean = total / short.len() as f64;
-        // Penalise length mismatch mildly: "papers" vs "publication" should
-        // not be punished, but a one-word keyword matching a five-word value
-        // should score lower than an exact value match.
-        (mean * (0.75 + 0.25 * coverage_penalty)).clamp(0.0, 1.0)
+        let words = split_identifier(name)
+            .into_iter()
+            .map(|word| match self.word_ids.get(&word) {
+                Some(&id) => id,
+                None => {
+                    self.words.push(PreparedWord::new(&word));
+                    self.word_ids.insert(word, self.words.len() - 1);
+                    self.words.len() - 1
+                }
+            })
+            .collect();
+        self.names.push((name.to_string(), words));
+        self.name_ids.insert(name.to_string(), self.names.len() - 1);
+        self.names.len() - 1
+    }
+
+    /// The text of a name.
+    pub fn name(&self, id: usize) -> &str {
+        &self.names[id].0
+    }
+
+    /// Number of distinct names.
+    pub fn name_count(&self) -> usize {
+        self.names.len()
+    }
+
+    /// The distinct words of every name, in first-seen order.
+    pub fn words(&self) -> &[PreparedWord] {
+        &self.words
+    }
+}
+
+/// One phrase scored against the names of a [`Vocabulary`].  The phrase's
+/// words are prepared once, on first use, through the model's word memo;
+/// each (phrase word, vocabulary word) pair and each name is scored at most
+/// once.
+#[derive(Debug)]
+pub struct PhraseScorer<'a> {
+    phrase: &'a str,
+    vocabulary: &'a Vocabulary,
+    words: Option<Vec<PreparedWord>>,
+    /// `words.len() × vocabulary.words.len()` kernel results; NaN = not yet
+    /// scored.
+    pairs: Vec<f64>,
+    /// Per-name similarity; NaN = not yet scored.
+    names: Vec<f64>,
+}
+
+impl<'a> PhraseScorer<'a> {
+    /// Score `phrase` against `vocabulary`'s names.
+    pub fn new(phrase: &'a str, vocabulary: &'a Vocabulary) -> Self {
+        PhraseScorer {
+            phrase,
+            vocabulary,
+            words: None,
+            pairs: Vec::new(),
+            names: vec![f64::NAN; vocabulary.names.len()],
+        }
+    }
+
+    /// The phrase being scored.
+    pub fn phrase(&self) -> &'a str {
+        self.phrase
+    }
+
+    /// The vocabulary whose names are scored.
+    pub fn vocabulary(&self) -> &'a Vocabulary {
+        self.vocabulary
+    }
+
+    /// `model`'s similarity between the phrase and the vocabulary name `name`
+    /// (see [`SimilarityModel::name_similarity`]), computed once per name.
+    pub fn similarity(&mut self, model: &dyn SimilarityModel, name: usize) -> f64 {
+        let known = self.names[name];
+        if !known.is_nan() {
+            return known;
+        }
+        let sim = model.name_similarity(self, name);
+        self.names[name] = sim;
+        sim
+    }
+
+    /// [`WordModel::phrase_similarity`] between the phrase and the name
+    /// `name`, from the prepared words.
+    pub(crate) fn phrase_similarity(&mut self, model: &WordModel, name: usize) -> f64 {
+        let Self {
+            phrase,
+            vocabulary,
+            words,
+            pairs,
+            ..
+        } = self;
+        let width = vocabulary.words.len();
+        let words = words.get_or_insert_with(|| {
+            let words: Vec<PreparedWord> = split_identifier(phrase)
+                .iter()
+                .map(|w| model.prepare(w))
+                .collect();
+            *pairs = vec![f64::NAN; words.len() * width];
+            words
+        });
+        let name_words = &vocabulary.names[name].1;
+        for (i, word) in words.iter().enumerate() {
+            for &j in name_words {
+                let slot = &mut pairs[i * width + j];
+                if slot.is_nan() {
+                    *slot = model.prepared_similarity(word, &vocabulary.words[j]);
+                }
+            }
+        }
+        align(words.len(), name_words.len(), |i, j| {
+            pairs[i * width + name_words[j]]
+        })
     }
 }
 
@@ -435,28 +574,6 @@ mod tests {
             let s = m.phrase_similarity(a, b);
             assert!((0.0..=1.0).contains(&s), "{a} vs {b} -> {s}");
         }
-    }
-
-    #[test]
-    fn phrase_vectors_are_memoized_with_observable_hit_rate() {
-        let m = WordModel::new();
-        assert_eq!(m.phrase_cache_stats(), (0, 0));
-        let first = m.phrase_vector("restaurant businesses");
-        assert_eq!(m.phrase_cache_stats(), (0, 1));
-        let second = m.phrase_vector("restaurant businesses");
-        assert_eq!(m.phrase_cache_stats(), (1, 1));
-        assert_eq!(first, second, "memo must return the identical vector");
-        // The memo is keyed by the exact phrase text; a different phrase is
-        // a fresh miss and an uncached computation agrees with the memoized
-        // path's output.
-        let other = m.phrase_vector("business");
-        assert_eq!(m.phrase_cache_stats(), (1, 2));
-        assert_eq!(other, m.compute_phrase_vector("business"));
-        // Cloned models start cold and report their own traffic.
-        let cloned = m.clone();
-        assert_eq!(cloned.phrase_cache_stats(), (0, 0));
-        assert_eq!(cloned.phrase_vector("restaurant businesses"), first);
-        assert_eq!(cloned.phrase_cache_stats(), (0, 1), "clone starts cold");
     }
 
     #[test]

@@ -11,7 +11,21 @@
 //! schema elements (`publication`, `journal`, `article`), and embedding
 //! similarity alone cannot disambiguate them.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+
+/// `word.to_lowercase()`, without the copy when the word is already
+/// lower-case ASCII.
+fn lowercased(word: &str) -> Cow<'_, str> {
+    if word
+        .bytes()
+        .all(|b| b.is_ascii() && !b.is_ascii_uppercase())
+    {
+        Cow::Borrowed(word)
+    } else {
+        Cow::Owned(word.to_lowercase())
+    }
+}
 
 /// A synonym lexicon: maps words to synonym-group identifiers and records
 /// which groups are semantically related.
@@ -220,12 +234,15 @@ impl SynonymLexicon {
 
     /// Classify the relation between two words.
     pub fn relation(&self, a: &str, b: &str) -> LexiconRelation {
-        let a = a.to_lowercase();
-        let b = b.to_lowercase();
+        let a = lowercased(a);
+        let b = lowercased(b);
         if a == b {
             return LexiconRelation::Identical;
         }
-        let (Some(ga), Some(gb)) = (self.word_groups.get(&a), self.word_groups.get(&b)) else {
+        let (Some(ga), Some(gb)) = (
+            self.word_groups.get(a.as_ref()),
+            self.word_groups.get(b.as_ref()),
+        ) else {
             return LexiconRelation::Unknown;
         };
         for x in ga {

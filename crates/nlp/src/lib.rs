@@ -23,7 +23,9 @@ pub mod similarity;
 pub mod stem;
 pub mod tokenize;
 
-pub use embedding::{PhraseVector, WordModel, EMBEDDING_DIM};
+pub use embedding::{
+    PhraseScorer, PhraseVector, PreparedWord, Vocabulary, WordModel, EMBEDDING_DIM,
+};
 pub use lexicon::SynonymLexicon;
 pub use similarity::{FixedSimilarity, SimilarityModel, TextSimilarity};
 pub use stem::porter_stem;

@@ -6,13 +6,24 @@
 //! mock models, and provides [`TextSimilarity`], the production
 //! implementation backed by [`WordModel`].
 
-use crate::embedding::WordModel;
+use crate::embedding::{PhraseScorer, WordModel};
 
 /// A word/phrase similarity oracle producing scores in `[0, 1]`.
 pub trait SimilarityModel: Send + Sync {
     /// Similarity between a natural-language phrase and a database-derived
     /// string (schema element name or text value), in `[0, 1]`.
     fn similarity(&self, phrase: &str, target: &str) -> f64;
+
+    /// `similarity(scorer.phrase(), name)` for the name `name` of the
+    /// scorer's vocabulary.  A model built on prepared words scores it from
+    /// the scorer's prepared words and must return the same bits; this
+    /// default scores the two strings, so models without prepared words
+    /// (test doubles) need not implement it, and it is the oracle the
+    /// prepared path is checked against.  Call it through
+    /// [`PhraseScorer::similarity`], which scores each name once.
+    fn name_similarity(&self, scorer: &mut PhraseScorer<'_>, name: usize) -> f64 {
+        self.similarity(scorer.phrase(), scorer.vocabulary().name(name))
+    }
 }
 
 /// Production similarity model: phrase-level similarity over the
@@ -51,6 +62,17 @@ impl SimilarityModel for TextSimilarity {
             return 1.0;
         }
         self.model.phrase_similarity(phrase, target)
+    }
+
+    fn name_similarity(&self, scorer: &mut PhraseScorer<'_>, name: usize) -> f64 {
+        let (phrase, target) = (scorer.phrase(), scorer.vocabulary().name(name));
+        if phrase.is_empty() || target.is_empty() {
+            return 0.0;
+        }
+        if phrase.eq_ignore_ascii_case(target) {
+            return 1.0;
+        }
+        scorer.phrase_similarity(&self.model, name)
     }
 }
 

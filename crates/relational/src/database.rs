@@ -1,12 +1,15 @@
-//! The database: a schema plus stored tables and the full-text index.
+//! The database: a schema plus stored tables, the full-text index and the
+//! schema-word index.
 
 use crate::catalog::{AttributeRef, Schema};
 use crate::fulltext::{FullTextIndex, TextMatch};
 use crate::predicate::evaluate;
+use crate::schemawords::SchemaWords;
 use crate::table::Table;
 use crate::types::{DataType, Value};
 use sqlparse::{BinOp, Predicate};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An in-memory database instance.
 #[derive(Debug, Clone)]
@@ -14,6 +17,9 @@ pub struct Database {
     schema: Schema,
     tables: HashMap<String, Table>,
     fulltext: FullTextIndex,
+    /// Built with the database (the schema never changes afterwards) and
+    /// shared by every clone.
+    schema_words: Arc<SchemaWords>,
 }
 
 impl Database {
@@ -24,10 +30,12 @@ impl Database {
             .iter()
             .map(|r| (r.name.to_lowercase(), Table::for_relation(r)))
             .collect();
+        let schema_words = Arc::new(SchemaWords::new(&schema));
         Database {
             schema,
             tables,
             fulltext: FullTextIndex::new(),
+            schema_words,
         }
     }
 
@@ -39,6 +47,11 @@ impl Database {
     /// The full-text index over text attribute values.
     pub fn fulltext(&self) -> &FullTextIndex {
         &self.fulltext
+    }
+
+    /// The schema-word index over relation and attribute names.
+    pub fn schema_words(&self) -> &SchemaWords {
+        &self.schema_words
     }
 
     /// Insert a row into a relation.  Text values are added to the full-text

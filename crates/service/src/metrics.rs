@@ -770,12 +770,12 @@ const PROM_FAMILIES: &[Family] = &[
     ),
     gauge(
         "templar_phrase_memo_hits",
-        "Phrase-vector memo hits of the current snapshot's similarity model.",
+        "Always 0 (the phrase-vector memo is gone); kept until the next protocol bump.",
         |s| s.phrase_memo_hits,
     ),
     gauge(
         "templar_phrase_memo_misses",
-        "Phrase-vector memo misses of the current snapshot's similarity model.",
+        "Always 0 (the phrase-vector memo is gone); kept until the next protocol bump.",
         |s| s.phrase_memo_misses,
     ),
 ];

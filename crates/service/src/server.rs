@@ -860,9 +860,6 @@ impl TemplarService {
         let (word_hits, word_misses) = current.similarity().model().word_cache_stats();
         snap.word_memo_hits = word_hits;
         snap.word_memo_misses = word_misses;
-        let (phrase_hits, phrase_misses) = current.similarity().model().phrase_cache_stats();
-        snap.phrase_memo_hits = phrase_hits;
-        snap.phrase_memo_misses = phrase_misses;
         // Pending deltas and compactions are ingest-plane gauges: a
         // *published* snapshot is always compacted (its pending count would
         // read 0 by construction), so sample the master graph, where delta

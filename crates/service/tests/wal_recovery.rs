@@ -74,10 +74,33 @@ fn durable_config() -> ServiceConfig {
         .with_wal_fsync_every(1)
 }
 
-fn temp_dir(name: &str) -> PathBuf {
+/// A durable directory in the system temp dir, removed on drop — also when
+/// a failing assertion unwinds past it.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+fn temp_dir(name: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("templar-recovery-{}-{name}", std::process::id()));
-    fs::remove_dir_all(&dir).ok();
-    dir
+    TempDir(dir)
 }
 
 /// Copy a durable directory byte-for-byte — the `kill -9` image.
@@ -195,8 +218,6 @@ fn crash_without_checkpoint_replays_the_full_journal() {
     );
 
     drop(service);
-    fs::remove_dir_all(&dir).ok();
-    fs::remove_dir_all(&image).ok();
 }
 
 /// `kill -9` *after* a checkpoint: recovery loads the snapshot, replays only
@@ -250,8 +271,6 @@ fn checkpoint_bounds_replay_and_collects_covered_segments() {
     assert_eq!(translation_bytes(&recovered, &papers_after_2000()), live);
 
     drop(service);
-    fs::remove_dir_all(&dir).ok();
-    fs::remove_dir_all(&image).ok();
 }
 
 /// The torn-write matrix: truncate the final journal segment at **every
@@ -369,10 +388,6 @@ fn torn_write_matrix_recovers_at_every_byte_boundary() {
              translations byte-identically"
         );
     }
-
-    fs::remove_dir_all(&dir).ok();
-    fs::remove_dir_all(&image).ok();
-    fs::remove_dir_all(&case).ok();
 }
 
 /// The acceptance-criterion run on the real MAS workload: ingest MAS gold
@@ -437,8 +452,6 @@ fn mas_acceptance_queries_survive_a_crash_byte_identically() {
     }
 
     drop(service);
-    fs::remove_dir_all(&dir).ok();
-    fs::remove_dir_all(&image).ok();
 }
 
 /// Regression: journal records that fail to parse at replay must count as
@@ -490,9 +503,6 @@ fn unparsable_replayed_records_do_not_break_flush_accounting() {
         m.qfg_queries, 2,
         "flush must not return before the new entry is applied"
     );
-
-    fs::remove_dir_all(&dir).ok();
-    fs::remove_dir_all(&image).ok();
 }
 
 /// Two live services must never share a durable directory: the second
@@ -536,7 +546,6 @@ fn a_second_recover_on_a_live_directory_is_refused() {
     )
     .unwrap();
     assert_eq!(successor.metrics().qfg_queries, 2);
-    fs::remove_dir_all(&dir).ok();
 }
 
 /// Regression: `save_snapshot` on a durable service must carry the applied
@@ -579,8 +588,6 @@ fn save_snapshot_on_a_durable_service_carries_the_watermark() {
     );
     assert_eq!(m.qfg_queries, 2, "counts must not double");
     assert_eq!(translation_bytes(&recovered, &papers_after_2000()), live);
-    fs::remove_dir_all(&dir).ok();
-    fs::remove_dir_all(&image).ok();
 }
 
 /// Orderly shutdown checkpoints: a restart from the same directory replays
@@ -614,7 +621,6 @@ fn orderly_shutdown_leaves_nothing_to_replay() {
     assert_eq!(m.wal_replayed, 0, "the shutdown checkpoint covered the log");
     assert_eq!(m.qfg_queries, 5);
     assert_eq!(translation_bytes(&restarted, &papers_after_2000()), live);
-    fs::remove_dir_all(&dir).ok();
 }
 
 /// `flush()` writes out the journal tail the group-commit policy would
@@ -649,6 +655,4 @@ fn flush_leaves_the_staged_journal_tail_on_disk() {
     )
     .unwrap();
     assert_eq!(recovered.metrics().wal_replayed, 3);
-    fs::remove_dir_all(&dir).ok();
-    fs::remove_dir_all(&image).ok();
 }

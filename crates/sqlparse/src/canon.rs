@@ -43,14 +43,18 @@ pub fn equivalent(a: &Query, b: &Query) -> bool {
     canonicalize(a) == canonicalize(b)
 }
 
-fn lowercase_ident(s: &str) -> String {
-    s.to_lowercase()
+/// Lower-case an identifier in place; one that is already lower-case ASCII
+/// is left as it is.
+fn lowercase_ident(s: &mut String) {
+    if s.bytes().any(|b| !b.is_ascii() || b.is_ascii_uppercase()) {
+        *s = s.to_lowercase();
+    }
 }
 
 fn lowercase_column(c: &mut ColumnRef) {
-    c.column = lowercase_ident(&c.column);
-    if let Some(q) = &c.qualifier {
-        c.qualifier = Some(lowercase_ident(q));
+    lowercase_ident(&mut c.column);
+    if let Some(q) = &mut c.qualifier {
+        lowercase_ident(q);
     }
 }
 
@@ -80,9 +84,9 @@ fn lowercase_predicate(p: &mut Predicate) {
 
 fn lowercase_query(q: &mut Query) {
     for t in &mut q.from {
-        t.table = lowercase_ident(&t.table);
-        if let Some(a) = &t.alias {
-            t.alias = Some(lowercase_ident(a));
+        lowercase_ident(&mut t.table);
+        if let Some(a) = &mut t.alias {
+            lowercase_ident(a);
         }
     }
     for s in &mut q.select {
@@ -220,12 +224,18 @@ fn refined_signatures(q: &Query) -> HashMap<String, String> {
 
 /// Compute the canonical alias for every binding in the FROM clause.
 fn alias_renaming(q: &Query) -> HashMap<String, String> {
-    let sigs = refined_signatures(q);
     // Group FROM entries by relation name.
     let mut groups: HashMap<String, Vec<&TableRef>> = HashMap::new();
     for t in &q.from {
         groups.entry(t.table.clone()).or_default().push(t);
     }
+    // Signatures only order the instances of a repeated relation (a
+    // self-join); without one, every alias is `<relation>_1`.
+    let sigs = if groups.values().any(|refs| refs.len() > 1) {
+        refined_signatures(q)
+    } else {
+        HashMap::new()
+    };
     let mut rename = HashMap::new();
     for (table, mut refs) in groups {
         // Order instances by their refined signature (then by original
@@ -373,32 +383,253 @@ fn order_symmetric_predicates(q: &mut Query) {
     for p in &mut q.predicates {
         if let Predicate::Compare { left, op, right } = p {
             if matches!(op, BinOp::Eq | BinOp::NotEq) {
-                if let (Expr::Column(a), Expr::Column(b)) = (&left.clone(), &right.clone()) {
-                    if b.to_string() < a.to_string() {
-                        std::mem::swap(left, right);
-                    }
+                let reversed = matches!(
+                    (&*left, &*right),
+                    (Expr::Column(a), Expr::Column(b)) if b.to_string() < a.to_string()
+                );
+                if reversed {
+                    std::mem::swap(left, right);
                 }
             }
         }
     }
 }
 
+/// Sort each clause by its rendering, rendered once per item.
 fn sort_clauses(q: &mut Query) {
-    q.from.sort_by_key(|t| t.to_string());
-    q.predicates.sort_by_key(|p| p.to_string());
-    q.group_by.sort_by_key(|c| c.to_string());
-    q.having.sort_by_key(|p| p.to_string());
-    q.select.sort_by_key(|s| s.to_string());
+    q.from.sort_by_cached_key(|t| t.to_string());
+    q.predicates.sort_by_cached_key(|p| p.to_string());
+    q.group_by.sort_by_cached_key(|c| c.to_string());
+    q.having.sort_by_cached_key(|p| p.to_string());
+    q.select.sort_by_cached_key(|s| s.to_string());
     // ORDER BY is semantically ordered; leave it alone.
 }
+
+/// The canonicalizer as it was before its fast paths (signatures built for
+/// every query, every identifier lower-cased, operands cloned, clause keys
+/// rendered in every comparison): the reference the fast paths are checked
+/// against.
+#[cfg(test)]
+mod reference {
+    use super::{apply_renaming, qualify_unqualified_columns, refined_signatures};
+    use crate::ast::*;
+    use std::collections::HashMap;
+
+    /// Produce the canonical form of a query.
+    pub(super) fn canonicalize(query: &Query) -> Query {
+        let mut q = query.clone();
+        lowercase_query(&mut q);
+        let rename = alias_renaming(&q);
+        apply_renaming(&mut q, &rename);
+        qualify_unqualified_columns(&mut q);
+        order_symmetric_predicates(&mut q);
+        sort_clauses(&mut q);
+        q
+    }
+
+    fn lowercase_ident(s: &str) -> String {
+        s.to_lowercase()
+    }
+
+    fn lowercase_column(c: &mut ColumnRef) {
+        c.column = lowercase_ident(&c.column);
+        if let Some(q) = &c.qualifier {
+            c.qualifier = Some(lowercase_ident(q));
+        }
+    }
+
+    fn lowercase_expr(e: &mut Expr) {
+        match e {
+            Expr::Column(c) => lowercase_column(c),
+            Expr::Aggregate { arg, .. } => {
+                if let Some(c) = arg {
+                    lowercase_column(c);
+                }
+            }
+            Expr::Literal(_) => {}
+        }
+    }
+
+    fn lowercase_predicate(p: &mut Predicate) {
+        match p {
+            Predicate::Compare { left, right, .. } => {
+                lowercase_expr(left);
+                lowercase_expr(right);
+            }
+            Predicate::In { col, .. }
+            | Predicate::Between { col, .. }
+            | Predicate::IsNull { col, .. } => lowercase_column(col),
+        }
+    }
+
+    fn lowercase_query(q: &mut Query) {
+        for t in &mut q.from {
+            t.table = lowercase_ident(&t.table);
+            if let Some(a) = &t.alias {
+                t.alias = Some(lowercase_ident(a));
+            }
+        }
+        for s in &mut q.select {
+            if let SelectItem::Expr(e) = s {
+                lowercase_expr(e);
+            }
+        }
+        for p in &mut q.predicates {
+            lowercase_predicate(p);
+        }
+        for c in &mut q.group_by {
+            lowercase_column(c);
+        }
+        for p in &mut q.having {
+            lowercase_predicate(p);
+        }
+        for o in &mut q.order_by {
+            lowercase_expr(&mut o.expr);
+        }
+    }
+
+    fn alias_renaming(q: &Query) -> HashMap<String, String> {
+        let sigs = refined_signatures(q);
+        let mut groups: HashMap<String, Vec<&TableRef>> = HashMap::new();
+        for t in &q.from {
+            groups.entry(t.table.clone()).or_default().push(t);
+        }
+        let mut rename = HashMap::new();
+        for (table, mut refs) in groups {
+            refs.sort_by_key(|t| {
+                (
+                    sigs.get(t.binding()).cloned().unwrap_or_default(),
+                    t.binding().to_string(),
+                )
+            });
+            for (i, t) in refs.iter().enumerate() {
+                let canonical = if refs.len() == 1 {
+                    format!("{table}_1")
+                } else {
+                    format!("{}_{}", table, i + 1)
+                };
+                rename.insert(t.binding().to_string(), canonical);
+            }
+            rename.entry(table.clone()).or_insert(format!("{table}_1"));
+        }
+        rename
+    }
+
+    fn order_symmetric_predicates(q: &mut Query) {
+        for p in &mut q.predicates {
+            if let Predicate::Compare { left, op, right } = p {
+                if matches!(op, BinOp::Eq | BinOp::NotEq) {
+                    if let (Expr::Column(a), Expr::Column(b)) = (&left.clone(), &right.clone()) {
+                        if b.to_string() < a.to_string() {
+                            std::mem::swap(left, right);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn sort_clauses(q: &mut Query) {
+        q.from.sort_by_key(|t| t.to_string());
+        q.predicates.sort_by_key(|p| p.to_string());
+        q.group_by.sort_by_key(|c| c.to_string());
+        q.having.sort_by_key(|p| p.to_string());
+        q.select.sort_by_key(|s| s.to_string());
+    }
+}
+
+/// The random query strategies of `tests/properties.rs`, which name the AST
+/// and `is_keyword` through `super`.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+#[cfg(test)]
+use crate::token::is_keyword;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_query;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn canon_str(sql: &str) -> String {
-        canonicalize(&parse_query(sql).unwrap()).to_string()
+        let q = parse_query(sql).unwrap();
+        assert_eq!(canonicalize(&q), reference::canonicalize(&q), "{sql}");
+        canonicalize(&q).to_string()
+    }
+
+    /// The fast paths against the reference on every gold query of the
+    /// benchmarks and on every SQL candidate `construct_query` builds for
+    /// their cases (every configuration and join path Pipeline+ returns
+    /// over the full log).  The benchmark crates link their own copy of
+    /// this crate, so the queries cross over as SQL text.
+    #[test]
+    fn oracle_matches_reference_on_benchmark_sql() {
+        use templar_core::{BagItem, MappedElement, Templar};
+        let (mut gold, mut candidates) = (0, 0);
+        let check = |sql: String| {
+            let q = parse_query(&sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+            assert_eq!(canonicalize(&q), reference::canonicalize(&q), "{sql}");
+        };
+        for dataset in datasets::Dataset::all() {
+            let templar = Templar::new(dataset.db.clone(), &dataset.full_log(), Default::default())
+                .expect("benchmark Templar");
+            let config = templar.config().clone();
+            for case in &dataset.cases {
+                check(case.gold_sql.to_string());
+                gold += 1;
+                let (configurations, _) =
+                    templar.map_keywords_with_stats(&case.nlq.keywords, &config);
+                for configuration in &configurations {
+                    let bag: Vec<BagItem> = configuration
+                        .mappings
+                        .iter()
+                        .map(|m| match &m.element {
+                            MappedElement::Relation(r) => BagItem::Relation(r.clone()),
+                            MappedElement::Attribute { attr, .. }
+                            | MappedElement::Predicate { attr, .. } => {
+                                BagItem::Attribute(attr.clone())
+                            }
+                        })
+                        .collect();
+                    let Ok(inference) = templar.infer_joins_with(&bag, &config) else {
+                        continue;
+                    };
+                    for scored in &inference.paths {
+                        if let Some(q) =
+                            nlidb::construct_query(configuration, &inference, &scored.path)
+                        {
+                            check(q.to_string());
+                            candidates += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(gold, 449);
+        assert!(candidates > 449, "only {candidates} candidates");
+    }
+
+    /// Random queries whose FROM entries have distinct bindings.  Both
+    /// canonicalizers map a binding that two entries share (invalid SQL)
+    /// through a hash map in its iteration order, so such queries have no
+    /// single canonical form to compare.
+    fn distinct_binding_queries() -> impl Strategy<Value = Query> {
+        common::query_strategy().prop_filter("distinct bindings", |q| {
+            let mut bindings = HashSet::new();
+            q.from
+                .iter()
+                .all(|t| bindings.insert(t.binding().to_lowercase()))
+        })
+    }
+
+    proptest! {
+        /// The fast paths against the reference on random queries.
+        #[test]
+        fn oracle_matches_reference_on_random_queries(q in distinct_binding_queries()) {
+            prop_assert_eq!(canonicalize(&q), reference::canonicalize(&q));
+        }
     }
 
     #[test]
