@@ -5,9 +5,8 @@
 //! join paths, and the NLIDB assembles `SELECT` / `FROM` / `WHERE` /
 //! `GROUP BY` from them.  Both Pipeline and NaLIR share this implementation.
 
-use schemagraph::{JoinPath, NodeId};
-use sqlparse::{ColumnRef, Expr, Literal, Predicate, Query, SelectItem, TableRef};
-use std::collections::{BTreeMap, HashMap};
+use schemagraph::{JoinGraph, JoinPath};
+use sqlparse::{BinOp, ColumnRef, Expr, Literal, Predicate, Query, SelectItem, TableRef};
 use templar_core::{Configuration, JoinInference, MappedElement};
 
 /// Assemble the final SQL query for a configuration and one of its inferred
@@ -21,82 +20,67 @@ pub fn construct_query(
     path: &JoinPath,
 ) -> Option<Query> {
     let graph = &inference.graph;
-    // Relation instances used by the join path, grouped per relation and
-    // ordered by node id so that alias assignment is deterministic.
-    let mut instances: BTreeMap<String, Vec<NodeId>> = BTreeMap::new();
-    for &node in &path.nodes {
-        instances
-            .entry(graph.node(node).relation.to_lowercase())
-            .or_default()
-            .push(node);
-    }
-    for nodes in instances.values_mut() {
-        nodes.sort_unstable();
-    }
-    // Deterministic aliases: relation name initial(s) plus a positional index.
-    let aliases: HashMap<NodeId, String> = path
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (node, format!("t{}", i + 1)))
-        .collect();
-
-    // Assign each mapped element to a relation instance.  Repeated references
-    // to the same attribute are spread over successive instances (self-joins,
-    // Example 7); everything else uses the first instance of its relation.
-    let mut attr_seen: HashMap<(String, String), usize> = HashMap::new();
-    let mut assignments: Vec<(usize, NodeId)> = Vec::new();
-    for (idx, mapping) in config.mappings.iter().enumerate() {
-        let rel = mapping.element.relation().to_lowercase();
-        let nodes = instances.get(&rel)?;
-        let node = match &mapping.element {
-            MappedElement::Relation(_) => nodes[0],
-            MappedElement::Attribute { attr, .. } | MappedElement::Predicate { attr, .. } => {
-                let key = (rel.clone(), attr.attribute.to_lowercase());
-                let occurrence = attr_seen.entry(key).or_insert(0);
-                let node = nodes[(*occurrence).min(nodes.len() - 1)];
-                *occurrence += 1;
-                node
-            }
-        };
-        assignments.push((idx, node));
-    }
-
+    // Relation instance `i` of the path (its nodes, sorted by node id) is
+    // aliased `t<i + 1>`.
+    let alias = |i: usize| format!("t{}", i + 1);
     let mut query = Query::new();
     // FROM: every relation instance of the join path.
-    for &node in &path.nodes {
+    for (i, &node) in path.nodes.iter().enumerate() {
         query.from.push(TableRef::aliased(
             graph.node(node).relation.clone(),
-            aliases[&node].clone(),
+            alias(i),
         ));
     }
     // SELECT, WHERE and GROUP BY from the mapped elements.
-    for (idx, node) in &assignments {
-        let alias = aliases[node].clone();
-        match &config.mappings[*idx].element {
+    for (idx, mapping) in config.mappings.iter().enumerate() {
+        let relation = mapping.element.relation();
+        let attr = match &mapping.element {
+            MappedElement::Relation(_) => {
+                instance(graph, path, relation, 0)?;
+                continue;
+            }
+            MappedElement::Attribute { attr, .. } | MappedElement::Predicate { attr, .. } => attr,
+        };
+        // Repeated references to the same attribute are spread over
+        // successive instances of its relation (self-joins, Example 7).
+        let occurrence = config.mappings[..idx]
+            .iter()
+            .filter(|earlier| match &earlier.element {
+                MappedElement::Attribute { attr: other, .. }
+                | MappedElement::Predicate { attr: other, .. } => {
+                    same_name(&other.relation, relation)
+                        && same_name(&other.attribute, &attr.attribute)
+                }
+                MappedElement::Relation(_) => false,
+            })
+            .count();
+        let col = ColumnRef::qualified(
+            alias(instance(graph, path, relation, occurrence)?),
+            attr.attribute.clone(),
+        );
+        match &mapping.element {
             MappedElement::Relation(_) => {}
             MappedElement::Attribute {
-                attr,
                 aggregates,
                 group_by,
+                ..
             } => {
-                let col = ColumnRef::qualified(alias.clone(), attr.attribute.clone());
+                if *group_by {
+                    query.group_by.push(col.clone());
+                }
                 let expr = match aggregates.first() {
-                    Some(func) => Expr::Aggregate {
-                        func: *func,
+                    Some(&func) => Expr::Aggregate {
+                        func,
                         distinct: false,
-                        arg: Some(col.clone()),
+                        arg: Some(col),
                     },
-                    None => Expr::Column(col.clone()),
+                    None => Expr::Column(col),
                 };
                 query.select.push(SelectItem::Expr(expr));
-                if *group_by {
-                    query.group_by.push(col);
-                }
             }
-            MappedElement::Predicate { attr, op, value } => {
+            MappedElement::Predicate { op, value, .. } => {
                 query.predicates.push(Predicate::Compare {
-                    left: Expr::Column(ColumnRef::qualified(alias, attr.attribute.clone())),
+                    left: Expr::Column(col),
                     op: *op,
                     right: Expr::Literal(value.clone()),
                 });
@@ -109,20 +93,43 @@ pub fn construct_query(
         query.select.push(SelectItem::Wildcard);
     }
     // Join conditions from the join path.
+    let position = |node| path.nodes.iter().position(|&n| n == node);
     for cond in path.join_conditions(graph) {
         query.predicates.push(Predicate::Compare {
             left: Expr::Column(ColumnRef::qualified(
-                aliases[&cond.fk_node].clone(),
-                cond.fk_attr.clone(),
+                alias(position(cond.fk_node)?),
+                cond.fk_attr,
             )),
-            op: sqlparse::BinOp::Eq,
+            op: BinOp::Eq,
             right: Expr::Column(ColumnRef::qualified(
-                aliases[&cond.pk_node].clone(),
-                cond.pk_attr.clone(),
+                alias(position(cond.pk_node)?),
+                cond.pk_attr,
             )),
         });
     }
     Some(query)
+}
+
+/// The position in `path.nodes` of the `k`-th instance of `relation` (by
+/// node id, the order `JoinPath` keeps its nodes in), or of its last
+/// instance when it has fewer; `None` when the path does not cover it.
+fn instance(graph: &JoinGraph, path: &JoinPath, relation: &str, k: usize) -> Option<usize> {
+    path.nodes
+        .iter()
+        .enumerate()
+        .filter(|&(_, &node)| same_name(&graph.node(node).relation, relation))
+        .take(k + 1)
+        .last()
+        .map(|(i, _)| i)
+}
+
+/// Name equality after lower-casing, without allocating for ASCII.
+fn same_name(a: &str, b: &str) -> bool {
+    if a.is_ascii() && b.is_ascii() {
+        a.eq_ignore_ascii_case(b)
+    } else {
+        a.to_lowercase() == b.to_lowercase()
+    }
 }
 
 /// Literal helper used by tests in this module and downstream crates.

@@ -17,8 +17,10 @@ use crate::construct::construct_query;
 use crate::explain::{Explanation, JoinExplanation, JOIN_BLEND_BASE, JOIN_BLEND_WEIGHT};
 use crate::system::{NlidbSystem, Nlq, RankedSql, TemplarSource, TranslateError};
 use relational::Database;
-use sqlparse::canonicalize;
-use std::collections::BTreeSet;
+use sqlparse::canon::fingerprint;
+use sqlparse::{canonicalize, Query};
+use std::cell::OnceCell;
+use std::cmp::Ordering;
 use std::sync::Arc;
 use templar_core::{
     BagItem, Configuration, Keyword, KeywordMetadata, MappedElement, QueryLog, SearchStats,
@@ -137,25 +139,72 @@ pub fn translate_traced(
         return (Err(TranslateError::NoKeywords), SearchStats::default());
     }
     let (configurations, stats) = templar.map_keywords_traced(keywords, config, trace);
-    (
-        rank_configurations(templar, config, configurations, &stats, trace),
-        stats,
-    )
+    let mut distinct = Distinct::default();
+    let ranked = rank_configurations(
+        templar,
+        config,
+        configurations,
+        &stats,
+        trace,
+        |query, kept| distinct.admit(query, kept),
+    );
+    (ranked, stats)
 }
 
-/// Expand the top configurations into ranked SQL candidates.
+/// The candidates kept so far, by fingerprint: a candidate is new unless its
+/// canonical rendering equals a kept one's, and renderings are built only
+/// for candidates whose fingerprints match (or that have none).
+#[derive(Default)]
+struct Distinct {
+    /// Per kept candidate, in order: its fingerprint and, once built, its
+    /// canonical rendering.
+    kept: Vec<(Option<u64>, OnceCell<String>)>,
+}
+
+impl Distinct {
+    /// Admit `query` unless it canonicalizes like a kept candidate; `kept`
+    /// holds the queries admitted so far, in order.
+    fn admit(&mut self, query: &Query, kept: &[RankedSql]) -> bool {
+        let fingerprint = fingerprint(query);
+        let canonical = OnceCell::new();
+        let duplicate = self
+            .kept
+            .iter()
+            .zip(kept)
+            .any(|((other, rendering), other_sql)| {
+                let may_match = match (fingerprint, other) {
+                    (Some(a), Some(b)) => a == *b,
+                    _ => true,
+                };
+                may_match
+                    && rendering.get_or_init(|| canonical_sql(&other_sql.query))
+                        == canonical.get_or_init(|| canonical_sql(query))
+            });
+        if !duplicate {
+            self.kept.push((fingerprint, canonical));
+        }
+        !duplicate
+    }
+}
+
+fn canonical_sql(query: &Query) -> String {
+    canonicalize(query).to_string()
+}
+
+/// Expand the top configurations into ranked SQL candidates, keeping a
+/// candidate only when `is_new` admits it given the candidates kept before.
 fn rank_configurations(
     templar: &Templar,
     config: &TemplarConfig,
     configurations: Vec<Configuration>,
     stats: &SearchStats,
     trace: TraceCtx<'_>,
+    mut is_new: impl FnMut(&Query, &[RankedSql]) -> bool,
 ) -> Result<Vec<RankedSql>, TranslateError> {
     if configurations.is_empty() {
         return Err(TranslateError::NoMappings);
     }
     let mut results: Vec<RankedSql> = Vec::new();
-    let mut seen: BTreeSet<String> = BTreeSet::new();
     let mut any_join_path = false;
     for configuration in configurations.into_iter().take(CONFIGS_PER_QUERY) {
         let bag = bag_of(&configuration);
@@ -171,9 +220,9 @@ fn rank_configurations(
             let Some(query) = construct_query(&configuration, &inference, &scored_path.path) else {
                 continue;
             };
-            let canonical = canonicalize(&query).to_string();
+            let new = is_new(&query, &results);
             drop(construct_span);
-            if !seen.insert(canonical) {
+            if !new {
                 continue;
             }
             // The configuration score carries the keyword-mapping evidence;
@@ -209,12 +258,16 @@ fn rank_configurations(
         });
     }
     let _span = trace.span(Stage::Ranking);
-    results.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.query.to_string().cmp(&b.query.to_string()))
-    });
+    // Best score first; equal scores in SQL order, each tied query rendered
+    // once.
+    let tied =
+        |a: &RankedSql, b: &RankedSql| b.score.partial_cmp(&a.score).is_none_or(Ordering::is_eq);
+    results.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal));
+    for ties in results.chunk_by_mut(tied) {
+        if ties.len() > 1 {
+            ties.sort_by_cached_key(|r| r.query.to_string());
+        }
+    }
     Ok(results)
 }
 
@@ -247,9 +300,9 @@ impl NlidbSystem for PipelineSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relational::{DataType, Schema};
+    use relational::{AttributeRef, DataType, Schema};
     use sqlparse::{canon, parse_query, BinOp};
-    use templar_core::QueryContext;
+    use templar_core::{MappingCandidate, QueryContext};
 
     fn academic_db() -> Arc<Database> {
         let schema = Schema::builder("academic")
@@ -361,6 +414,149 @@ mod tests {
         canon_forms.sort();
         canon_forms.dedup();
         assert_eq!(before, canon_forms.len());
+    }
+
+    /// [`translate_traced`] with the dedup that came before fingerprints:
+    /// a set of canonical renderings.
+    fn translate_with_canonical_set(
+        templar: &Templar,
+        keywords: &[(Keyword, KeywordMetadata)],
+        config: &TemplarConfig,
+    ) -> Result<Vec<RankedSql>, TranslateError> {
+        let trace = TraceCtx::disabled();
+        let (configurations, stats) = templar.map_keywords_traced(keywords, config, trace);
+        let mut seen = std::collections::BTreeSet::new();
+        rank_configurations(
+            templar,
+            config,
+            configurations,
+            &stats,
+            trace,
+            |query, _| seen.insert(canonical_sql(query)),
+        )
+    }
+
+    /// The fingerprint dedup against the set of canonical renderings on
+    /// every benchmark case, under Pipeline+ over the full log and under
+    /// the baseline: identical ranked lists.
+    #[test]
+    fn fingerprint_dedup_matches_reference_on_benchmark_cases() {
+        let mut cases = 0;
+        for dataset in datasets::Dataset::all() {
+            let systems = [
+                PipelineSystem::augmented(
+                    dataset.db.clone(),
+                    &dataset.full_log(),
+                    Default::default(),
+                ),
+                PipelineSystem::baseline(dataset.db.clone()),
+            ];
+            for system in systems {
+                let templar = system.expect("benchmark system").templar();
+                let config = templar.config();
+                for case in &dataset.cases {
+                    let keywords = &case.nlq.keywords;
+                    let (fingerprinted, _) =
+                        translate_with_config_stats(&templar, keywords, config);
+                    let reference = translate_with_canonical_set(&templar, keywords, config);
+                    assert_eq!(
+                        format!("{fingerprinted:?}"),
+                        format!("{reference:?}"),
+                        "{}",
+                        case.nlq.text
+                    );
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 449);
+    }
+
+    /// Two configurations whose SELECT keywords swap attributes build SQL
+    /// that differs only in SELECT order: the first is kept, as the set of
+    /// canonical renderings keeps it.
+    #[test]
+    fn configurations_building_the_same_sql_keep_the_first() {
+        let system =
+            PipelineSystem::augmented(academic_db(), &log(), TemplarConfig::default()).unwrap();
+        let templar = system.templar();
+        let select = |keyword: &str, attribute: &str| MappingCandidate {
+            keyword: Keyword::new(keyword),
+            element: MappedElement::Attribute {
+                attr: AttributeRef::new("publication", attribute),
+                aggregates: vec![],
+                group_by: false,
+            },
+            score: 1.0,
+        };
+        let configuration = |first: &str, second: &str, score: f64| Configuration {
+            mappings: vec![select("papers", first), select("when", second)],
+            sigma_score: score,
+            qfg_score: score,
+            log_popularity: score,
+            dice_cooccurrence: 0.0,
+            qfg_pairs: 0,
+            lambda: 1.0,
+            score,
+        };
+        let configurations = vec![
+            configuration("title", "year", 0.9),
+            configuration("year", "title", 0.8),
+        ];
+        let rank = |is_new: &mut dyn FnMut(&Query, &[RankedSql]) -> bool| {
+            rank_configurations(
+                &templar,
+                templar.config(),
+                configurations.clone(),
+                &SearchStats::default(),
+                TraceCtx::disabled(),
+                is_new,
+            )
+            .unwrap()
+        };
+        let mut distinct = Distinct::default();
+        let ranked = rank(&mut |query, kept| distinct.admit(query, kept));
+        let mut seen = std::collections::BTreeSet::new();
+        let reference = rank(&mut |query, _| seen.insert(canonical_sql(query)));
+        assert_eq!(format!("{ranked:?}"), format!("{reference:?}"));
+        assert_eq!(ranked.len(), 1);
+        assert_eq!(
+            ranked[0].query.to_string(),
+            "SELECT t1.title, t1.year FROM publication t1"
+        );
+        assert_eq!(ranked[0].score, 0.9 * (JOIN_BLEND_BASE + JOIN_BLEND_WEIGHT));
+    }
+
+    /// Self-joins that differ only in which instance a join condition names
+    /// share a fingerprint; their canonical renderings tell them apart.
+    #[test]
+    fn a_shared_fingerprint_falls_back_to_canonical_renderings() {
+        let system = PipelineSystem::baseline(academic_db()).unwrap();
+        let explanation = system.translate(&papers_after_2000()).unwrap()[0]
+            .explanation
+            .clone();
+        let ranked = |sql: &str| RankedSql {
+            query: parse_query(sql).unwrap(),
+            score: 0.0,
+            configuration: None,
+            explanation: explanation.clone(),
+        };
+        let first = "SELECT w.pid FROM author a1, author a2, writes w \
+                     WHERE a1.name = 'x' AND a2.name = 'y' AND a1.aid = w.aid";
+        let second = "SELECT w.pid FROM author a1, author a2, writes w \
+                      WHERE a1.name = 'x' AND a2.name = 'y' AND a2.aid = w.aid";
+        let renamed = "SELECT v.pid FROM writes v, author b2, author b1 \
+                       WHERE b2.aid = v.aid AND b2.name = 'y' AND b1.name = 'x'";
+        let [first, second, renamed] = [first, second, renamed].map(ranked);
+        assert_eq!(fingerprint(&first.query), fingerprint(&second.query));
+        let mut distinct = Distinct::default();
+        let mut kept = Vec::new();
+        for candidate in [first, second, renamed] {
+            if distinct.admit(&candidate.query, &kept) {
+                kept.push(candidate);
+            }
+        }
+        assert_eq!(kept.len(), 2);
     }
 
     #[test]

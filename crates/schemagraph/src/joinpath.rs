@@ -79,20 +79,20 @@ impl JoinPath {
         self.edges.is_empty()
     }
 
-    /// The join conditions of the path.
-    pub fn join_conditions(&self, graph: &JoinGraph) -> Vec<JoinCondition> {
-        self.edges
-            .iter()
-            .map(|&ei| {
-                let e = &graph.edges()[ei];
-                JoinCondition {
-                    fk_node: e.fk_node,
-                    fk_attr: e.fk.from_attribute.clone(),
-                    pk_node: e.pk_node,
-                    pk_attr: e.fk.to_attribute.clone(),
-                }
-            })
-            .collect()
+    /// The join conditions of the path, one per edge.
+    pub fn join_conditions<'a>(
+        &'a self,
+        graph: &'a JoinGraph,
+    ) -> impl Iterator<Item = JoinCondition> + 'a {
+        self.edges.iter().map(|&ei| {
+            let e = &graph.edges()[ei];
+            JoinCondition {
+                fk_node: e.fk_node,
+                fk_attr: e.fk.from_attribute.clone(),
+                pk_node: e.pk_node,
+                pk_attr: e.fk.to_attribute.clone(),
+            }
+        })
     }
 
     /// The relation names (with multiplicity) used by the path, sorted.
@@ -190,7 +190,7 @@ mod tests {
     fn join_conditions_follow_fk_orientation() {
         let g = chain_graph();
         let p = chain_path(&g);
-        let conds = p.join_conditions(&g);
+        let conds: Vec<JoinCondition> = p.join_conditions(&g).collect();
         assert_eq!(conds.len(), 2);
         assert_eq!(conds[0].fk_attr, "aid");
         assert_eq!(conds[0].pk_attr, "id");

@@ -38,3 +38,11 @@ pub use error::{ParseError, ParseResult};
 pub use lexer::Lexer;
 pub use parser::{parse_query, Parser};
 pub use token::{Token, TokenKind};
+
+/// The random query strategies of `tests/properties.rs`, shared with the
+/// unit tests; they name the AST and `is_keyword` through `super`.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+#[cfg(test)]
+use token::is_keyword;
