@@ -9,7 +9,11 @@
 //!    relation (`publication` -> `publication_1`, a second instance of the
 //!    same relation -> `publication_2`, ...), with instance numbers assigned
 //!    by the relation's first appearance over a *canonical ordering* of the
-//!    query's structure rather than the textual FROM order,
+//!    query's structure rather than the textual FROM order, and every
+//!    qualifier to the alias of the FROM entry it names (by binding, by
+//!    relation, or as `<relation>_<k>` the `k`-th instance in FROM order);
+//!    one that names no entry is kept, and names none in the canonical form
+//!    either, so a canonical form is its own canonical form,
 //! 2. identifiers are lower-cased,
 //! 3. the FROM list, WHERE conjunction, GROUP BY list and SELECT list are
 //!    sorted by their canonical rendering,
@@ -39,11 +43,17 @@ use std::fmt::{self, Write as _};
 pub fn canonicalize(query: &Query) -> Query {
     let mut q = query.clone();
     lowercase_query(&mut q);
-    let (aliases, rename) = alias_renaming(&q);
-    for (t, alias) in q.from.iter_mut().zip(aliases) {
+    let aliases = canonical_aliases(&q);
+    let mut from = std::mem::take(&mut q.from);
+    columns_mut(&mut q, &mut |c| {
+        if let Some(i) = c.qualifier.as_deref().and_then(|qu| resolve(&from, qu)) {
+            c.qualifier = Some(aliases[i].clone());
+        }
+    });
+    for (t, alias) in from.iter_mut().zip(aliases) {
         t.alias = Some(alias);
     }
-    rename_columns(&mut q, &rename);
+    q.from = from;
     qualify_unqualified_columns(&mut q);
     order_symmetric_predicates(&mut q);
     sort_clauses(&mut q);
@@ -120,33 +130,6 @@ fn lowercase_query(q: &mut Query) {
     }
 }
 
-/// A stable signature of a relation instance: the sorted renderings of the
-/// non-join predicates and select items that mention its binding.  Used to
-/// disambiguate multiple instances of the same relation (self-joins).
-fn instance_signature(q: &Query, binding: &str) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    let mentions = |col: &ColumnRef| {
-        col.qualifier
-            .as_deref()
-            .map(|qu| qu.eq_ignore_ascii_case(binding))
-            .unwrap_or(false)
-    };
-    for p in q.filter_predicates() {
-        if p.columns().iter().any(|c| mentions(c)) {
-            parts.push(strip_qualifiers_pred(p));
-        }
-    }
-    for item in &q.select {
-        if let SelectItem::Expr(e) = item {
-            if e.column().map(mentions).unwrap_or(false) {
-                parts.push(format!("select:{}", strip_qualifiers_expr(e)));
-            }
-        }
-    }
-    parts.sort();
-    parts.join("|")
-}
-
 fn strip_qualifiers_expr(e: &Expr) -> String {
     let mut e = e.clone();
     match &mut e {
@@ -161,10 +144,14 @@ fn strip_qualifiers_expr(e: &Expr) -> String {
     e.to_string()
 }
 
+/// The rendering of `p` without qualifiers.  The column operands of `=`
+/// and `!=` come in the order of their column names: `canonicalize` orders
+/// them by their qualified renderings, which renaming changes, so the
+/// rendering must not depend on their order.
 fn strip_qualifiers_pred(p: &Predicate) -> String {
     let mut p = p.clone();
     match &mut p {
-        Predicate::Compare { left, right, .. } => {
+        Predicate::Compare { left, op, right } => {
             if let Expr::Column(c) = left {
                 c.qualifier = None;
             }
@@ -177,6 +164,13 @@ fn strip_qualifiers_pred(p: &Predicate) -> String {
             if let Expr::Aggregate { arg: Some(c), .. } = right {
                 c.qualifier = None;
             }
+            if let (BinOp::Eq | BinOp::NotEq, Expr::Column(a), Expr::Column(b)) =
+                (&op, &left, &right)
+            {
+                if b.column < a.column {
+                    std::mem::swap(left, right);
+                }
+            }
         }
         Predicate::In { col, .. }
         | Predicate::Between { col, .. }
@@ -185,149 +179,119 @@ fn strip_qualifiers_pred(p: &Predicate) -> String {
     p.to_string()
 }
 
-/// Refine per-binding signatures by propagating neighbour signatures along
-/// join conditions (two rounds of Weisfeiler-Lehman-style colouring).  This
-/// distinguishes intermediate relation instances in self-joins (e.g. the two
-/// `writes` instances of Example 7) by the value predicates of the relations
-/// they connect to.
-fn refined_signatures(q: &Query) -> HashMap<String, String> {
-    let mut sigs: HashMap<String, String> = q
+/// A stable signature of every FROM entry, to order the instances of a
+/// relation that repeats (a self-join): the relation, the sorted renderings
+/// (qualifiers stripped) of the non-join predicates and select items with a
+/// column that names the entry, refined by two rounds of
+/// Weisfeiler-Lehman-style colouring that append the sorted signatures of
+/// the entries it is joined to.  The refinement distinguishes intermediate
+/// instances in self-joins (e.g. the two `writes` instances of Example 7)
+/// by the value predicates of the relations they connect to.  A column names
+/// the entry its qualifier resolves to (`resolve`), which after renaming is
+/// the one its canonical alias binds, so the canonical form gets the same
+/// signatures.
+fn instance_signatures(q: &Query) -> Vec<String> {
+    let entry = |c: &ColumnRef| resolve(&q.from, c.qualifier.as_deref()?);
+    let mut parts: Vec<Vec<String>> = vec![Vec::new(); q.from.len()];
+    for p in q.filter_predicates() {
+        let mut named: Vec<usize> = p.columns().into_iter().filter_map(entry).collect();
+        named.dedup();
+        for i in named {
+            parts[i].push(strip_qualifiers_pred(p));
+        }
+    }
+    for item in &q.select {
+        if let SelectItem::Expr(e) = item {
+            if let Some(i) = e.column().and_then(entry) {
+                parts[i].push(format!("select:{}", strip_qualifiers_expr(e)));
+            }
+        }
+    }
+    let mut sigs: Vec<String> = q
         .from
         .iter()
-        .map(|t| {
-            (
-                t.binding().to_string(),
-                format!("{}#{}", t.table, instance_signature(q, t.binding())),
-            )
+        .zip(&mut parts)
+        .map(|(t, parts)| {
+            parts.sort();
+            format!("{}#{}", t.table, parts.join("|"))
         })
         .collect();
-    // adjacency over join conditions
-    let mut adj: HashMap<String, Vec<String>> = HashMap::new();
+    let mut adjacent: Vec<Vec<usize>> = vec![Vec::new(); q.from.len()];
     for p in q.join_conditions() {
-        let cols = p.columns();
-        if cols.len() == 2 {
-            if let (Some(a), Some(b)) = (cols[0].qualifier.clone(), cols[1].qualifier.clone()) {
-                adj.entry(a.clone()).or_default().push(b.clone());
-                adj.entry(b).or_default().push(a);
+        if let [a, b] = p.columns()[..] {
+            if let (Some(a), Some(b)) = (entry(a), entry(b)) {
+                adjacent[a].push(b);
+                adjacent[b].push(a);
             }
         }
     }
     for _ in 0..2 {
-        let mut next = HashMap::new();
-        for (binding, sig) in &sigs {
-            let mut neighbour_sigs: Vec<String> = adj
-                .get(binding)
-                .map(|ns| {
-                    ns.iter()
-                        .filter_map(|n| sigs.get(n).cloned())
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_default();
-            neighbour_sigs.sort();
-            next.insert(
-                binding.clone(),
-                format!("{sig}~[{}]", neighbour_sigs.join(";")),
-            );
-        }
-        sigs = next;
+        sigs = adjacent
+            .iter()
+            .zip(&sigs)
+            .map(|(neighbours, sig)| {
+                let mut neighbour_sigs: Vec<&str> =
+                    neighbours.iter().map(|&n| sigs[n].as_str()).collect();
+                neighbour_sigs.sort();
+                format!("{sig}~[{}]", neighbour_sigs.join(";"))
+            })
+            .collect();
     }
     sigs
 }
 
-/// The canonical alias of every FROM entry (`<relation>_<k>`, in FROM
-/// order), and the renaming of qualifiers: a binding names the alias of the
-/// first FROM entry that binds it (the rule of `Query::resolve_qualifier`),
-/// and a relation name that binds nothing names its first instance.
-fn alias_renaming(q: &Query) -> (Vec<String>, HashMap<String, String>) {
-    // Group FROM entries by relation name.
+/// The canonical alias of every FROM entry, in FROM order: `<relation>_<k>`
+/// for the `k`-th instance of its relation, with instances ordered by their
+/// signature (then by binding), so that equivalent queries number their
+/// self-join instances identically regardless of FROM order.
+fn canonical_aliases(q: &Query) -> Vec<String> {
     let mut groups: HashMap<&str, Vec<usize>> = HashMap::new();
     for (i, t) in q.from.iter().enumerate() {
         groups.entry(&t.table).or_default().push(i);
     }
-    // Signatures only order the instances of a repeated relation (a
-    // self-join); without one, every alias is `<relation>_1`.
+    // Signatures only order the instances of a repeated relation; without
+    // one, every alias is `<relation>_1`.
     let sigs = if groups.values().any(|group| group.len() > 1) {
-        refined_signatures(q)
+        instance_signatures(q)
     } else {
-        HashMap::new()
+        Vec::new()
     };
     let mut aliases = vec![String::new(); q.from.len()];
     for (table, mut group) in groups {
-        // Order instances by their refined signature (then by original
-        // binding for full determinism) so that equivalent queries number
-        // their self-join instances identically regardless of FROM order.
-        group.sort_by_key(|&i| {
-            let binding = q.from[i].binding();
-            (sigs.get(binding).map_or("", String::as_str), binding)
-        });
+        group.sort_by_key(|&i| (sigs.get(i).map_or("", String::as_str), q.from[i].binding()));
         for (k, &i) in group.iter().enumerate() {
             aliases[i] = format!("{table}_{}", k + 1);
         }
     }
-    let mut rename = HashMap::new();
-    for (t, alias) in q.from.iter().zip(&aliases) {
-        rename
-            .entry(t.binding().to_string())
-            .or_insert_with(|| alias.clone());
-    }
-    // Unqualified references to the bare table name should also resolve.
-    for t in &q.from {
-        rename
-            .entry(t.table.clone())
-            .or_insert_with(|| format!("{}_1", t.table));
-    }
-    (aliases, rename)
+    aliases
 }
 
-fn rename_column(c: &mut ColumnRef, rename: &HashMap<String, String>) {
-    if let Some(q) = &c.qualifier {
-        if let Some(new) = rename.get(q) {
-            c.qualifier = Some(new.clone());
+/// Apply `f` to every column reference of `q` outside its FROM list.
+fn columns_mut(q: &mut Query, f: &mut impl FnMut(&mut ColumnRef)) {
+    fn expr(e: &mut Expr, f: &mut impl FnMut(&mut ColumnRef)) {
+        if let Expr::Column(c) | Expr::Aggregate { arg: Some(c), .. } = e {
+            f(c);
         }
     }
-}
-
-fn rename_expr(e: &mut Expr, rename: &HashMap<String, String>) {
-    match e {
-        Expr::Column(c) => rename_column(c, rename),
-        Expr::Aggregate { arg, .. } => {
-            if let Some(c) = arg {
-                rename_column(c, rename);
-            }
-        }
-        Expr::Literal(_) => {}
-    }
-}
-
-fn rename_predicate(p: &mut Predicate, rename: &HashMap<String, String>) {
-    match p {
-        Predicate::Compare { left, right, .. } => {
-            rename_expr(left, rename);
-            rename_expr(right, rename);
-        }
-        Predicate::In { col, .. }
-        | Predicate::Between { col, .. }
-        | Predicate::IsNull { col, .. } => rename_column(col, rename),
-    }
-}
-
-fn rename_columns(q: &mut Query, rename: &HashMap<String, String>) {
     for s in &mut q.select {
         if let SelectItem::Expr(e) = s {
-            rename_expr(e, rename);
+            expr(e, f);
         }
     }
-    for p in &mut q.predicates {
-        rename_predicate(p, rename);
+    for p in q.predicates.iter_mut().chain(&mut q.having) {
+        match p {
+            Predicate::Compare { left, right, .. } => {
+                expr(left, f);
+                expr(right, f);
+            }
+            Predicate::In { col, .. }
+            | Predicate::Between { col, .. }
+            | Predicate::IsNull { col, .. } => f(col),
+        }
     }
-    for c in &mut q.group_by {
-        rename_column(c, rename);
-    }
-    for p in &mut q.having {
-        rename_predicate(p, rename);
-    }
+    q.group_by.iter_mut().for_each(&mut *f);
     for o in &mut q.order_by {
-        rename_expr(&mut o.expr, rename);
+        expr(&mut o.expr, f);
     }
 }
 
@@ -336,57 +300,15 @@ fn rename_columns(q: &mut Query, rename: &HashMap<String, String>) {
 /// `SELECT title FROM publication` and `SELECT p.title FROM publication p`
 /// canonicalize identically.
 fn qualify_unqualified_columns(q: &mut Query) {
-    if q.from.len() != 1 {
+    let [table] = &q.from[..] else {
         return;
-    }
-    let binding = q.from[0].binding().to_string();
-    let fix = |c: &mut ColumnRef| {
+    };
+    let binding = table.binding().to_string();
+    columns_mut(q, &mut |c| {
         if c.qualifier.is_none() {
             c.qualifier = Some(binding.clone());
         }
-    };
-    let fix_expr = |e: &mut Expr| match e {
-        Expr::Column(c) if c.qualifier.is_none() => {
-            c.qualifier = Some(binding.clone());
-        }
-        Expr::Aggregate { arg: Some(c), .. } if c.qualifier.is_none() => {
-            c.qualifier = Some(binding.clone());
-        }
-        _ => {}
-    };
-    for s in &mut q.select {
-        if let SelectItem::Expr(e) = s {
-            fix_expr(e);
-        }
-    }
-    for p in &mut q.predicates {
-        match p {
-            Predicate::Compare { left, right, .. } => {
-                fix_expr(left);
-                fix_expr(right);
-            }
-            Predicate::In { col, .. }
-            | Predicate::Between { col, .. }
-            | Predicate::IsNull { col, .. } => fix(col),
-        }
-    }
-    for c in &mut q.group_by {
-        fix(c);
-    }
-    for p in &mut q.having {
-        match p {
-            Predicate::Compare { left, right, .. } => {
-                fix_expr(left);
-                fix_expr(right);
-            }
-            Predicate::In { col, .. }
-            | Predicate::Between { col, .. }
-            | Predicate::IsNull { col, .. } => fix(col),
-        }
-    }
-    for o in &mut q.order_by {
-        fix_expr(&mut o.expr);
-    }
+    });
 }
 
 /// For symmetric operators (`=`, `!=`) over two columns, order the operands
@@ -428,12 +350,11 @@ fn sort_clauses(q: &mut Query) {
 /// items' hashes; `=` and `!=` between two columns combine their operands
 /// order-free; identifiers hash lower-cased as `canonicalize` lower-cases
 /// them; a literal hashes its `Display` bytes.  A qualifier hashes as the
-/// relation it names, resolved as `canonicalize` renames it (the first FROM
-/// entry that binds it, else the first entry of that relation), which
-/// ignores alias names and self-join instance numbers.  A qualifier that
-/// names no entry is kept as written by `canonicalize`, where it may spell
-/// the canonical alias `<relation>_<k>` of an entry; it hashes as its text
-/// without a `_<digits>` suffix, the relation of any such alias.
+/// relation of the FROM entry it names (`resolve`, which `canonicalize`
+/// renames it by), which ignores alias names and self-join instance
+/// numbers.  A qualifier that names no entry is kept as written by
+/// `canonicalize` and names none in the canonical form either; it hashes as
+/// its text.
 ///
 /// `None` when the canonical rendering may not determine the canonical
 /// form: an identifier that is not a plain word (ASCII letters, digits and
@@ -447,7 +368,7 @@ pub fn fingerprint(query: &Query) -> Option<u64> {
         plain: true,
     };
     for t in &query.from {
-        let relation = fp.relation(&t.table, false);
+        let relation = fp.relation(&t.table);
         fp.relations.push(relation);
     }
     let mut h = Fnv::new(b'Q');
@@ -529,11 +450,10 @@ struct Fingerprinter<'q> {
 }
 
 impl Fingerprinter<'_> {
-    /// Hash a relation name, or the relation of the canonical alias a
-    /// qualifier spells when `strip_instance` is set.
-    fn relation(&mut self, name: &str, strip_instance: bool) -> u64 {
+    /// Hash a relation name, or a qualifier that names no entry.
+    fn relation(&mut self, name: &str) -> u64 {
         let mut h = Fnv::new(b'R');
-        self.ident(&mut h, name, strip_instance);
+        self.ident(&mut h, name);
         h.finish()
     }
 
@@ -625,7 +545,7 @@ impl Fingerprinter<'_> {
         let relation = match c.qualifier.as_deref() {
             Some(q) => match resolve(self.from, q) {
                 Some(i) => Some(self.relations[i]),
-                None => Some(self.relation(q, true)),
+                None => Some(self.relation(q)),
             },
             // `canonicalize` qualifies the columns of a single-relation
             // query with its one instance.
@@ -638,25 +558,19 @@ impl Fingerprinter<'_> {
             }
             None => h.byte(b'-'),
         }
-        self.ident(h, &c.column, false);
+        self.ident(h, &c.column);
     }
 
-    /// Hash an identifier lower-cased as `lowercase_ident` does, without its
-    /// `_<digits>` suffix when `strip_instance` is set.
-    fn ident(&mut self, h: &mut Fnv, s: &str, strip_instance: bool) {
+    /// Hash an identifier lower-cased as `lowercase_ident` does.
+    fn ident(&mut self, h: &mut Fnv, s: &str) {
         let lower = if s.is_ascii() {
             Cow::Borrowed(s)
         } else {
             Cow::Owned(s.to_lowercase())
         };
         self.plain &= is_plain_word(&lower);
-        let text = if strip_instance {
-            without_instance(&lower)
-        } else {
-            &lower
-        };
         // Bytes of a lower-cased non-ASCII text are left as they are.
-        for b in text.bytes() {
+        for b in lower.bytes() {
             h.byte(b.to_ascii_lowercase());
         }
         h.end();
@@ -673,13 +587,29 @@ impl Fingerprinter<'_> {
     }
 }
 
-/// The FROM entry whose relation a qualifier names, as `canonicalize`
-/// renames it: the first entry that binds it, else the first entry of that
-/// relation.
+/// The FROM entry a qualifier names, which `canonicalize` renames it to:
+/// the first entry that binds it; else the first entry of the relation it
+/// names; else, when it spells `<relation>_<k>`, the canonical alias of an
+/// instance, the `k`-th entry of that relation in FROM order.  The last rule
+/// resolves the qualifier as the canonical form will: there, every alias is
+/// such a spelling.
 fn resolve(from: &[TableRef], qualifier: &str) -> Option<usize> {
-    from.iter()
-        .position(|t| same_ident(t.binding(), qualifier))
-        .or_else(|| from.iter().position(|t| same_ident(&t.table, qualifier)))
+    let entries = || from.iter().enumerate();
+    entries()
+        .find(|(_, t)| same_ident(t.binding(), qualifier))
+        .or_else(|| entries().find(|(_, t)| same_ident(&t.table, qualifier)))
+        .or_else(|| {
+            let (relation, k) = qualifier.rsplit_once('_')?;
+            // The decimal spelling of a `k` ≥ 1: digits, no leading zero.
+            if k.starts_with('0') || !k.bytes().all(|b| b.is_ascii_digit()) {
+                return None;
+            }
+            let k: usize = k.parse().ok()?;
+            entries()
+                .filter(|(_, t)| same_ident(&t.table, relation))
+                .nth(k - 1)
+        })
+        .map(|(i, _)| i)
 }
 
 /// Identifier equality after lower-casing, without allocating for ASCII.
@@ -700,22 +630,13 @@ fn is_plain_word(s: &str) -> bool {
         && s.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
 }
 
-/// `s` without a trailing `_<digits>`: the relation of the canonical alias
-/// `s` would be.
-fn without_instance(s: &str) -> &str {
-    match s.rfind('_') {
-        Some(i) if i + 1 < s.len() && s[i + 1..].bytes().all(|b| b.is_ascii_digit()) => &s[..i],
-        _ => s,
-    }
-}
-
 /// The canonicalizer as it was before its fast paths (signatures built for
 /// every query, every identifier lower-cased, operands cloned, clause keys
 /// rendered in every comparison): the reference the fast paths are checked
 /// against.
 #[cfg(test)]
 mod reference {
-    use super::{qualify_unqualified_columns, refined_signatures, rename_columns};
+    use super::{qualify_unqualified_columns, strip_qualifiers_expr, strip_qualifiers_pred};
     use crate::ast::*;
     use std::collections::HashMap;
 
@@ -850,10 +771,138 @@ mod reference {
         q.having.sort_by_key(|p| p.to_string());
         q.select.sort_by_key(|s| s.to_string());
     }
+
+    /// A stable signature of a relation instance: the sorted renderings of the
+    /// non-join predicates and select items that mention its binding.  Used to
+    /// disambiguate multiple instances of the same relation (self-joins).
+    fn instance_signature(q: &Query, binding: &str) -> String {
+        let mut parts: Vec<String> = Vec::new();
+        let mentions = |col: &ColumnRef| {
+            col.qualifier
+                .as_deref()
+                .map(|qu| qu.eq_ignore_ascii_case(binding))
+                .unwrap_or(false)
+        };
+        for p in q.filter_predicates() {
+            if p.columns().iter().any(|c| mentions(c)) {
+                parts.push(strip_qualifiers_pred(p));
+            }
+        }
+        for item in &q.select {
+            if let SelectItem::Expr(e) = item {
+                if e.column().map(mentions).unwrap_or(false) {
+                    parts.push(format!("select:{}", strip_qualifiers_expr(e)));
+                }
+            }
+        }
+        parts.sort();
+        parts.join("|")
+    }
+
+    /// Refine per-binding signatures by propagating neighbour signatures along
+    /// join conditions (two rounds of Weisfeiler-Lehman-style colouring).  This
+    /// distinguishes intermediate relation instances in self-joins (e.g. the two
+    /// `writes` instances of Example 7) by the value predicates of the relations
+    /// they connect to.
+    fn refined_signatures(q: &Query) -> HashMap<String, String> {
+        let mut sigs: HashMap<String, String> = q
+            .from
+            .iter()
+            .map(|t| {
+                (
+                    t.binding().to_string(),
+                    format!("{}#{}", t.table, instance_signature(q, t.binding())),
+                )
+            })
+            .collect();
+        // adjacency over join conditions
+        let mut adj: HashMap<String, Vec<String>> = HashMap::new();
+        for p in q.join_conditions() {
+            let cols = p.columns();
+            if cols.len() == 2 {
+                if let (Some(a), Some(b)) = (cols[0].qualifier.clone(), cols[1].qualifier.clone()) {
+                    adj.entry(a.clone()).or_default().push(b.clone());
+                    adj.entry(b).or_default().push(a);
+                }
+            }
+        }
+        for _ in 0..2 {
+            let mut next = HashMap::new();
+            for (binding, sig) in &sigs {
+                let mut neighbour_sigs: Vec<String> = adj
+                    .get(binding)
+                    .map(|ns| {
+                        ns.iter()
+                            .filter_map(|n| sigs.get(n).cloned())
+                            .collect::<Vec<_>>()
+                    })
+                    .unwrap_or_default();
+                neighbour_sigs.sort();
+                next.insert(
+                    binding.clone(),
+                    format!("{sig}~[{}]", neighbour_sigs.join(";")),
+                );
+            }
+            sigs = next;
+        }
+        sigs
+    }
+
+    fn rename_column(c: &mut ColumnRef, rename: &HashMap<String, String>) {
+        if let Some(q) = &c.qualifier {
+            if let Some(new) = rename.get(q) {
+                c.qualifier = Some(new.clone());
+            }
+        }
+    }
+
+    fn rename_expr(e: &mut Expr, rename: &HashMap<String, String>) {
+        match e {
+            Expr::Column(c) => rename_column(c, rename),
+            Expr::Aggregate { arg, .. } => {
+                if let Some(c) = arg {
+                    rename_column(c, rename);
+                }
+            }
+            Expr::Literal(_) => {}
+        }
+    }
+
+    fn rename_predicate(p: &mut Predicate, rename: &HashMap<String, String>) {
+        match p {
+            Predicate::Compare { left, right, .. } => {
+                rename_expr(left, rename);
+                rename_expr(right, rename);
+            }
+            Predicate::In { col, .. }
+            | Predicate::Between { col, .. }
+            | Predicate::IsNull { col, .. } => rename_column(col, rename),
+        }
+    }
+
+    fn rename_columns(q: &mut Query, rename: &HashMap<String, String>) {
+        for s in &mut q.select {
+            if let SelectItem::Expr(e) = s {
+                rename_expr(e, rename);
+            }
+        }
+        for p in &mut q.predicates {
+            rename_predicate(p, rename);
+        }
+        for c in &mut q.group_by {
+            rename_column(c, rename);
+        }
+        for p in &mut q.having {
+            rename_predicate(p, rename);
+        }
+        for o in &mut q.order_by {
+            rename_expr(&mut o.expr, rename);
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::parser::parse_query;
     use proptest::prelude::*;
@@ -1021,42 +1070,13 @@ mod tests {
         }
     }
 
-    /// Apply `f` to every column reference of `q`.
-    fn columns_mut(q: &mut Query, f: &mut impl FnMut(&mut ColumnRef)) {
-        fn expr(e: &mut Expr, f: &mut impl FnMut(&mut ColumnRef)) {
-            if let Expr::Column(c) | Expr::Aggregate { arg: Some(c), .. } = e {
-                f(c);
-            }
-        }
-        for s in &mut q.select {
-            if let SelectItem::Expr(e) = s {
-                expr(e, f);
-            }
-        }
-        for p in q.predicates.iter_mut().chain(&mut q.having) {
-            match p {
-                Predicate::Compare { left, right, .. } => {
-                    expr(left, f);
-                    expr(right, f);
-                }
-                Predicate::In { col, .. }
-                | Predicate::Between { col, .. }
-                | Predicate::IsNull { col, .. } => f(col),
-            }
-        }
-        q.group_by.iter_mut().for_each(&mut *f);
-        for o in &mut q.order_by {
-            expr(&mut o.expr, f);
-        }
-    }
-
     /// Random queries over three relation names and four aliases, so that
     /// self-joins, bindings shared by two entries and aliases that name a
     /// relation or spell a canonical alias are common.  Their qualifiers
     /// mostly name a FROM entry (by binding or by relation) or spell the
     /// canonical alias `<relation>_<k>` of one, and they have HAVING and
     /// ORDER BY clauses.
-    fn bound_queries() -> impl Strategy<Value = Query> {
+    pub(crate) fn bound_queries() -> impl Strategy<Value = Query> {
         let table = (0..3usize, proptest::option::of(0..4usize)).prop_map(|(t, a)| TableRef {
             table: ["a", "b", "Pub"][t].to_string(),
             alias: a.map(|a| ["x", "y", "b", "a_1"][a].to_string()),
@@ -1397,5 +1417,57 @@ mod tests {
         let once = canonicalize(&q);
         let twice = canonicalize(&once);
         assert_eq!(once, twice);
+    }
+
+    #[test]
+    fn a_qualifier_spelling_a_canonical_alias_names_that_instance() {
+        // `a_2` binds nothing; it names the second `a` in FROM order, `y`,
+        // and keeps naming it in the canonical form.
+        let q = parse_query("SELECT a_2.b FROM a x, a y WHERE x.z = 1").unwrap();
+        let once = canonicalize(&q);
+        assert_eq!(
+            once.to_string(),
+            "SELECT a_1.b FROM a a_1, a a_2 WHERE a_2.z = 1"
+        );
+        assert_eq!(canonicalize(&once), once);
+        assert_eq!(fingerprint(&once), fingerprint(&q));
+    }
+
+    #[test]
+    fn a_column_inequality_signs_its_instance_the_same_both_ways() {
+        // `canonicalize` turns `z != b.c` into `t_1.c != z`; the signature
+        // of `b` must read the same before and after.
+        let q = parse_query("SELECT a.s FROM t a, t b WHERE z != b.c").unwrap();
+        let once = canonicalize(&q);
+        assert_eq!(
+            once.to_string(),
+            "SELECT t_2.s FROM t t_1, t t_2 WHERE t_1.c != z"
+        );
+        assert_eq!(canonicalize(&once), once);
+    }
+
+    proptest! {
+        /// Canonicalization is idempotent also where qualifiers name an
+        /// entry by relation, share a binding or spell a canonical alias,
+        /// and where a non-join predicate compares two columns with `!=`.
+        #[test]
+        fn canonicalization_is_idempotent_on_bound_queries(
+            q in bound_queries(),
+            seed in any::<u64>(),
+        ) {
+            let once = canonicalize(&q);
+            prop_assert_eq!(canonicalize(&once), once.clone(), "{}", q);
+            let mut q = q;
+            let mut rng = Rng::new(seed);
+            for p in &mut q.predicates {
+                if let Predicate::Compare { left: Expr::Column(_), op, right: Expr::Column(_) } = p {
+                    if rng.next().is_multiple_of(2) {
+                        *op = BinOp::NotEq;
+                    }
+                }
+            }
+            let once = canonicalize(&q);
+            prop_assert_eq!(canonicalize(&once), once.clone(), "{}", q);
+        }
     }
 }

@@ -1,31 +1,35 @@
 //! The SQL lexer: turns an input string into a stream of [`Token`]s.
+//!
+//! The lexer walks the input's bytes and its tokens borrow from the input:
+//! an identifier or a string literal is a slice of it, a keyword is the
+//! entry of [`KEYWORDS`](crate::token::KEYWORDS) it spells, and a number is
+//! parsed from its slice.  Characters are classified with
+//! `char::is_whitespace`, `is_alphabetic` and `is_alphanumeric`, an ASCII
+//! byte without decoding it.  Offsets are byte offsets.
 
 use crate::error::{ParseError, ParseResult};
-use crate::token::{is_keyword, Token, TokenKind};
+use crate::token::{keyword, Token, TokenKind};
 
 /// A streaming lexer over a SQL string.
 #[derive(Debug)]
 pub struct Lexer<'a> {
     input: &'a str,
-    chars: Vec<char>,
+    /// Byte offset of the next unread character.
     pos: usize,
 }
 
 impl<'a> Lexer<'a> {
     /// Create a lexer over the input.
     pub fn new(input: &'a str) -> Self {
-        Lexer {
-            input,
-            chars: input.chars().collect(),
-            pos: 0,
-        }
+        Lexer { input, pos: 0 }
     }
 
     /// Lex the whole input into a vector of tokens, terminated by
     /// [`TokenKind::Eof`].
-    pub fn tokenize(input: &'a str) -> ParseResult<Vec<Token>> {
+    pub fn tokenize(input: &'a str) -> ParseResult<Vec<Token<'a>>> {
         let mut lexer = Lexer::new(input);
-        let mut out = Vec::new();
+        // Logged SQL runs about one token per three to four bytes.
+        let mut out = Vec::with_capacity(input.len() / 3 + 1);
         loop {
             let tok = lexer.next_token()?;
             let eof = tok.kind == TokenKind::Eof;
@@ -36,31 +40,32 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// The character at `pos`, if any.
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+        self.input[self.pos..].chars().next()
     }
 
-    fn peek2(&self) -> Option<char> {
-        self.chars.get(self.pos + 1).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
-    }
-
-    fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.pos += 1;
+    /// Advance `pos` past the characters `accepts`; an ASCII byte is tested
+    /// without decoding.
+    fn skip(&mut self, accepts: impl Fn(char) -> bool) {
+        while let Some(&b) = self.input.as_bytes().get(self.pos) {
+            let width = if b.is_ascii() {
+                usize::from(accepts(char::from(b)))
+            } else {
+                self.peek()
+                    .filter(|&c| accepts(c))
+                    .map_or(0, char::len_utf8)
+            };
+            if width == 0 {
+                return;
+            }
+            self.pos += width;
         }
     }
 
     /// Produce the next token.
-    pub fn next_token(&mut self) -> ParseResult<Token> {
-        self.skip_whitespace();
+    pub fn next_token(&mut self) -> ParseResult<Token<'a>> {
+        self.skip(char::is_whitespace);
         let offset = self.pos;
         let Some(c) = self.peek() else {
             return Ok(Token {
@@ -68,133 +73,39 @@ impl<'a> Lexer<'a> {
                 offset,
             });
         };
-        let kind = match c {
-            ',' => {
-                self.bump();
-                TokenKind::Comma
+        let (kind, width) = match c {
+            ',' => (TokenKind::Comma, 1),
+            '.' => (TokenKind::Dot, 1),
+            '(' => (TokenKind::LParen, 1),
+            ')' => (TokenKind::RParen, 1),
+            '*' => (TokenKind::Star, 1),
+            ';' => (TokenKind::Semicolon, 1),
+            '=' => (TokenKind::Eq, 1),
+            '!' => match self.byte(1) {
+                Some(b'=') => (TokenKind::NotEq, 2),
+                _ => return Err(ParseError::new("expected '=' after '!'", offset)),
+            },
+            '<' => match self.byte(1) {
+                Some(b'=') => (TokenKind::LtEq, 2),
+                Some(b'>') => (TokenKind::NotEq, 2),
+                _ => (TokenKind::Lt, 1),
+            },
+            '>' => match self.byte(1) {
+                Some(b'=') => (TokenKind::GtEq, 2),
+                _ => (TokenKind::Gt, 1),
+            },
+            // Curly quotes (the paper's text uses them in its SQL listings)
+            // open and close literals as `'` does.
+            '\'' | '"' | '\u{2018}' | '\u{2019}' => return self.string(c),
+            c if c.is_ascii_digit() => return self.number(),
+            // Placeholder identifiers (`?val`, `?op`) appear only in obscured
+            // fragment text, but accepting them makes the lexer reusable for
+            // fragment round-trips.
+            '?' => {
+                self.pos += 1;
+                return Ok(self.word(offset));
             }
-            '.' => {
-                self.bump();
-                TokenKind::Dot
-            }
-            '(' => {
-                self.bump();
-                TokenKind::LParen
-            }
-            ')' => {
-                self.bump();
-                TokenKind::RParen
-            }
-            '*' => {
-                self.bump();
-                TokenKind::Star
-            }
-            ';' => {
-                self.bump();
-                TokenKind::Semicolon
-            }
-            '=' => {
-                self.bump();
-                TokenKind::Eq
-            }
-            '!' => {
-                self.bump();
-                if self.peek() == Some('=') {
-                    self.bump();
-                    TokenKind::NotEq
-                } else {
-                    return Err(ParseError::new("expected '=' after '!'", offset));
-                }
-            }
-            '<' => {
-                self.bump();
-                match self.peek() {
-                    Some('=') => {
-                        self.bump();
-                        TokenKind::LtEq
-                    }
-                    Some('>') => {
-                        self.bump();
-                        TokenKind::NotEq
-                    }
-                    _ => TokenKind::Lt,
-                }
-            }
-            '>' => {
-                self.bump();
-                if self.peek() == Some('=') {
-                    self.bump();
-                    TokenKind::GtEq
-                } else {
-                    TokenKind::Gt
-                }
-            }
-            '\'' | '"' | '\u{2018}' | '\u{2019}' => {
-                // Accept both straight and curly quotes (the paper's text uses
-                // curly quotes in its SQL listings).
-                let quote = if c == '"' { '"' } else { '\'' };
-                self.bump();
-                let mut s = String::new();
-                loop {
-                    match self.bump() {
-                        Some(q)
-                            if q == quote
-                                || (quote == '\'' && (q == '\u{2019}' || q == '\u{2018}')) =>
-                        {
-                            break
-                        }
-                        Some(ch) => s.push(ch),
-                        None => return Err(ParseError::new("unterminated string literal", offset)),
-                    }
-                }
-                TokenKind::StringLit(s)
-            }
-            c if c.is_ascii_digit() => {
-                let mut s = String::new();
-                while let Some(ch) = self.peek() {
-                    if ch.is_ascii_digit()
-                        || (ch == '.' && self.peek2().is_some_and(|d| d.is_ascii_digit()))
-                    {
-                        s.push(ch);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                let value: f64 = s
-                    .parse()
-                    .map_err(|_| ParseError::new(format!("invalid number '{s}'"), offset))?;
-                TokenKind::NumberLit(value)
-            }
-            c if c.is_alphabetic() || c == '_' || c == '?' => {
-                let mut s = String::new();
-                if c == '?' {
-                    // placeholder identifiers (?val, ?op) appear only in
-                    // obscured fragment text, but accepting them makes the
-                    // lexer reusable for fragment round-trips.
-                    s.push(c);
-                    self.bump();
-                }
-                while let Some(ch) = self.peek() {
-                    if ch.is_alphanumeric() || ch == '_' {
-                        s.push(ch);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                if s.is_empty() {
-                    return Err(ParseError::new(
-                        format!("unexpected character '{c}'"),
-                        offset,
-                    ));
-                }
-                if is_keyword(&s) {
-                    TokenKind::Keyword(s.to_uppercase())
-                } else {
-                    TokenKind::Ident(s)
-                }
-            }
+            c if c.is_alphabetic() || c == '_' => return Ok(self.word(offset)),
             other => {
                 return Err(ParseError::new(
                     format!("unexpected character '{other}'"),
@@ -202,7 +113,64 @@ impl<'a> Lexer<'a> {
                 ))
             }
         };
+        self.pos += width;
         Ok(Token { kind, offset })
+    }
+
+    /// The byte `ahead` bytes past `pos`, if any.
+    fn byte(&self, ahead: usize) -> Option<u8> {
+        self.input.as_bytes().get(self.pos + ahead).copied()
+    }
+
+    /// A string literal whose opening quote `open` is at `pos`.  `"` closes
+    /// only on `"`; every other quote closes on `'` or a curly quote.
+    fn string(&mut self, open: char) -> ParseResult<Token<'a>> {
+        let offset = self.pos;
+        let body = offset + open.len_utf8();
+        let closes = |c: char| match open {
+            '"' => c == '"',
+            _ => matches!(c, '\'' | '\u{2018}' | '\u{2019}'),
+        };
+        let Some((len, close)) = self.input[body..].char_indices().find(|&(_, c)| closes(c)) else {
+            return Err(ParseError::new("unterminated string literal", offset));
+        };
+        self.pos = body + len + close.len_utf8();
+        Ok(Token {
+            kind: TokenKind::StringLit(&self.input[body..body + len]),
+            offset,
+        })
+    }
+
+    /// A number at `pos`: ASCII digits, with a `.` wherever a digit follows.
+    fn number(&mut self) -> ParseResult<Token<'a>> {
+        let offset = self.pos;
+        while let Some(b) = self.byte(0) {
+            let digit_follows = self.byte(1).is_some_and(|d| d.is_ascii_digit());
+            if !(b.is_ascii_digit() || (b == b'.' && digit_follows)) {
+                break;
+            }
+            self.pos += 1;
+        }
+        let text = &self.input[offset..self.pos];
+        let value = text
+            .parse()
+            .map_err(|_| ParseError::new(format!("invalid number '{text}'"), offset))?;
+        Ok(Token {
+            kind: TokenKind::NumberLit(value),
+            offset,
+        })
+    }
+
+    /// The word from `offset` to the end of the alphanumeric and `_` run at
+    /// `pos`: a keyword or an identifier.
+    fn word(&mut self, offset: usize) -> Token<'a> {
+        self.skip(|c| c.is_alphanumeric() || c == '_');
+        let word = &self.input[offset..self.pos];
+        let kind = match keyword(word) {
+            Some(k) => TokenKind::Keyword(k),
+            None => TokenKind::Ident(word),
+        };
+        Token { kind, offset }
     }
 
     /// The original input string.
@@ -215,7 +183,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(sql: &str) -> Vec<TokenKind> {
+    fn kinds(sql: &str) -> Vec<TokenKind<'_>> {
         Lexer::tokenize(sql)
             .unwrap()
             .into_iter()
@@ -229,13 +197,13 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokenKind::Keyword("SELECT".into()),
-                TokenKind::Ident("p".into()),
+                TokenKind::Keyword("SELECT"),
+                TokenKind::Ident("p"),
                 TokenKind::Dot,
-                TokenKind::Ident("title".into()),
-                TokenKind::Keyword("FROM".into()),
-                TokenKind::Ident("publication".into()),
-                TokenKind::Ident("p".into()),
+                TokenKind::Ident("title"),
+                TokenKind::Keyword("FROM"),
+                TokenKind::Ident("publication"),
+                TokenKind::Ident("p"),
                 TokenKind::Eof,
             ]
         );
@@ -252,15 +220,15 @@ mod tests {
     #[test]
     fn lexes_string_literals() {
         let ks = kinds("name = 'Databases'");
-        assert!(ks.contains(&TokenKind::StringLit("Databases".into())));
+        assert!(ks.contains(&TokenKind::StringLit("Databases")));
         let ks = kinds("name = \"Databases\"");
-        assert!(ks.contains(&TokenKind::StringLit("Databases".into())));
+        assert!(ks.contains(&TokenKind::StringLit("Databases")));
     }
 
     #[test]
     fn lexes_curly_quotes() {
         let ks = kinds("d.name = \u{2018}Databases\u{2019}");
-        assert!(ks.contains(&TokenKind::StringLit("Databases".into())));
+        assert!(ks.contains(&TokenKind::StringLit("Databases")));
     }
 
     #[test]
@@ -273,8 +241,8 @@ mod tests {
     #[test]
     fn keywords_are_case_insensitive() {
         let ks = kinds("select x from t");
-        assert_eq!(ks[0], TokenKind::Keyword("SELECT".into()));
-        assert_eq!(ks[2], TokenKind::Keyword("FROM".into()));
+        assert_eq!(ks[0], TokenKind::Keyword("SELECT"));
+        assert_eq!(ks[2], TokenKind::Keyword("FROM"));
     }
 
     #[test]
@@ -287,5 +255,22 @@ mod tests {
         let toks = Lexer::tokenize("SELECT x").unwrap();
         assert_eq!(toks[0].offset, 0);
         assert_eq!(toks[1].offset, 7);
+    }
+
+    #[test]
+    fn offsets_and_payloads_are_byte_slices() {
+        let sql = "\u{2018}caf\u{e9}\u{2019}\u{a0}\u{17f}um \u{e9}t\u{663}";
+        let toks = Lexer::tokenize(sql).unwrap();
+        let offsets: Vec<usize> = toks.iter().map(|t| t.offset).collect();
+        assert_eq!(offsets, [0, 13, 18, 23]);
+        assert_eq!(toks[0].kind, TokenKind::StringLit("caf\u{e9}"));
+        assert_eq!(toks[1].kind, TokenKind::Keyword("SUM"));
+        assert_eq!(toks[2].kind, TokenKind::Ident("\u{e9}t\u{663}"));
+        assert_eq!(toks[3].kind, TokenKind::Eof);
+        let err = Lexer::tokenize("\u{e9} \u{663}").unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("unexpected character '\u{663}'", 3)
+        );
     }
 }

@@ -1,4 +1,7 @@
 //! Recursive-descent parser for the SQL subset.
+//!
+//! The parser reads the lexer's tokens by index, and the only text it copies
+//! out of them is what the AST owns: identifiers and string literals.
 
 use crate::ast::*;
 use crate::error::{ParseError, ParseResult};
@@ -23,30 +26,46 @@ pub fn parse_query(sql: &str) -> ParseResult<Query> {
 
 /// The recursive-descent parser over a token stream.
 #[derive(Debug)]
-pub struct Parser {
-    tokens: Vec<Token>,
+pub struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
+/// The aggregate a token names, if any.
+fn aggregate(token: TokenKind<'_>) -> Option<Aggregate> {
+    let TokenKind::Keyword(keyword) = token else {
+        return None;
+    };
+    [
+        Aggregate::Count,
+        Aggregate::Sum,
+        Aggregate::Avg,
+        Aggregate::Min,
+        Aggregate::Max,
+    ]
+    .into_iter()
+    .find(|a| a.name() == keyword)
+}
+
+impl<'a> Parser<'a> {
     /// Create a parser over a token stream (must be terminated by `Eof`).
-    pub fn new(tokens: Vec<Token>) -> Self {
+    pub fn new(tokens: Vec<Token<'a>>) -> Self {
         Parser { tokens, pos: 0 }
     }
 
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+    /// The current token; once the input is consumed, the `Eof` token.
+    fn peek(&self) -> TokenKind<'a> {
+        self.tokens[self.pos].kind
     }
 
     fn offset(&self) -> usize {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].offset
+        self.tokens[self.pos].offset
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let kind = self.tokens[self.pos.min(self.tokens.len() - 1)]
-            .kind
-            .clone();
-        if self.pos < self.tokens.len() - 1 {
+    /// Consume the current token and return it; `Eof` stays current.
+    fn bump(&mut self) -> TokenKind<'a> {
+        let kind = self.peek();
+        if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         kind
@@ -72,7 +91,7 @@ impl Parser {
         }
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind<'_>) -> bool {
         if self.peek() == kind {
             self.bump();
             true
@@ -81,7 +100,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> ParseResult<()> {
+    fn expect(&mut self, kind: TokenKind<'_>) -> ParseResult<()> {
         if self.eat(kind) {
             Ok(())
         } else {
@@ -92,8 +111,8 @@ impl Parser {
         }
     }
 
-    fn parse_ident(&mut self) -> ParseResult<String> {
-        match self.peek().clone() {
+    fn parse_ident(&mut self) -> ParseResult<&'a str> {
+        match self.peek() {
             TokenKind::Ident(name) => {
                 self.bump();
                 Ok(name)
@@ -107,8 +126,8 @@ impl Parser {
 
     /// Verify the whole input was consumed (allowing a trailing semicolon).
     pub fn expect_end(&mut self) -> ParseResult<()> {
-        self.eat(&TokenKind::Semicolon);
-        if *self.peek() == TokenKind::Eof {
+        self.eat(TokenKind::Semicolon);
+        if self.peek() == TokenKind::Eof {
             Ok(())
         } else {
             Err(ParseError::new(
@@ -178,17 +197,17 @@ impl Parser {
     fn parse_select_list(&mut self) -> ParseResult<Vec<SelectItem>> {
         let mut items = Vec::new();
         loop {
-            if self.eat(&TokenKind::Star) {
+            if self.eat(TokenKind::Star) {
                 items.push(SelectItem::Wildcard);
             } else {
                 let expr = self.parse_expr()?;
-                // optional alias: `expr AS name` or bare identifier alias.
+                // An optional `AS name`, which the AST does not keep.
                 if self.eat_keyword("AS") {
-                    let _ = self.parse_ident()?;
+                    self.parse_ident()?;
                 }
                 items.push(SelectItem::Expr(expr));
             }
-            if !self.eat(&TokenKind::Comma) {
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
@@ -198,16 +217,16 @@ impl Parser {
     fn parse_from_list(&mut self) -> ParseResult<Vec<TableRef>> {
         let mut tables = Vec::new();
         loop {
-            let table = self.parse_ident()?;
+            let table = self.parse_ident()?.to_owned();
             // An alias follows either an explicit `AS` or directly as a
             // bare identifier.
             let alias = if self.eat_keyword("AS") || matches!(self.peek(), TokenKind::Ident(_)) {
-                Some(self.parse_ident()?)
+                Some(self.parse_ident()?.to_owned())
             } else {
                 None
             };
             tables.push(TableRef { table, alias });
-            if !self.eat(&TokenKind::Comma) {
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
@@ -218,7 +237,7 @@ impl Parser {
         let mut cols = Vec::new();
         loop {
             cols.push(self.parse_column_ref()?);
-            if !self.eat(&TokenKind::Comma) {
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
@@ -236,7 +255,7 @@ impl Parser {
                 OrderDir::Asc
             };
             keys.push(OrderBy { expr, dir });
-            if !self.eat(&TokenKind::Comma) {
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
@@ -245,58 +264,46 @@ impl Parser {
 
     fn parse_column_ref(&mut self) -> ParseResult<ColumnRef> {
         let first = self.parse_ident()?;
-        if self.eat(&TokenKind::Dot) {
-            let column = self.parse_ident()?;
-            Ok(ColumnRef {
-                qualifier: Some(first),
-                column,
-            })
+        if self.eat(TokenKind::Dot) {
+            Ok(ColumnRef::qualified(first, self.parse_ident()?))
         } else {
-            Ok(ColumnRef {
-                qualifier: None,
-                column: first,
-            })
+            Ok(ColumnRef::new(first))
         }
     }
 
     /// Parse a scalar expression: aggregate call, column reference or literal.
     fn parse_expr(&mut self) -> ParseResult<Expr> {
-        match self.peek().clone() {
-            TokenKind::Keyword(kw) if Aggregate::from_name(&kw).is_some() => {
-                let func = Aggregate::from_name(&kw).expect("checked above");
-                self.bump();
-                self.expect(&TokenKind::LParen)?;
-                let distinct = self.eat_keyword("DISTINCT");
-                let arg = if self.eat(&TokenKind::Star) {
-                    None
-                } else {
-                    Some(self.parse_column_ref()?)
-                };
-                self.expect(&TokenKind::RParen)?;
-                Ok(Expr::Aggregate {
-                    func,
-                    distinct,
-                    arg,
-                })
-            }
-            TokenKind::NumberLit(n) => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Number(n)))
-            }
-            TokenKind::StringLit(s) => {
-                self.bump();
-                Ok(Expr::Literal(Literal::String(s)))
-            }
-            TokenKind::Keyword(kw) if kw == "NULL" => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Null))
-            }
-            TokenKind::Ident(_) => Ok(Expr::Column(self.parse_column_ref()?)),
-            other => Err(ParseError::new(
-                format!("expected expression, found {other}"),
-                self.offset(),
-            )),
+        let token = self.peek();
+        if let Some(func) = aggregate(token) {
+            self.bump();
+            self.expect(TokenKind::LParen)?;
+            let distinct = self.eat_keyword("DISTINCT");
+            let arg = if self.eat(TokenKind::Star) {
+                None
+            } else {
+                Some(self.parse_column_ref()?)
+            };
+            self.expect(TokenKind::RParen)?;
+            return Ok(Expr::Aggregate {
+                func,
+                distinct,
+                arg,
+            });
         }
+        let literal = match token {
+            TokenKind::Ident(_) => return Ok(Expr::Column(self.parse_column_ref()?)),
+            TokenKind::NumberLit(n) => Literal::Number(n),
+            TokenKind::StringLit(s) => Literal::String(s.to_owned()),
+            TokenKind::Keyword("NULL") => Literal::Null,
+            other => {
+                return Err(ParseError::new(
+                    format!("expected expression, found {other}"),
+                    self.offset(),
+                ))
+            }
+        };
+        self.bump();
+        Ok(Expr::Literal(literal))
     }
 
     fn parse_predicate_list(&mut self) -> ParseResult<Vec<Predicate>> {
@@ -310,41 +317,37 @@ impl Parser {
         Ok(predicates)
     }
 
+    /// The column of a predicate that must test one; `what` names the
+    /// predicate in the error.
+    fn column_operand(&self, left: Expr, what: &str) -> ParseResult<ColumnRef> {
+        match left {
+            Expr::Column(c) => Ok(c),
+            other => Err(ParseError::new(
+                format!("{what} requires a column, found {other}"),
+                self.offset(),
+            )),
+        }
+    }
+
     fn parse_predicate(&mut self) -> ParseResult<Predicate> {
         let left = self.parse_expr()?;
         // IS [NOT] NULL
         if self.eat_keyword("IS") {
             let negated = self.eat_keyword("NOT");
             self.expect_keyword("NULL")?;
-            let col = match left {
-                Expr::Column(c) => c,
-                other => {
-                    return Err(ParseError::new(
-                        format!("IS NULL requires a column, found {other}"),
-                        self.offset(),
-                    ))
-                }
-            };
+            let col = self.column_operand(left, "IS NULL")?;
             return Ok(Predicate::IsNull { col, negated });
         }
         // [NOT] IN / BETWEEN / LIKE
         let negated = self.eat_keyword("NOT");
         if self.eat_keyword("IN") {
-            let col = match left {
-                Expr::Column(c) => c,
-                other => {
-                    return Err(ParseError::new(
-                        format!("IN requires a column, found {other}"),
-                        self.offset(),
-                    ))
-                }
-            };
-            self.expect(&TokenKind::LParen)?;
+            let col = self.column_operand(left, "IN")?;
+            self.expect(TokenKind::LParen)?;
             let mut values = Vec::new();
             loop {
                 match self.bump() {
                     TokenKind::NumberLit(n) => values.push(Literal::Number(n)),
-                    TokenKind::StringLit(s) => values.push(Literal::String(s)),
+                    TokenKind::StringLit(s) => values.push(Literal::String(s.to_owned())),
                     other => {
                         return Err(ParseError::new(
                             format!("expected literal in IN list, found {other}"),
@@ -352,11 +355,11 @@ impl Parser {
                         ))
                     }
                 }
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
-            self.expect(&TokenKind::RParen)?;
+            self.expect(TokenKind::RParen)?;
             return Ok(Predicate::In {
                 col,
                 values,
@@ -364,15 +367,7 @@ impl Parser {
             });
         }
         if self.eat_keyword("BETWEEN") {
-            let col = match left {
-                Expr::Column(c) => c,
-                other => {
-                    return Err(ParseError::new(
-                        format!("BETWEEN requires a column, found {other}"),
-                        self.offset(),
-                    ))
-                }
-            };
+            let col = self.column_operand(left, "BETWEEN")?;
             let low = self.parse_literal()?;
             self.expect_keyword("AND")?;
             let high = self.parse_literal()?;
@@ -380,7 +375,7 @@ impl Parser {
         }
         if negated {
             return Err(ParseError::new(
-                "NOT is only supported before IN / BETWEEN".to_string(),
+                "NOT is only supported before IN / BETWEEN",
                 self.offset(),
             ));
         }
@@ -391,7 +386,7 @@ impl Parser {
             TokenKind::LtEq => BinOp::LtEq,
             TokenKind::Gt => BinOp::Gt,
             TokenKind::GtEq => BinOp::GtEq,
-            TokenKind::Keyword(kw) if kw == "LIKE" => BinOp::Like,
+            TokenKind::Keyword("LIKE") => BinOp::Like,
             other => {
                 return Err(ParseError::new(
                     format!("expected comparison operator, found {other}"),
@@ -406,8 +401,8 @@ impl Parser {
     fn parse_literal(&mut self) -> ParseResult<Literal> {
         match self.bump() {
             TokenKind::NumberLit(n) => Ok(Literal::Number(n)),
-            TokenKind::StringLit(s) => Ok(Literal::String(s)),
-            TokenKind::Keyword(kw) if kw == "NULL" => Ok(Literal::Null),
+            TokenKind::StringLit(s) => Ok(Literal::String(s.to_owned())),
+            TokenKind::Keyword("NULL") => Ok(Literal::Null),
             other => Err(ParseError::new(
                 format!("expected literal, found {other}"),
                 self.offset(),
@@ -417,8 +412,12 @@ impl Parser {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::TestRng;
 
     #[test]
     fn parses_example_1_query() {
@@ -526,5 +525,221 @@ mod tests {
     fn error_offsets_point_at_problem() {
         let err = parse_query("SELECT x FROM t WHERE a == 1").unwrap_err();
         assert!(err.offset >= 24, "offset was {}", err.offset);
+    }
+
+    #[test]
+    fn error_offsets_are_byte_offsets() {
+        // Each curly quote is three bytes long, so the trailing `==` starts
+        // at character 48 but at byte 52.
+        let sql = "SELECT d.name FROM d WHERE d.name = \u{2018}Databases\u{2019} ==";
+        let err = parse_query(sql).unwrap_err();
+        assert_eq!(err.message, "unexpected trailing input: =");
+        assert_eq!(err.offset, 52);
+        assert_eq!(&sql[err.offset..], "==");
+    }
+
+    /// `parse_query` against the reference on one input: equal ASTs, or
+    /// errors with equal messages at the same place (the reference counts
+    /// `char`s, `parse_query` bytes).
+    fn assert_matches_reference(sql: &str) {
+        match (parse_query(sql), reference::parse_query(sql)) {
+            (Ok(query), Ok(expected)) => assert_eq!(query, expected, "{sql:?}"),
+            (Err(err), Err(expected)) => {
+                assert_eq!(err.message, expected.message, "{sql:?}");
+                let byte = sql
+                    .char_indices()
+                    .nth(expected.offset)
+                    .map_or(sql.len(), |(i, _)| i);
+                assert_eq!(err.offset, byte, "{sql:?}: {err}");
+            }
+            (got, expected) => panic!("{sql:?}: {got:?}, reference {expected:?}"),
+        }
+    }
+
+    /// Every gold query of the benchmarks, its canonical form, and every
+    /// entry of each benchmark log scaled 10x.  The benchmark crates link
+    /// their own copy of this crate, so the queries cross over as SQL text.
+    #[test]
+    fn parser_matches_reference_on_benchmark_sql() {
+        let (mut gold, mut scaled) = (0, 0);
+        for dataset in datasets::Dataset::all() {
+            for case in &dataset.cases {
+                let sql = case.gold_sql.to_string();
+                assert_matches_reference(&sql);
+                let query = parse_query(&sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+                assert_matches_reference(&crate::canonicalize(&query).to_string());
+                gold += 1;
+            }
+            for query in datasets::scale_log(&dataset.full_log(), 10, 1).queries() {
+                assert_matches_reference(&query.to_string());
+                scaled += 1;
+            }
+        }
+        assert_eq!(gold, 449);
+        assert_eq!(scaled, 10 * gold);
+    }
+
+    /// `sql` with a few random edits: letter cases flipped, a word deleted
+    /// or duplicated, and maybe the tail cut off.
+    fn mutate(sql: &str, rng: &mut TestRng) -> String {
+        let mut words: Vec<String> = sql.split(' ').map(str::to_owned).collect();
+        for _ in 0..=rng.below(3) {
+            let i = rng.below(words.len());
+            match rng.below(3) {
+                0 => {
+                    words[i] = words[i]
+                        .chars()
+                        .map(|c| {
+                            if rng.bool() {
+                                c.to_ascii_uppercase()
+                            } else {
+                                c.to_ascii_lowercase()
+                            }
+                        })
+                        .collect()
+                }
+                1 if words.len() > 1 => {
+                    words.remove(i);
+                }
+                _ => {
+                    let word = words[i].clone();
+                    words.insert(i, word);
+                }
+            }
+        }
+        let mut sql = words.join(" ");
+        if rng.bool() {
+            let cut = rng.below(sql.len() + 1);
+            let cut = (0..=cut)
+                .rev()
+                .find(|&i| sql.is_char_boundary(i))
+                .unwrap_or(0);
+            sql.truncate(cut);
+        }
+        sql
+    }
+
+    /// The pieces random inputs are made of: keywords in several cases, also
+    /// spelled with `ſ` (long s) and `ı` (dotless i), which upper-case to
+    /// ASCII; identifiers, non-ASCII letters and digits; every quote, also
+    /// unterminated; operators and numbers the lexer rejects; and ASCII and
+    /// non-ASCII whitespace.
+    const PIECES: &[&str] = &[
+        "SELECT",
+        "select",
+        "\u{17f}elect",
+        "DISTINCT",
+        "FROM",
+        "from",
+        "WHERE",
+        "AND",
+        "aNd",
+        "OR",
+        "NOT",
+        "IS",
+        "NULL",
+        "IN",
+        "BETWEEN",
+        "LIKE",
+        "l\u{131}ke",
+        "GROUP",
+        "BY",
+        "HAVING",
+        "ORDER",
+        "ASC",
+        "DESC",
+        "LIMIT",
+        "l\u{131}m\u{131}t",
+        "AS",
+        "COUNT",
+        "count",
+        "SUM",
+        "AVG",
+        "MIN",
+        "MAX",
+        "p",
+        "t",
+        "title",
+        "p.title",
+        "a_1",
+        "_x",
+        "\u{e9}",
+        "\u{17f}",
+        "\u{131}",
+        "x\u{663}",
+        "\u{663}",
+        "stra\u{df}e",
+        "\u{212a}",
+        "?",
+        "?val",
+        "(",
+        ")",
+        ",",
+        ".",
+        "*",
+        ";",
+        "=",
+        "!=",
+        "!",
+        "<",
+        "<=",
+        "<>",
+        ">",
+        ">=",
+        "'",
+        "\"",
+        "\u{2018}",
+        "\u{2019}",
+        "'TKDE'",
+        "\"x\"",
+        "\u{2018}Databases\u{2019}",
+        "'it\u{2019}s",
+        "0",
+        "7",
+        "4.5",
+        "1.2.3",
+        "12.",
+        "2000",
+        " ",
+        "  ",
+        "\t",
+        "\r\n",
+        "\u{b}",
+        "\u{a0}",
+        "\u{2003}",
+    ];
+
+    /// A random string of up to 24 pieces, most followed by a space; half of
+    /// them start with `SELECT`.
+    fn arbitrary(rng: &mut TestRng) -> String {
+        let mut text = String::from(if rng.bool() { "SELECT " } else { "" });
+        for _ in 0..rng.below(25) {
+            text.push_str(PIECES[rng.below(PIECES.len())]);
+            if rng.below(3) > 0 {
+                text.push(' ');
+            }
+        }
+        text
+    }
+
+    proptest::proptest! {
+        /// Rendered random queries, random edits of them, and arbitrary
+        /// strings over ASCII and non-ASCII pieces of SQL.
+        #[test]
+        fn parser_matches_reference_on_random_input(
+            query in proptest::prop_oneof![
+                crate::common::query_strategy(),
+                crate::canon::tests::bound_queries(),
+            ],
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let sql = query.to_string();
+            assert_matches_reference(&sql);
+            let mut rng = TestRng::from_seed(seed);
+            for _ in 0..16 {
+                assert_matches_reference(&mutate(&sql, &mut rng));
+                assert_matches_reference(&arbitrary(&mut rng));
+            }
+        }
     }
 }

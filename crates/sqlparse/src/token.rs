@@ -2,16 +2,17 @@
 
 use std::fmt;
 
-/// The kind of a SQL token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
-    /// A SQL keyword (`SELECT`, `FROM`, ...), stored upper-cased.
-    Keyword(String),
+/// The kind of a SQL token.  Text payloads borrow from the lexed input.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'a> {
+    /// A SQL keyword (`SELECT`, `FROM`, ...): the upper-case entry of
+    /// [`KEYWORDS`].
+    Keyword(&'static str),
     /// An identifier (relation, attribute or alias name), stored as written
     /// but compared case-insensitively by the parser.
-    Ident(String),
+    Ident(&'a str),
     /// A quoted string literal, with quotes removed.
-    StringLit(String),
+    StringLit(&'a str),
     /// A numeric literal.
     NumberLit(f64),
     /// `,`
@@ -42,7 +43,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Keyword(k) => write!(f, "{k}"),
@@ -67,10 +68,10 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token together with its byte offset in the input (for error messages).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
     /// The token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte offset of the first character of the token in the input string.
     pub offset: usize,
 }
@@ -82,10 +83,44 @@ pub const KEYWORDS: &[&str] = &[
     "NULL", "AS",
 ];
 
+/// For each length, one bit per letter that starts a keyword of that
+/// length, so that most identifiers skip the scan of [`KEYWORDS`].  Every
+/// keyword is upper-case ASCII and at most 8 bytes long (a longer one fails
+/// to compile here).
+const STARTS: [u32; 9] = {
+    let mut starts = [0; 9];
+    let mut i = 0;
+    while i < KEYWORDS.len() {
+        let k = KEYWORDS[i].as_bytes();
+        starts[k.len()] |= 1 << (k[0] - b'A');
+        i += 1;
+    }
+    starts
+};
+
+/// The entry of [`KEYWORDS`] that `word` upper-cases to, if any.  An ASCII
+/// word is compared ignoring ASCII case; any other goes through
+/// `to_uppercase`, under which `ſelect` is `SELECT`.
+pub(crate) fn keyword(word: &str) -> Option<&'static str> {
+    if word.is_ascii() {
+        let letter = word.bytes().next()?.to_ascii_uppercase().wrapping_sub(b'A');
+        let starts = STARTS.get(word.len()).copied().unwrap_or(0);
+        if letter >= 26 || starts & (1 << letter) == 0 {
+            return None;
+        }
+        KEYWORDS
+            .iter()
+            .find(|k| k.eq_ignore_ascii_case(word))
+            .copied()
+    } else {
+        let upper = word.to_uppercase();
+        KEYWORDS.iter().find(|k| **k == upper).copied()
+    }
+}
+
 /// True when `word` (any case) is a reserved keyword.
 pub fn is_keyword(word: &str) -> bool {
-    let upper = word.to_uppercase();
-    KEYWORDS.iter().any(|k| *k == upper)
+    keyword(word).is_some()
 }
 
 #[cfg(test)]
@@ -103,6 +138,21 @@ mod tests {
     #[test]
     fn token_display_round_trips_symbols() {
         assert_eq!(TokenKind::LtEq.to_string(), "<=");
-        assert_eq!(TokenKind::StringLit("TKDE".into()).to_string(), "'TKDE'");
+        assert_eq!(TokenKind::StringLit("TKDE").to_string(), "'TKDE'");
+    }
+
+    #[test]
+    fn keyword_returns_the_table_entry_in_any_case() {
+        for &k in KEYWORDS {
+            assert_eq!(keyword(k), Some(k));
+            assert_eq!(keyword(&k.to_lowercase()), Some(k));
+        }
+        for word in ["", "_", "?x", "a", "name", "SELECTS", "Sel", "ORDERS", "x1"] {
+            assert_eq!(keyword(word), None, "{word}");
+        }
+        // `ſ` (long s) upper-cases to `S` and `ı` (dotless i) to `I`.
+        assert_eq!(keyword("ſelect"), Some("SELECT"));
+        assert_eq!(keyword("lımıt"), Some("LIMIT"));
+        assert_eq!(keyword("sélect"), None);
     }
 }

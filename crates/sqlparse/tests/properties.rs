@@ -42,4 +42,14 @@ proptest! {
     fn lexer_never_panics(input in ".{0,200}") {
         let _ = sqlparse::Lexer::tokenize(&input);
     }
+
+    /// The parser never panics on arbitrary input, ASCII or not, also past
+    /// a valid start.
+    #[test]
+    fn parser_never_panics(
+        start in prop_oneof![Just(""), Just("SELECT "), Just("SELECT t.a FROM t WHERE ")],
+        input in "[ -~\u{a0}\u{e9}\u{17f}\u{131}\u{663}\u{2018}\u{2019}]{0,200}",
+    ) {
+        let _ = parse_query(&format!("{start}{input}"));
+    }
 }
