@@ -25,7 +25,8 @@ pub enum ServiceError {
     /// failing, so writes are refused instead of queued into a wedged
     /// journal.  Translations and observability keep serving.
     Degraded,
-    /// The ingestion worker thread could not be spawned.
+    /// A service thread (the ingestion worker, or recovery's snapshot
+    /// decoder) could not be spawned.
     Spawn(std::io::Error),
 }
 
@@ -46,7 +47,7 @@ impl fmt::Display for ServiceError {
             ServiceError::Degraded => {
                 write!(f, "service is degraded (read-only): journal is failing")
             }
-            ServiceError::Spawn(e) => write!(f, "failed to spawn ingestion worker: {e}"),
+            ServiceError::Spawn(e) => write!(f, "failed to spawn a service thread: {e}"),
         }
     }
 }
@@ -197,7 +198,7 @@ impl From<ServiceError> for ApiError {
             },
             ServiceError::Degraded => ApiError::Degraded,
             ServiceError::Spawn(e) => ApiError::Durability {
-                detail: format!("failed to spawn ingestion worker: {e}"),
+                detail: format!("failed to spawn a service thread: {e}"),
             },
         }
     }

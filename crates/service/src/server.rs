@@ -36,7 +36,7 @@ use crate::error::{ServiceError, WalError};
 use crate::ingest::IngestQueue;
 use crate::metrics::{HealthState, ServiceMetrics};
 use crate::slowlog::SlowQueryLog;
-use crate::snapshot;
+use crate::snapshot::{self, Snapshot, SnapshotHeader};
 use crate::storage::{FsStorage, Storage};
 use crate::transcache::{request_key, CachedTranslation, TranslationCache};
 use crate::wal::{self, WalWriter};
@@ -258,7 +258,9 @@ impl TemplarService {
     /// 1. load the latest valid snapshot (`dir/snapshot.templar`) if one
     ///    exists, taking its journal **watermark** from the header,
     /// 2. replay the write-ahead journal tail (`dir/wal/`) above the
-    ///    watermark — a torn final record is truncated, not fatal, and
+    ///    watermark — a torn final record is truncated, not fatal — while
+    ///    the snapshot body decodes (see
+    ///    [`recover_with_storage`](Self::recover_with_storage)), and
     /// 3. resume journaling on a fresh segment.
     ///
     /// An empty (or absent) directory bootstraps a fresh durable service, so
@@ -288,6 +290,26 @@ impl TemplarService {
     /// similarity model — the seam the chaos tests inject faults through.
     /// Every durable byte this service reads or writes (snapshot, journal,
     /// lock file, directory fsyncs) crosses `storage`.
+    ///
+    /// Recovery runs on two threads when a snapshot exists.  The calling
+    /// thread reads the snapshot header (magic, version, obscurity,
+    /// watermark); a helper thread then decodes the snapshot body from the
+    /// already-open reader while the calling thread lists the journal and
+    /// reads and parses the records above the watermark.  After the join,
+    /// the parsed tail is ingested into the decoded graph in sequence
+    /// order, so the recovered log, QFG and metrics are those of a
+    /// one-thread recovery.
+    ///
+    /// Every `Storage` call is made from the calling thread, in one fixed
+    /// order.  Apart from the lock and the sweep of orphaned snapshot temp
+    /// files, nothing in `dir` changes before the snapshot is accepted: a
+    /// torn final journal record is cut only after the body has decoded,
+    /// so a failed recovery leaves the loss for the next one to report.
+    /// When both the snapshot and the journal are damaged, the snapshot's
+    /// error is returned, and a header the service cannot use
+    /// ([`SnapshotError::BadMagic`](crate::SnapshotError::BadMagic),
+    /// `UnsupportedVersion`, `ObscurityMismatch`) is refused before the
+    /// journal is listed.  A panic on the helper is re-raised here.
     pub fn recover_with_storage(
         db: Arc<Database>,
         dir: &Path,
@@ -324,44 +346,80 @@ impl TemplarService {
             }
         }
         let snapshot_path = dir.join(SNAPSHOT_FILE);
-        let (mut log, mut qfg, watermark) = if storage.exists(&snapshot_path) {
-            let (snap, watermark) = snapshot::read_snapshot_from(
+        let header = if storage.exists(&snapshot_path) {
+            Some(snapshot::read_header(
                 storage.as_ref(),
                 &snapshot_path,
                 templar_config.obscurity,
-            )?;
-            (snap.log, snap.qfg, watermark)
+            )?)
         } else {
-            (
-                QueryLog::new(),
-                QueryFragmentGraph::empty(templar_config.obscurity),
-                0,
-            )
+            None
         };
+        let watermark = header.as_ref().map_or(0, SnapshotHeader::watermark);
         let snapshot_body_bytes = storage.file_len(&snapshot_path).ok();
         let wal_dir = dir.join(WAL_DIR);
-        // Replay the journal tail in bounded batches: ingest applies each
-        // batch to the graph's delta log, so recovery's decoded-entry
-        // footprint stays at `recovery_batch_bytes` (plus one oversized
-        // record) no matter how long the tail is.
+        let mut tail = Vec::new();
         let mut replay_parse_errors = 0u64;
-        let stats = wal::replay_batched_with(
-            storage.as_ref(),
-            &wal_dir,
-            watermark,
-            service_config.recovery_batch_bytes,
-            &mut |batch| {
-                for (_seq, sql) in batch {
-                    match parse_query(sql) {
-                        Ok(query) => {
-                            qfg.ingest(&query);
-                            log.push(query);
-                        }
-                        Err(_) => replay_parse_errors += 1,
-                    }
-                }
+        let (body, replayed) = std::thread::scope(|scope| {
+            // A helper thread decodes the body from the open reader while
+            // this thread reads the journal.  Reading through an open handle
+            // makes no `Storage` call, so every call stays on this thread.
+            let helper = header
+                .map(|header| {
+                    std::thread::Builder::new()
+                        .name("templar-decode".to_string())
+                        .spawn_scoped(scope, move || header.read_body())
+                })
+                .transpose()
+                .map_err(ServiceError::Spawn)?;
+            // Read and parse the journal tail in bounded batches: the raw
+            // records held at once stay within `recovery_batch_bytes` (plus
+            // one oversized record) no matter how long the tail is.  Parsing
+            // needs nothing from the snapshot, so the parsed tail waits for
+            // the graph.
+            let replayed = wal::list_segments(storage.as_ref(), &wal_dir)
+                .map_err(WalError::Io)
+                .and_then(|segments| {
+                    wal::read_segments_with(
+                        storage.as_ref(),
+                        &segments,
+                        watermark,
+                        service_config.recovery_batch_bytes,
+                        &mut |batch| {
+                            for (_seq, sql) in batch {
+                                match parse_query(sql) {
+                                    Ok(query) => tail.push(query),
+                                    Err(_) => replay_parse_errors += 1,
+                                }
+                            }
+                        },
+                    )
+                });
+            let body = helper.map(|helper| {
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            });
+            Ok::<_, ServiceError>((body, replayed))
+        })?;
+        // The snapshot's error outranks the journal's, and the journal
+        // changes only once the snapshot is accepted: a failed recovery
+        // that had cut the torn tail would hide that loss from the next.
+        let Snapshot { mut log, mut qfg } = match body {
+            Some(body) => body?,
+            None => Snapshot {
+                log: QueryLog::new(),
+                qfg: QueryFragmentGraph::empty(templar_config.obscurity),
             },
-        )?;
+        };
+        let (stats, torn_tail) = replayed?;
+        if let Some(torn_tail) = torn_tail {
+            torn_tail.cut_with(storage.as_ref())?;
+        }
+        for query in tail {
+            qfg.ingest(&query);
+            log.push(query);
+        }
         let replay_count = stats.replayed;
         let applied_seq = stats.next_seq - 1;
         let writer = WalWriter::create_with(

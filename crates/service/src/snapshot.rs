@@ -68,6 +68,12 @@
 //! the watermark.  Snapshots written outside the durable path omit the
 //! token; readers treat that as watermark 0.
 //!
+//! Inside the crate, `read_header` reads and checks the header line alone
+//! and returns a `SnapshotHeader` holding the open reader, whose
+//! `read_body` decodes the rest.  Recovery thus learns the watermark first
+//! and decodes the body on a helper thread while it reads the journal.
+//! [`read_snapshot_from`] is the two in sequence.
+//!
 //! Writes go through a *uniquely named* sibling temp file (pid + a
 //! process-wide counter, so concurrent saves — even of targets sharing a
 //! file stem, like `mas.v1` / `mas.v2` — never collide), are fsynced, and
@@ -77,7 +83,7 @@
 //! name.
 
 use crate::error::SnapshotError;
-use crate::storage::Storage;
+use crate::storage::{Storage, StorageRead};
 use crate::wal::crc32;
 use serde::{Deserialize, Serialize, Value};
 use sqlparse::Query;
@@ -265,29 +271,17 @@ fn write_framed(
     Ok((SECTION_FRAME_HEADER + body.len()) as u64)
 }
 
-/// One framed section, CRC-validated: its name and its undecoded payload.
-struct Section {
-    name: String,
-    body: Vec<u8>,
-    payload_at: usize,
-}
-
-impl Section {
-    fn payload(&self) -> &[u8] {
-        &self.body[self.payload_at..]
-    }
-
-    /// The payload as one binary value tree.
-    fn value(&self) -> Result<Value, SnapshotError> {
-        serde::decode_value(self.payload())
-            .map_err(|e| SnapshotError::Corrupt(format!("section `{}`: {e}", self.name)))
-    }
-}
-
-/// Read one framed section: validates the length bound and the CRC before
-/// the payload is decoded, so torn or bit-flipped sections surface as
-/// [`SnapshotError::Corrupt`] without any decoding work.
-fn read_section(reader: &mut impl Read) -> Result<Section, SnapshotError> {
+/// Read the next framed section into `body`, a buffer reused for every
+/// section of a snapshot, and return its payload.  Sections come in a fixed
+/// order, so the caller names the one it expects (`want`).  The length
+/// bound, the CRC and the name are checked before the payload is decoded,
+/// so torn or bit-flipped sections surface as [`SnapshotError::Corrupt`]
+/// without any decoding work.
+fn read_section<'a>(
+    reader: &mut impl Read,
+    body: &'a mut Vec<u8>,
+    want: &str,
+) -> Result<&'a [u8], SnapshotError> {
     let mut frame = [0u8; SECTION_FRAME_HEADER];
     reader.read_exact(&mut frame).map_err(eof_is_torn)?;
     let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
@@ -297,9 +291,10 @@ fn read_section(reader: &mut impl Read) -> Result<Section, SnapshotError> {
             "section frame length {len} out of range"
         )));
     }
-    let mut body = vec![0u8; len as usize];
-    reader.read_exact(&mut body).map_err(eof_is_torn)?;
-    if crc32(&body) != stored_crc {
+    body.clear();
+    body.resize(len as usize, 0);
+    reader.read_exact(body).map_err(eof_is_torn)?;
+    if crc32(body) != stored_crc {
         return Err(SnapshotError::Corrupt("section CRC mismatch".to_string()));
     }
     let name_len = u16::from_le_bytes([body[0], body[1]]) as usize;
@@ -309,13 +304,23 @@ fn read_section(reader: &mut impl Read) -> Result<Section, SnapshotError> {
         ));
     }
     let name = std::str::from_utf8(&body[2..2 + name_len])
-        .map_err(|_| SnapshotError::Corrupt("section name is not UTF-8".to_string()))?
-        .to_string();
-    Ok(Section {
-        name,
-        body,
-        payload_at: 2 + name_len,
-    })
+        .map_err(|_| SnapshotError::Corrupt("section name is not UTF-8".to_string()))?;
+    if name != want {
+        return Err(SnapshotError::Corrupt(format!(
+            "expected section `{want}`, found `{name}`"
+        )));
+    }
+    Ok(&body[2 + name_len..])
+}
+
+/// Read the next section, named `name`, as one binary value tree.
+fn read_value(
+    reader: &mut impl Read,
+    body: &mut Vec<u8>,
+    name: &str,
+) -> Result<Value, SnapshotError> {
+    serde::decode_value(read_section(reader, body, name)?)
+        .map_err(|e| SnapshotError::Corrupt(format!("section `{name}`: {e}")))
 }
 
 /// A short read inside a section frame is a torn snapshot, not an I/O fault
@@ -338,6 +343,32 @@ pub fn read_snapshot_from(
     path: &Path,
     expected: Obscurity,
 ) -> Result<(Snapshot, u64), SnapshotError> {
+    let header = read_header(storage, path, expected)?;
+    let watermark = header.watermark;
+    Ok((header.read_body()?, watermark))
+}
+
+/// A snapshot whose header line was read and accepted, its reader standing
+/// at the first section of the body.  The watermark is known before any of
+/// the (potentially large) body is read, and the body may be decoded on
+/// another thread: reading through the open handle makes no further
+/// [`Storage`] call.
+#[derive(Debug)]
+pub(crate) struct SnapshotHeader {
+    reader: BufReader<Box<dyn StorageRead>>,
+    obscurity: Obscurity,
+    sections: u64,
+    watermark: u64,
+}
+
+/// Open a snapshot through `storage` and read its header line only,
+/// rejecting wrong magic, unsupported versions and an obscurity level other
+/// than `expected` before any of the body is read.
+pub(crate) fn read_header(
+    storage: &dyn Storage,
+    path: &Path,
+    expected: Obscurity,
+) -> Result<SnapshotHeader, SnapshotError> {
     let file = storage.open_read(path)?;
     let mut reader = BufReader::new(file);
     let mut line = Vec::new();
@@ -396,105 +427,111 @@ pub fn read_snapshot_from(
     }
     let sections = sections
         .ok_or_else(|| SnapshotError::Corrupt("header is missing its section count".to_string()))?;
-    let snapshot = read_body(&mut reader, sections, obscurity)?;
-    Ok((snapshot, watermark))
+    Ok(SnapshotHeader {
+        reader,
+        obscurity,
+        sections,
+        watermark,
+    })
 }
 
-/// Decode the sectioned body: sections arrive in the fixed order the
-/// writer produces, each CRC-validated before decoding, with the section
-/// count cross-checked against the header and the `meta` section and a
-/// trailing-garbage probe after the final section.
-fn read_body(
-    reader: &mut impl Read,
-    sections: u64,
-    obscurity: Obscurity,
-) -> Result<Snapshot, SnapshotError> {
-    let mut expect = |want: &str| -> Result<Section, SnapshotError> {
-        let section = read_section(reader)?;
-        if section.name != want {
+impl SnapshotHeader {
+    /// The highest journal sequence number the snapshot covers (0 when it
+    /// was written outside the durable path).
+    pub(crate) fn watermark(&self) -> u64 {
+        self.watermark
+    }
+
+    /// Decode the sectioned body: sections arrive in the fixed order the
+    /// writer produces, each CRC-validated before decoding, with the
+    /// section count cross-checked against the header and the `meta`
+    /// section and a trailing-garbage probe after the final section.
+    pub(crate) fn read_body(mut self) -> Result<Snapshot, SnapshotError> {
+        let (sections, obscurity) = (self.sections, self.obscurity);
+        let reader = &mut self.reader;
+        // One buffer holds each section in turn: a buffer per section would
+        // take fresh pages from the allocator for every log chunk.
+        let mut body = Vec::new();
+        let meta = read_value(reader, &mut body, "meta")?;
+        let meta_fields = meta
+            .as_map()
+            .ok_or_else(|| SnapshotError::Corrupt("meta section is not a map".to_string()))?;
+        let meta_u64 = |key: &str| -> Result<u64, SnapshotError> {
+            meta_fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .and_then(|(_, v)| v.as_u64())
+                .ok_or_else(|| SnapshotError::Corrupt(format!("meta section is missing `{key}`")))
+        };
+        let meta_obscurity = meta_fields
+            .iter()
+            .find(|(k, _)| k == "obscurity")
+            .and_then(|(_, v)| v.as_str())
+            .ok_or_else(|| {
+                SnapshotError::Corrupt("meta section is missing `obscurity`".to_string())
+            })?;
+        // The header line is outside any CRC; the meta section repeats the
+        // obscurity *inside* one, so a flipped header byte cannot silently
+        // serve counts captured at another level.
+        if meta_obscurity != obscurity.name() {
+            return Err(SnapshotError::Corrupt(
+                "body obscurity disagrees with header".to_string(),
+            ));
+        }
+        let log_len = meta_u64("log_len")?;
+        let log_chunks = meta_u64("log_chunks")?;
+        let query_count = meta_u64("query_count")?;
+        if sections != 5 + log_chunks {
             return Err(SnapshotError::Corrupt(format!(
-                "expected section `{want}`, found `{}`",
-                section.name
+                "header promises {sections} sections but meta implies {}",
+                5 + log_chunks
             )));
         }
-        Ok(section)
-    };
-    let meta = expect("meta")?.value()?;
-    let meta_fields = meta
-        .as_map()
-        .ok_or_else(|| SnapshotError::Corrupt("meta section is not a map".to_string()))?;
-    let meta_u64 = |key: &str| -> Result<u64, SnapshotError> {
-        meta_fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_u64())
-            .ok_or_else(|| SnapshotError::Corrupt(format!("meta section is missing `{key}`")))
-    };
-    let meta_obscurity = meta_fields
-        .iter()
-        .find(|(k, _)| k == "obscurity")
-        .and_then(|(_, v)| v.as_str())
-        .ok_or_else(|| SnapshotError::Corrupt("meta section is missing `obscurity`".to_string()))?;
-    // The header line is outside any CRC; the meta section repeats the
-    // obscurity *inside* one, so a flipped header byte cannot silently
-    // serve counts captured at another level.
-    if meta_obscurity != obscurity.name() {
-        return Err(SnapshotError::Corrupt(
-            "body obscurity disagrees with header".to_string(),
-        ));
-    }
-    let log_len = meta_u64("log_len")?;
-    let log_chunks = meta_u64("log_chunks")?;
-    let query_count = meta_u64("query_count")?;
-    if sections != 5 + log_chunks {
-        return Err(SnapshotError::Corrupt(format!(
-            "header promises {sections} sections but meta implies {}",
-            5 + log_chunks
-        )));
-    }
-    let mut queries: Vec<Query> = Vec::with_capacity(log_len.min(1 << 20) as usize);
-    for chunk in 0..log_chunks {
-        let section = expect(&format!("log/{chunk}"))?;
-        let corrupt = |e: serde::Error| SnapshotError::Corrupt(format!("log chunk {chunk}: {e}"));
-        // Straight from the bytes into each `Query`: no value tree.
-        let mut decoder = serde::Decoder::new(section.payload());
-        let count = decoder.seq_len("log chunk").map_err(corrupt)?;
-        decoder.enter();
-        for _ in 0..count {
-            queries.push(Query::decode(&mut decoder).map_err(corrupt)?);
+        let mut queries: Vec<Query> = Vec::with_capacity(log_len.min(1 << 20) as usize);
+        for chunk in 0..log_chunks {
+            let payload = read_section(reader, &mut body, &format!("log/{chunk}"))?;
+            let corrupt =
+                |e: serde::Error| SnapshotError::Corrupt(format!("log chunk {chunk}: {e}"));
+            // Straight from the bytes into each `Query`: no value tree.
+            let mut decoder = serde::Decoder::new(payload);
+            let count = decoder.seq_len("log chunk").map_err(corrupt)?;
+            decoder.enter();
+            for _ in 0..count {
+                queries.push(Query::decode(&mut decoder).map_err(corrupt)?);
+            }
+            decoder.leave();
+            decoder.finish().map_err(corrupt)?;
         }
-        decoder.leave();
-        decoder.finish().map_err(corrupt)?;
+        if queries.len() as u64 != log_len {
+            return Err(SnapshotError::Corrupt(format!(
+                "log sections hold {} queries, meta promises {log_len}",
+                queries.len()
+            )));
+        }
+        let fragments = read_value(reader, &mut body, "qfg/fragments")?;
+        let occurrences = read_value(reader, &mut body, "qfg/occurrences")?;
+        let adjacency = read_value(reader, &mut body, "qfg/adjacency")?;
+        let runs = read_value(reader, &mut body, "qfg/runs")?;
+        let mut probe = [0u8; 1];
+        if reader.read(&mut probe)? != 0 {
+            return Err(SnapshotError::Corrupt(
+                "trailing bytes after the final section".to_string(),
+            ));
+        }
+        let qfg = QueryFragmentGraph::from_sections(
+            obscurity,
+            query_count,
+            &fragments,
+            &occurrences,
+            &adjacency,
+            &runs,
+        )
+        .map_err(SnapshotError::Corrupt)?;
+        Ok(Snapshot {
+            log: QueryLog::from_queries(queries),
+            qfg,
+        })
     }
-    if queries.len() as u64 != log_len {
-        return Err(SnapshotError::Corrupt(format!(
-            "log sections hold {} queries, meta promises {log_len}",
-            queries.len()
-        )));
-    }
-    let fragments = expect("qfg/fragments")?.value()?;
-    let occurrences = expect("qfg/occurrences")?.value()?;
-    let adjacency = expect("qfg/adjacency")?.value()?;
-    let runs = expect("qfg/runs")?.value()?;
-    let mut probe = [0u8; 1];
-    if reader.read(&mut probe)? != 0 {
-        return Err(SnapshotError::Corrupt(
-            "trailing bytes after the final section".to_string(),
-        ));
-    }
-    let qfg = QueryFragmentGraph::from_sections(
-        obscurity,
-        query_count,
-        &fragments,
-        &occurrences,
-        &adjacency,
-        &runs,
-    )
-    .map_err(SnapshotError::Corrupt)?;
-    Ok(Snapshot {
-        log: QueryLog::from_queries(queries),
-        qfg,
-    })
 }
 
 fn parse_obscurity(name: &str) -> Option<Obscurity> {

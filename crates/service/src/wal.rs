@@ -51,6 +51,11 @@
 //! bytes the journal once promised are gone, which *is* fatal
 //! ([`WalError::Corrupt`]).
 //!
+//! The replay is three steps, which service recovery runs apart so that
+//! the journal changes only once the snapshot under it has been accepted:
+//! `list_segments`, `read_segments_with` (which changes nothing on disk)
+//! and `TornTail::cut_with`.
+//!
 //! [`gc_segments_with`] deletes segments wholly covered by the watermark;
 //! the active (final) segment is never deleted.
 
@@ -139,10 +144,16 @@ fn parse_segment_name(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// The segment files under `dir`, sorted by first sequence number.
-fn list_segments(storage: &dyn Storage, dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+/// The segment files under `dir` as `(first seq, path)`, sorted by first
+/// sequence number.  A missing directory lists none.
+pub(crate) fn list_segments(storage: &dyn Storage, dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+    let names = match storage.list_dir(dir) {
+        Ok(names) => names,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
     let mut segments = Vec::new();
-    for name in storage.list_dir(dir)? {
+    for name in names {
         if let Some(first) = parse_segment_name(&name) {
             segments.push((first, dir.join(name)));
         }
@@ -419,7 +430,8 @@ pub struct WalReplayStats {
     /// The sequence number the next append must receive (one past the last
     /// record on disk, whether or not it was above the watermark).
     pub next_seq: u64,
-    /// Bytes cut off the final segment's torn tail (0 on a clean journal).
+    /// Bytes past the final segment's last whole record (0 on a clean
+    /// journal), which [`replay_batched_with`] cuts off.
     pub truncated_bytes: u64,
     /// Entries above the watermark handed to the sink, across all batches.
     pub replayed: u64,
@@ -432,21 +444,33 @@ pub struct WalReplayStats {
     pub batches: u64,
 }
 
+/// A torn final record that [`read_segments_with`] found and left on disk.
+#[derive(Debug)]
+pub(crate) struct TornTail {
+    path: PathBuf,
+    valid_len: u64,
+}
+
+impl TornTail {
+    /// Cut the final segment back to its last whole record, so future
+    /// replays (and appends to a later segment) never see the partial frame
+    /// again.
+    pub(crate) fn cut_with(self, storage: &dyn Storage) -> Result<(), WalError> {
+        let mut file = storage.open_write(&self.path)?;
+        file.set_len(self.valid_len)?;
+        file.sync_all()?;
+        Ok(())
+    }
+}
+
 /// Accounted in-memory cost of one decoded entry: the SQL payload plus the
 /// tuple bookkeeping it rides in.
 const ENTRY_OVERHEAD: usize = std::mem::size_of::<(u64, String)>();
 
-/// Replay the journal tail above `watermark` in bounded-memory batches.
-///
-/// Decoded entries accumulate until admitting the next one would push the
-/// batch past `batch_budget_bytes`; the batch is then handed to `sink` and
-/// the buffer reused.  A single entry larger than the whole budget still
-/// flows through as a batch of one, so the bound on decoded-entry memory is
-/// `max(batch_budget_bytes, largest entry)` — never the size of the tail.
-/// Segments are checked for contiguity (gaps wholly at or below the
-/// watermark are benign), and a torn final record is physically truncated.
-/// An empty or missing journal directory replays to nothing with
-/// `next_seq = watermark + 1` — a fresh service.
+/// Replay the journal tail above `watermark` in bounded-memory batches, and
+/// cut a torn final record: `list_segments`, `read_segments_with` and
+/// `TornTail::cut_with` in sequence.  An empty or missing journal directory
+/// replays to nothing with `next_seq = watermark + 1` — a fresh service.
 pub fn replay_batched_with(
     storage: &dyn Storage,
     dir: &Path,
@@ -454,11 +478,34 @@ pub fn replay_batched_with(
     batch_budget_bytes: usize,
     sink: &mut dyn FnMut(&[ReplayedEntry]),
 ) -> Result<WalReplayStats, WalError> {
-    let segments = match list_segments(storage, dir) {
-        Ok(segments) => segments,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(WalError::Io(e)),
-    };
+    let segments = list_segments(storage, dir)?;
+    let (stats, torn_tail) =
+        read_segments_with(storage, &segments, watermark, batch_budget_bytes, sink)?;
+    if let Some(torn_tail) = torn_tail {
+        torn_tail.cut_with(storage)?;
+    }
+    Ok(stats)
+}
+
+/// Read the listed `segments` (from [`list_segments`]) and hand the
+/// records above `watermark` to `sink` in bounded-memory batches, changing
+/// nothing on disk.
+///
+/// Decoded entries accumulate until admitting the next one would push the
+/// batch past `batch_budget_bytes`; the batch is then handed to `sink` and
+/// the buffer reused.  A single entry larger than the whole budget still
+/// flows through as a batch of one, so the bound on decoded-entry memory is
+/// `max(batch_budget_bytes, largest entry)` — never the size of the tail.
+/// Segments are checked for contiguity (gaps wholly at or below the
+/// watermark are benign).  A torn final record is skipped and returned as a
+/// [`TornTail`] for the caller to cut once nothing else can fail.
+pub(crate) fn read_segments_with(
+    storage: &dyn Storage,
+    segments: &[(u64, PathBuf)],
+    watermark: u64,
+    batch_budget_bytes: usize,
+    sink: &mut dyn FnMut(&[ReplayedEntry]),
+) -> Result<(WalReplayStats, Option<TornTail>), WalError> {
     let mut batch: Vec<(u64, String)> = Vec::new();
     let mut batch_bytes = 0usize;
     let mut replayed = 0u64;
@@ -466,6 +513,7 @@ pub fn replay_batched_with(
     let mut batches = 0u64;
     let mut next_seq = watermark + 1;
     let mut truncated_bytes = 0u64;
+    let mut torn_tail = None;
     for (index, (first_seq, path)) in segments.iter().enumerate() {
         let is_last = index + 1 == segments.len();
         let name = path
@@ -507,13 +555,13 @@ pub fn replay_batched_with(
         let bytes = storage.read(path).map_err(WalError::Io)?;
         let (records, valid_len) = parse_segment(&bytes, &name, is_last)?;
         if valid_len < bytes.len() as u64 {
-            // Torn tail on the final segment: cut the file back to the last
-            // whole record so future replays (and appends to a later
-            // segment) never see the partial frame again.
+            // Torn tail on the final segment: parse_segment only allows it
+            // there, so this is the last file read.
             truncated_bytes = bytes.len() as u64 - valid_len;
-            let mut file = storage.open_write(path).map_err(WalError::Io)?;
-            file.set_len(valid_len).map_err(WalError::Io)?;
-            file.sync_all().map_err(WalError::Io)?;
+            torn_tail = Some(TornTail {
+                path: path.clone(),
+                valid_len,
+            });
         }
         for sql in records {
             let seq = next_seq;
@@ -538,13 +586,14 @@ pub fn replay_batched_with(
         batches += 1;
         sink(&batch);
     }
-    Ok(WalReplayStats {
+    let stats = WalReplayStats {
         next_seq: next_seq.max(watermark + 1),
         truncated_bytes,
         replayed,
         peak_batch_bytes,
         batches,
-    })
+    };
+    Ok((stats, torn_tail))
 }
 
 /// Walk one segment's frames.  Returns the decoded records and the byte
@@ -636,11 +685,7 @@ fn parse_segment(bytes: &[u8], name: &str, is_last: bool) -> Result<(Vec<String>
 /// The final segment is never deleted (its end is unknown and the writer
 /// owns it).  Returns the number of segments removed.
 pub fn gc_segments_with(storage: &dyn Storage, dir: &Path, watermark: u64) -> io::Result<usize> {
-    let segments = match list_segments(storage, dir) {
-        Ok(segments) => segments,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
-    };
+    let segments = list_segments(storage, dir)?;
     let mut removed = 0;
     for pair in segments.windows(2) {
         let (_, ref path) = pair[0];

@@ -6,8 +6,9 @@
 //! * crash recovery of a scaled log replays the journal in bounded-memory
 //!   batches — the peak decoded batch stays within the configured budget —
 //!   and the recovered service answers byte-identically, its QFG equal to
-//!   the QFG built from the log, whether recovered from the journal or from
-//!   a snapshot,
+//!   the QFG built from the log, whether recovered from the journal, from
+//!   a snapshot, or from a snapshot plus a journal tail above its
+//!   watermark (the restart shape, with an unparsable and a torn record),
 //! * the v4 log sections' streaming codec writes the `Value` path's bytes
 //!   for every logged query.
 //!
@@ -23,7 +24,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use templar_core::{QueryFragmentGraph, QueryLog, TemplarConfig};
-use templar_service::{ServiceConfig, TemplarService};
+use templar_service::snapshot::read_snapshot_from;
+use templar_service::{FsStorage, ServiceConfig, TemplarService, WAL_DIR};
 
 /// A durable directory in the system temp dir, removed on drop — also when
 /// a failing assertion unwinds past it.
@@ -189,6 +191,119 @@ fn mas_100x_recovers_within_a_64kib_batch_budget_byte_identically() {
 #[ignore = "full-scale acceptance run; executed explicitly by CI in release mode"]
 fn mas_1000x_recovers_within_a_256kib_batch_budget_byte_identically() {
     scaled_mas_recovery_roundtrip(1000, 256 * 1024);
+}
+
+/// The restart shape at scale: a large snapshot plus a journal tail above
+/// its watermark, so recovery decodes the one while it reads the other.
+/// The first half of the scaled log is checkpointed; the second half is
+/// journaled with one unparsable record in its middle, and its final record
+/// is torn.  Recovery must hold exactly the surviving parsed log, in order,
+/// and the QFG built from it.
+fn scaled_mas_snapshot_and_torn_tail_recovery(factor: usize, batch_budget: usize) {
+    let mas = Dataset::mas();
+    let obscurity = TemplarConfig::paper_defaults().obscurity;
+    let scaled = scale_log(&mas.full_log(), factor, 0x7A11 + factor as u64);
+    let sql: Vec<String> = scaled.queries().iter().map(|q| q.to_string()).collect();
+    let (head, tail) = sql.split_at(sql.len() / 2);
+    let dir = TempDir::new(&format!("restart-{factor}x"));
+    let image = TempDir::new(&format!("restart-{factor}x-image"));
+    let config = ServiceConfig::default()
+        .with_queue_capacity(sql.len())
+        .with_refresh_every(sql.len() / 4)
+        .with_recovery_batch_bytes(batch_budget);
+    let service = TemplarService::recover(
+        Arc::clone(&mas.db),
+        &dir.0,
+        TemplarConfig::paper_defaults(),
+        config.clone(),
+    )
+    .unwrap();
+    for entry in head {
+        service.submit_sql(entry).unwrap();
+    }
+    service.flush();
+    assert_eq!(service.checkpoint().unwrap(), head.len() as u64);
+    for (i, entry) in tail.iter().enumerate() {
+        if i == tail.len() / 2 {
+            service.submit_sql("THIS IS NOT SQL AT ALL").unwrap();
+        }
+        service.submit_sql(entry).unwrap();
+    }
+    service.flush();
+    copy_dir(&dir.0, &image.0); // kill -9 with the tail journaled
+    drop(service);
+
+    // Tear the final record: cut the last byte off the final segment.
+    let mut segments: Vec<PathBuf> = fs::read_dir(image.0.join(WAL_DIR))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    segments.sort();
+    let last = segments.pop().unwrap();
+    let len = fs::metadata(&last).unwrap().len();
+    fs::OpenOptions::new()
+        .write(true)
+        .open(&last)
+        .unwrap()
+        .set_len(len - 1)
+        .unwrap();
+
+    let recovered = TemplarService::recover(
+        Arc::clone(&mas.db),
+        &image.0,
+        TemplarConfig::paper_defaults(),
+        config,
+    )
+    .unwrap();
+    let survivors = head.iter().chain(&tail[..tail.len() - 1]);
+    let (log, skipped) = QueryLog::from_sql(survivors.map(String::as_str));
+    assert_eq!(skipped, 0);
+    let m = recovered.metrics();
+    assert_eq!(
+        m.wal_replayed,
+        tail.len() as u64,
+        "the tail and the noise replay, less the torn record"
+    );
+    assert_eq!(m.log_skipped_statements, 1, "the noise counts as a skip");
+    assert!(
+        m.wal_truncated_bytes > 0,
+        "the torn record is cut and reported"
+    );
+    assert_eq!(m.wal_applied_seq, sql.len() as u64);
+    assert_eq!(m.qfg_queries, log.len() as u64);
+    assert!(
+        m.recovery_peak_batch_bytes > 0 && m.recovery_peak_batch_bytes <= batch_budget as u64,
+        "peak batch {} must be within the {batch_budget}-byte budget",
+        m.recovery_peak_batch_bytes
+    );
+    assert!(
+        recovered.snapshot().qfg() == &QueryFragmentGraph::build(&log, obscurity),
+        "snapshot plus tail must rebuild the QFG of the surviving log at {factor}x scale"
+    );
+
+    // The recovered log itself, in order: a snapshot saved now reads it back.
+    let saved = image.0.join("saved.templar");
+    recovered.save_snapshot(&saved).unwrap();
+    let (snapshot, watermark) = read_snapshot_from(&FsStorage, &saved, obscurity).unwrap();
+    assert_eq!(watermark, sql.len() as u64);
+    assert!(
+        snapshot.log == log,
+        "the recovered log must be the surviving log, in order, at {factor}x scale"
+    );
+}
+
+/// 100× MAS restart shape: runs in the default test tier.
+#[test]
+fn mas_100x_snapshot_plus_torn_tail_recovers_the_surviving_log() {
+    scaled_mas_snapshot_and_torn_tail_recovery(100, 64 * 1024);
+}
+
+/// 1000× MAS restart shape: ignored in the default tier for runtime; CI
+/// runs it in release mode with the other ignored scale tests.
+#[test]
+#[ignore = "full-scale acceptance run; executed explicitly by CI in release mode"]
+fn mas_1000x_snapshot_plus_torn_tail_recovers_the_surviving_log() {
+    scaled_mas_snapshot_and_torn_tail_recovery(1000, 256 * 1024);
 }
 
 /// The v4 log sections stream each `Query` through the typed codec.  For

@@ -13,14 +13,19 @@
 //! boundary** of its tail records before recovering.
 
 use nlidb::Nlq;
+use nlp::TextSimilarity;
 use relational::{DataType, Database, Schema};
 use sqlparse::BinOp;
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
-use templar_core::{Keyword, KeywordMetadata, QueryLog, TemplarConfig};
-use templar_service::{ServiceConfig, TemplarService, SNAPSHOT_FILE, WAL_DIR};
+use templar_core::{Keyword, KeywordMetadata, Obscurity, QueryLog, TemplarConfig};
+use templar_service::{
+    FaultyStorage, ServiceConfig, ServiceError, SnapshotError, StorageOp, TemplarService, WalError,
+    SNAPSHOT_FILE, WAL_DIR,
+};
 
 fn academic_db() -> Arc<Database> {
     let schema = Schema::builder("academic")
@@ -655,4 +660,157 @@ fn flush_leaves_the_staged_journal_tail_on_disk() {
     )
     .unwrap();
     assert_eq!(recovered.metrics().wal_replayed, 3);
+}
+
+/// A checkpointed directory whose journal holds the 3-record tail above
+/// watermark 2, the final record torn (its last byte cut off).
+fn snapshot_over_torn_tail(name: &str) -> TempDir {
+    let dir = temp_dir(name);
+    let service = TemplarService::recover(
+        academic_db(),
+        &dir,
+        TemplarConfig::paper_defaults(),
+        durable_config(),
+    )
+    .unwrap();
+    for sql in &ACADEMIC_LOG[..2] {
+        service.submit_sql(sql).unwrap();
+    }
+    service.flush();
+    assert_eq!(service.checkpoint().unwrap(), 2);
+    for sql in &ACADEMIC_LOG[2..] {
+        service.submit_sql(sql).unwrap();
+    }
+    service.flush();
+    let image = temp_dir(&format!("{name}-image"));
+    copy_dir(&dir, &image); // kill -9 with the tail journaled
+    drop(service);
+    let segment = final_segment(&image);
+    let len = fs::metadata(&segment).unwrap().len();
+    fs::OpenOptions::new()
+        .write(true)
+        .open(&segment)
+        .unwrap()
+        .set_len(len - 1)
+        .unwrap();
+    image
+}
+
+/// Every journal file's bytes, by name.
+fn journal_bytes(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    fs::read_dir(dir.join(WAL_DIR))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .map(|p| (p.clone(), fs::read(&p).unwrap()))
+        .collect()
+}
+
+/// Flip one bit inside the snapshot's first section, under its CRC.
+fn flip_snapshot_bit(dir: &Path) -> Vec<u8> {
+    let path = dir.join(SNAPSHOT_FILE);
+    let pristine = fs::read(&path).unwrap();
+    let header_end = pristine.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let mut flipped = pristine.clone();
+    flipped[header_end + 8 + 4] ^= 0x01;
+    fs::write(&path, &flipped).unwrap();
+    pristine
+}
+
+fn recover(dir: &Path) -> Result<TemplarService, ServiceError> {
+    TemplarService::recover(
+        academic_db(),
+        dir,
+        TemplarConfig::paper_defaults(),
+        durable_config(),
+    )
+}
+
+/// The journal changes only once the snapshot under it is accepted: a
+/// corrupt snapshot over a torn journal tail fails recovery and leaves
+/// every journal file byte-identical, so the torn bytes are still there
+/// (and still reported) when a later recovery succeeds.  A recovery that
+/// cut the tail first would hide that loss from the next one.
+#[test]
+fn a_failed_snapshot_leaves_the_torn_journal_tail_in_place() {
+    let image = snapshot_over_torn_tail("corrupt-over-torn");
+    let journal = journal_bytes(&image);
+    let pristine = flip_snapshot_bit(&image);
+    match recover(&image) {
+        Err(ServiceError::Snapshot(SnapshotError::Corrupt(_))) => {}
+        Err(other) => panic!("expected a corrupt snapshot, got {other}"),
+        Ok(_) => panic!("a bit-flipped snapshot must not recover"),
+    }
+    assert_eq!(
+        journal_bytes(&image),
+        journal,
+        "a failed recovery must not change the journal"
+    );
+
+    fs::write(image.join(SNAPSHOT_FILE), &pristine).unwrap();
+    let recovered = recover(&image).unwrap();
+    let m = recovered.metrics();
+    assert!(
+        m.wal_truncated_bytes > 0,
+        "the recovery that succeeds cuts and reports the torn tail"
+    );
+    assert_eq!(m.wal_replayed, 2, "the two whole tail records replay");
+    assert_eq!(m.qfg_queries, 4);
+}
+
+/// When both the snapshot and the journal are damaged, the snapshot's error
+/// is the one reported; the journal's damage surfaces once the snapshot is
+/// whole again.
+#[test]
+fn a_corrupt_snapshot_outranks_a_corrupt_journal() {
+    let image = snapshot_over_torn_tail("corrupt-over-corrupt");
+    // Damage the final segment's first record: real records follow it, so
+    // this is corruption under acknowledged records, not a torn tail.
+    let segment = final_segment(&image);
+    let mut bytes = fs::read(&segment).unwrap();
+    bytes[8] ^= 0x01;
+    fs::write(&segment, &bytes).unwrap();
+    let pristine = flip_snapshot_bit(&image);
+    match recover(&image) {
+        Err(ServiceError::Snapshot(SnapshotError::Corrupt(_))) => {}
+        Err(other) => panic!("expected the snapshot's error, got {other}"),
+        Ok(_) => panic!("a bit-flipped snapshot must not recover"),
+    }
+
+    fs::write(image.join(SNAPSHOT_FILE), &pristine).unwrap();
+    match recover(&image) {
+        Err(ServiceError::Wal(WalError::Corrupt { .. })) => {}
+        Err(other) => panic!("expected the journal's error, got {other}"),
+        Ok(_) => panic!("a journal damaged under later records must not recover"),
+    }
+}
+
+/// A snapshot captured at another obscurity level is refused from its
+/// header line, before recovery reads a single journal segment.
+#[test]
+fn an_obscurity_mismatch_is_refused_before_the_journal_is_read() {
+    let image = snapshot_over_torn_tail("obscurity-mismatch");
+    let journal = journal_bytes(&image);
+    let storage = FaultyStorage::new();
+    let result = TemplarService::recover_with_storage(
+        academic_db(),
+        &image,
+        storage.clone(),
+        TextSimilarity::new(),
+        TemplarConfig::paper_defaults().with_obscurity(Obscurity::Full),
+        durable_config(),
+    );
+    match result {
+        Err(ServiceError::Snapshot(SnapshotError::ObscurityMismatch { expected, found })) => {
+            assert_eq!((expected, found), (Obscurity::Full, Obscurity::NoConstOp));
+        }
+        Err(other) => panic!("expected ObscurityMismatch, got {other}"),
+        Ok(_) => panic!("a snapshot at another obscurity level must not recover"),
+    }
+    assert_eq!(
+        storage.op_count(StorageOp::ReadFile),
+        0,
+        "no journal segment may be read"
+    );
+    assert_eq!(storage.op_count(StorageOp::OpenWrite), 0);
+    assert_eq!(journal_bytes(&image), journal);
 }

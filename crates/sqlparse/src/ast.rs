@@ -114,18 +114,6 @@ impl Aggregate {
             Aggregate::Max => "MAX",
         }
     }
-
-    /// Parse an aggregate name (any case).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_uppercase().as_str() {
-            "COUNT" => Some(Aggregate::Count),
-            "SUM" => Some(Aggregate::Sum),
-            "AVG" => Some(Aggregate::Avg),
-            "MIN" => Some(Aggregate::Min),
-            "MAX" => Some(Aggregate::Max),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Aggregate {

@@ -36,7 +36,7 @@ pub use ast::{
 pub use canon::canonicalize;
 pub use error::{ParseError, ParseResult};
 pub use lexer::Lexer;
-pub use parser::{parse_query, Parser};
+pub use parser::parse_query;
 pub use token::{Token, TokenKind};
 
 /// The random query strategies of `tests/properties.rs`, shared with the

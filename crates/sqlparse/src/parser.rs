@@ -24,9 +24,11 @@ pub fn parse_query(sql: &str) -> ParseResult<Query> {
     Ok(query)
 }
 
-/// The recursive-descent parser over a token stream.
+/// The recursive-descent parser over a token stream.  Private to
+/// [`parse_query`], which ends every stream it lexes with `Eof`, the token
+/// the parser relies on to stop.
 #[derive(Debug)]
-pub struct Parser<'a> {
+struct Parser<'a> {
     tokens: Vec<Token<'a>>,
     pos: usize,
 }
@@ -48,8 +50,8 @@ fn aggregate(token: TokenKind<'_>) -> Option<Aggregate> {
 }
 
 impl<'a> Parser<'a> {
-    /// Create a parser over a token stream (must be terminated by `Eof`).
-    pub fn new(tokens: Vec<Token<'a>>) -> Self {
+    /// Create a parser over a token stream terminated by `Eof`.
+    fn new(tokens: Vec<Token<'a>>) -> Self {
         Parser { tokens, pos: 0 }
     }
 
@@ -125,7 +127,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Verify the whole input was consumed (allowing a trailing semicolon).
-    pub fn expect_end(&mut self) -> ParseResult<()> {
+    fn expect_end(&mut self) -> ParseResult<()> {
         self.eat(TokenKind::Semicolon);
         if self.peek() == TokenKind::Eof {
             Ok(())
@@ -138,7 +140,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parse a complete `SELECT` query.
-    pub fn parse_query(&mut self) -> ParseResult<Query> {
+    fn parse_query(&mut self) -> ParseResult<Query> {
         self.expect_keyword("SELECT")?;
         let distinct = self.eat_keyword("DISTINCT");
         let select = self.parse_select_list()?;

@@ -288,6 +288,18 @@ impl Lexer {
     }
 }
 
+/// The aggregate a name (any case) stands for, if any.
+fn aggregate_named(name: &str) -> Option<Aggregate> {
+    match name.to_uppercase().as_str() {
+        "COUNT" => Some(Aggregate::Count),
+        "SUM" => Some(Aggregate::Sum),
+        "AVG" => Some(Aggregate::Avg),
+        "MIN" => Some(Aggregate::Min),
+        "MAX" => Some(Aggregate::Max),
+        _ => None,
+    }
+}
+
 /// Parse a single SQL query.
 pub(super) fn parse_query(sql: &str) -> ParseResult<Query> {
     let tokens = Lexer::tokenize(sql)?;
@@ -538,8 +550,8 @@ impl Parser {
     /// Parse a scalar expression: aggregate call, column reference or literal.
     fn parse_expr(&mut self) -> ParseResult<Expr> {
         match self.peek().clone() {
-            TokenKind::Keyword(kw) if Aggregate::from_name(&kw).is_some() => {
-                let func = Aggregate::from_name(&kw).expect("checked above");
+            TokenKind::Keyword(kw) if aggregate_named(&kw).is_some() => {
+                let func = aggregate_named(&kw).expect("checked above");
                 self.bump();
                 self.expect(&TokenKind::LParen)?;
                 let distinct = self.eat_keyword("DISTINCT");
